@@ -272,6 +272,39 @@ class TestReduceBipartite:
             reduce_bipartite(BipartiteGraph(3, 2, []), params, Seed(0))
 
 
+class TestFrozenStreams:
+    # (n, k, ell, q, seed, reduce_graph fingerprint, reduce_bipartite
+    # fingerprint); a change here changes the seed -> output map, which
+    # needs a sidecar format bump and a CHANGES.md entry
+    POINTS = [
+        (6, 3, 1, 0.25, 4, 0xB099A2A910A99AA7, 0x5483ECE5C714E42B),
+        (12, 6, 2, 0.05, 7, 0xFDA89532398E22C5, 0xAEB901A6689AEF03),
+        (60, 20, 3, 0.02, 11, 0x0A4FEC521F8409F2, 0x73E055992B900516),
+        (200, 40, 2, 0.01, 13, 0xE045C671F1BB4256, 0xF46E69A3B2FC890B),
+    ]
+
+    @pytest.mark.parametrize("n,k,ell,q,seed,uni,bip", POINTS)
+    def test_fingerprints(self, n, k, ell, q, seed, uni, bip):
+        params = ReductionParams(n=n, k=k, gamma=0.5, ell=ell, q=q)
+        g = Graph(n, [(u, v) for u, v in combinations(range(n), 2) if v < k or (u + 2 * v) % 3 == 0])
+        b = BipartiteGraph(
+            n, n, [(u, v) for u in range(n) for v in range(n) if max(u, v) < k or (u + v) % 3 == 0]
+        )
+        assert reduce_graph(g, params, Seed(seed)).fingerprint() == uni
+        assert reduce_bipartite(b, params, Seed(seed)).fingerprint() == bip
+
+    def test_points_cover_empty_and_oversize_parts(self):
+        # part sizes from the documented parent stream: one draw per side
+        oversize_sides = 0
+        for n, _, ell, _, seed, _, _ in self.POINTS:
+            rng = Seed(seed).child(0).rng()
+            for _side in range(2):
+                sizes = np.bincount(rng.integers(0, n, size=n * ell), minlength=n)
+                assert sizes.min() == 0
+                oversize_sides += sizes.max() > 2 * ell
+        assert oversize_sides >= 6
+
+
 class TestXiBound:
     def test_term_fixture(self):
         params = ReductionParams(n=200, k=100, gamma=0.5, ell=10, q=1 / 1600)
