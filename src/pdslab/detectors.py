@@ -21,7 +21,6 @@ and scans the recovered sets' edge counts.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Optional
@@ -390,13 +389,11 @@ def estimate_errors(
     test: Callable[[Graph], object],
     trials: int,
     seed,
-    workers: int = 1,
 ) -> ErrorEstimate:
     """Empirical Type-I/Type-II rates over independent trials.
 
     Generators are callables Seed -> Graph.  Trial i of each arm uses its
-    own derived seed, so results do not depend on execution order or on the
-    worker count.
+    own derived seed, so results do not depend on execution order.
     """
     if trials < 1:
         raise InvalidParameterError("need at least one trial")
@@ -404,19 +401,8 @@ def estimate_errors(
     null_root = root.child(0)
     alt_root = root.child(1)
 
-    def run_null(i: int) -> bool:
-        return _decision(test(null_gen(null_root.child(i)))) == H1
-
-    def run_alt(i: int) -> bool:
-        return _decision(test(alt_gen(alt_root.child(i)))) == H0
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            false_alarms = list(pool.map(run_null, range(trials)))
-            misses = list(pool.map(run_alt, range(trials)))
-    else:
-        false_alarms = [run_null(i) for i in range(trials)]
-        misses = [run_alt(i) for i in range(trials)]
+    false_alarms = [_decision(test(null_gen(null_root.child(i)))) == H1 for i in range(trials)]
+    misses = [_decision(test(alt_gen(alt_root.child(i)))) == H0 for i in range(trials)]
     return ErrorEstimate.from_rates(sum(false_alarms) / trials, sum(misses) / trials, trials)
 
 

@@ -1,7 +1,1 @@
 """CLI front-end and experiment orchestration."""
-
-from .cli import main
-from .config import SweepConfig, load_config
-from .sweep import run_sweep, rows_to_csv, write_outputs
-
-__all__ = ["main", "SweepConfig", "load_config", "run_sweep", "rows_to_csv", "write_outputs"]

@@ -16,6 +16,7 @@ from ..graphmodels import PdsParams
 
 _TESTS = ("lin", "scan", "combined")
 _SCAN_MODES = ("exact", "heuristic")
+_INT_KEYS = ("N", "trials", "master_seed", "restarts", "workers")
 
 
 @dataclass(frozen=True)
@@ -87,23 +88,26 @@ def load_config(path) -> SweepConfig:
     unknown = sorted(set(raw) - allowed)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    for key in _INT_KEYS:
+        # JSON true/false load as bool, a subclass of int
+        if key in raw and (isinstance(raw[key], bool) or not isinstance(raw[key], int)):
+            raise ConfigError(f"{key} must be a JSON integer, got {json.dumps(raw[key])}")
     try:
-        n_vertices = int(raw["N"])
         # exact enumeration is infeasible past small N, so it must be opted
         # into explicitly there
-        scan_mode = str(raw.get("scan_mode", "exact" if n_vertices <= 60 else "heuristic"))
+        scan_mode = str(raw.get("scan_mode", "exact" if raw["N"] <= 60 else "heuristic"))
         return SweepConfig(
             alpha_grid=tuple(float(a) for a in raw["alpha_grid"]),
             beta_grid=tuple(float(b) for b in raw["beta_grid"]),
-            N=n_vertices,
-            trials=int(raw["trials"]),
+            N=raw["N"],
+            trials=raw["trials"],
             test=str(raw["test"]),
             scan_mode=scan_mode,
-            master_seed=int(raw["master_seed"]),
+            master_seed=raw["master_seed"],
             output_path=str(raw["output_path"]),
             c=float(raw.get("c", 2.0)),
-            restarts=int(raw.get("restarts", 16)),
-            workers=int(raw.get("workers", 1)),
+            restarts=raw.get("restarts", 16),
+            workers=raw.get("workers", 1),
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):

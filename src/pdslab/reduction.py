@@ -21,6 +21,11 @@ Given the block count, the concrete edges are placed uniformly at random
 among the block's slots with Floyd's sampling.  Slot indices are canonical:
 row-major over the sorted vertex lists for off-diagonal blocks, colex over
 within-part pairs for diagonal blocks.
+
+`block_routes` is the one place that walks the parent blocks and routes
+each to its count law, and `block_pairs` the one place that lays out its
+slots.  Both samplers and the exact oracles in `theorychecks` consume
+them, so the oracles check the routing the samplers use.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -48,7 +53,8 @@ __all__ = [
     "m0_of",
     "build_pprime",
     "build_qprime",
-    "sample_edge_count",
+    "block_routes",
+    "block_pairs",
     "reduce_graph",
     "reduce_bipartite",
     "xi_bound",
@@ -228,29 +234,6 @@ class KernelTable:
             self._plain[slots] = hit
         return hit
 
-    def edge_distribution(self, a_st: bool, ls: int, lt: int) -> Pmf:
-        """Eq.-(5)-style routing: P'/Q' for in-range parts, plain Q above 2*ell."""
-        if max(ls, lt) > 2 * self.ell:
-            return self.plain(ls * lt)
-        p_prime, q_prime, _ = self.cell(ls, lt)
-        return p_prime if a_st else q_prime
-
-
-def sample_edge_count(
-    a_st: bool,
-    ls: int,
-    lt: int,
-    params: ReductionParams,
-    rng: np.random.Generator,
-    table: Optional[KernelTable] = None,
-) -> int:
-    """One block edge count draw, routed per the kernel rules."""
-    if ls == 0 or lt == 0:
-        return 0
-    if table is None:
-        table = KernelTable.for_params(params)
-    return sample_pmf(table.edge_distribution(a_st, ls, lt), rng)
-
 
 def _floyd_sample(n_slots: int, m: int, rng: np.random.Generator) -> list:
     """Uniform m-subset of range(n_slots) in O(m) draws (Floyd's algorithm)."""
@@ -271,48 +254,92 @@ def _colex_pair(idx: int) -> tuple:
     return idx - j * (j - 1) // 2, j
 
 
-def reduce_graph(g: Graph, params: ReductionParams, seed) -> Graph:
-    """Blow an n-vertex graph up to N = n*ell vertices through the kernel.
+def block_routes(rows, cols, table: KernelTable, w):
+    """Walk the parent blocks in draw order and route each to its count law.
 
-    Parents are assigned independently and uniformly; diagonal blocks draw
-    Binom(C(l_t, 2), q) edge counts, off-diagonal blocks go through the
-    modified kernel, and the drawn number of edges lands on uniformly
-    chosen slots.  Deterministic given the seed.
+    `rows[s]` and `cols[t]` hold the sorted output vertices with parent s
+    (row side) and t (column side).  When `cols is rows` the graph is
+    unipartite and the blocks are (s, t) with s <= t, where s == t is the
+    diagonal block of within-part pairs; otherwise every (s, t) is an
+    off-diagonal block.  `w(s, t)` is the probability that input pair
+    (s, t) is an edge: 0 or 1 for a fixed input graph, gamma for an
+    Erdos-Renyi(gamma) input.
+
+    Yields (vs, vt, diagonal, slots, law) for every block with at least one
+    slot.  Diagonal blocks draw Binom(C(l,2), q); a block with a part above
+    2*ell draws plain Binom(ls*lt, q); every other block draws P' if w is 1,
+    Q' if w is 0, and the mixture (1-w) Q' + w P' otherwise.
     """
+    unipartite = cols is rows
+    for s, vs in enumerate(rows):
+        ls = len(vs)
+        if ls == 0:
+            continue
+        for t in range(s if unipartite else 0, len(cols)):
+            vt = cols[t]
+            lt = len(vt)
+            diagonal = unipartite and s == t
+            slots = ls * (ls - 1) // 2 if diagonal else ls * lt
+            if slots == 0:
+                continue
+            if diagonal or max(ls, lt) > 2 * table.ell:
+                law = table.plain(slots)
+            else:
+                p_prime, q_prime, _ = table.cell(ls, lt)
+                weight = w(s, t)
+                if weight == 1:
+                    law = p_prime
+                elif weight == 0:
+                    law = q_prime
+                else:
+                    law = Pmf((1.0 - weight) * q_prime.probs + weight * p_prime.probs)
+            yield vs, vt, diagonal, slots, law
+
+
+def block_pairs(vs, vt, diagonal: bool, idx) -> list:
+    """The output vertex pairs at slot indices `idx` of one block: colex
+    order over within-part pairs for a diagonal block, row-major over
+    vs x vt otherwise."""
+    if diagonal:
+        return [(int(vs[i]), int(vs[j])) for i, j in map(_colex_pair, idx)]
+    lt = len(vt)
+    return [(int(vs[k // lt]), int(vt[k % lt])) for k in idx]
+
+
+def _sample_blocks(g, params: ReductionParams, seed) -> list:
+    """Edges of one reduced graph: parents for each side from the parent
+    stream, then a count draw and a Floyd placement per routed block from
+    the edge stream."""
     n = params.n
-    if g.num_vertices != n:
-        raise VertexCountMismatchError(
-            f"input has {g.num_vertices} vertices, parameters say n = {n}"
-        )
     root = as_seed(seed)
     parent_rng = root.child(_PARENT_STREAM).rng()
     edge_rng = root.child(_EDGE_STREAM).rng()
-    parents = parent_rng.integers(0, n, size=params.N)
-    members = [np.nonzero(parents == t)[0] for t in range(n)]
+    sides = []
+    for _ in range(2 if isinstance(g, BipartiteGraph) else 1):
+        parents = parent_rng.integers(0, n, size=params.N)
+        sides.append([np.nonzero(parents == s)[0] for s in range(n)])
     table = KernelTable.for_params(params)
     edges = []
-    for s in range(n):
-        vs = members[s]
-        for t in range(s, n):
-            vt = members[t]
-            if s == t:
-                size = vt.size
-                slots = size * (size - 1) // 2
-                if slots == 0:
-                    continue
-                m = sample_pmf(table.plain(slots), edge_rng)
-                for idx in _floyd_sample(slots, m, edge_rng):
-                    i, j = _colex_pair(idx)
-                    edges.append((int(vt[i]), int(vt[j])))
-            else:
-                slots = vs.size * vt.size
-                if slots == 0:
-                    continue
-                dist = table.edge_distribution(g.has_edge(s, t), vs.size, vt.size)
-                m = sample_pmf(dist, edge_rng)
-                for idx in _floyd_sample(slots, m, edge_rng):
-                    edges.append((int(vs[idx // vt.size]), int(vt[idx % vt.size])))
-    return Graph(params.N, edges)
+    # with one side, sides[0] is sides[-1]: block_routes walks it as unipartite
+    for vs, vt, diagonal, slots, law in block_routes(sides[0], sides[-1], table, g.has_edge):
+        m = sample_pmf(law, edge_rng)
+        if m:
+            edges.extend(block_pairs(vs, vt, diagonal, _floyd_sample(slots, m, edge_rng)))
+    return edges
+
+
+def reduce_graph(g: Graph, params: ReductionParams, seed) -> Graph:
+    """Blow an n-vertex graph up to N = n*ell vertices through the kernel.
+
+    Parents are assigned independently and uniformly; each block draws its
+    edge count from the law `block_routes` gives it, and the drawn number
+    of edges lands on uniformly chosen slots.  Deterministic given the seed.
+    """
+    if g.num_vertices != params.n:
+        raise VertexCountMismatchError(
+            f"input has {g.num_vertices} vertices, parameters say n = {params.n}"
+        )
+    return Graph(params.N, _sample_blocks(g, params, seed))
 
 
 def reduce_bipartite(g: BipartiteGraph, params: ReductionParams, seed) -> BipartiteGraph:
@@ -322,29 +349,7 @@ def reduce_bipartite(g: BipartiteGraph, params: ReductionParams, seed) -> Bipart
         raise VertexCountMismatchError(
             f"input has {g.num_top} x {g.num_bottom} vertices, parameters say n = {n}"
         )
-    root = as_seed(seed)
-    parent_rng = root.child(_PARENT_STREAM).rng()
-    edge_rng = root.child(_EDGE_STREAM).rng()
-    parents_top = parent_rng.integers(0, n, size=params.N)
-    parents_bottom = parent_rng.integers(0, n, size=params.N)
-    tops = [np.nonzero(parents_top == s)[0] for s in range(n)]
-    bottoms = [np.nonzero(parents_bottom == t)[0] for t in range(n)]
-    table = KernelTable.for_params(params)
-    edges = []
-    for s in range(n):
-        vs = tops[s]
-        if vs.size == 0:
-            continue
-        for t in range(n):
-            vt = bottoms[t]
-            slots = vs.size * vt.size
-            if slots == 0:
-                continue
-            dist = table.edge_distribution(g.has_edge(s, t), vs.size, vt.size)
-            m = sample_pmf(dist, edge_rng)
-            for idx in _floyd_sample(slots, m, edge_rng):
-                edges.append((int(vs[idx // vt.size]), int(vt[idx % vt.size])))
-    return BipartiteGraph(params.N, params.N, edges)
+    return BipartiteGraph(params.N, params.N, _sample_blocks(g, params, seed))
 
 
 def xi_bound_terms(params: ReductionParams) -> tuple:

@@ -29,7 +29,15 @@ from .errors import (
 )
 from .graphmodels import Graph
 from .randkit import Pmf, binom_pmf, hyper_pmf, tv_distance
-from .reduction import KernelTable, ReductionParams, build_pprime, build_qprime, m0_of
+from .reduction import (
+    KernelTable,
+    ReductionParams,
+    block_pairs,
+    block_routes,
+    build_pprime,
+    build_qprime,
+    m0_of,
+)
 
 __all__ = [
     "CheckReport",
@@ -347,62 +355,77 @@ def hyper_mgf(pop: int, m: int, lam: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _block_factor(masks: np.ndarray, slot_ids: list, dist: Pmf) -> np.ndarray:
+def _block_factor(bits: np.ndarray, slot_ids: list, dist: Pmf) -> np.ndarray:
     """Probability factor of one block across all edge masks: the block's
-    count law divided by the number of uniform placements."""
-    m = np.zeros(masks.size, dtype=np.int64)
-    for i in slot_ids:
-        m += (masks >> i) & 1
+    count law divided by the number of uniform placements.  `bits[i]` is
+    slot i's presence bit in every mask."""
+    # the enumeration caps keep every block far below 2^8 slots
+    m = bits[slot_ids].sum(axis=0, dtype=np.uint8)
     n_slots = len(slot_ids)
     weights = np.array([dist[c] / math.comb(n_slots, c) for c in range(n_slots + 1)])
     return weights[m]
 
 
-def _unipartite_blocks(assignment, n: int, N: int, pair_index: dict):
-    members = [[v for v in range(N) if assignment[v] == s] for s in range(n)]
-    blocks = []
-    for s in range(n):
-        for t in range(s, n):
-            if s == t:
-                ids = [pair_index[u, v] for u, v in combinations(members[s], 2)]
-                if ids:
-                    blocks.append((s, t, len(members[s]), len(members[t]), ids))
-            else:
-                ids = [
-                    pair_index[min(u, v), max(u, v)]
-                    for u in members[s]
-                    for v in members[t]
-                ]
-                if ids:
-                    blocks.append((s, t, len(members[s]), len(members[t]), ids))
-    return blocks
+def _reduced_law(params: ReductionParams, w, bipartite: bool) -> np.ndarray:
+    """Exact output law of the reduction as a vector over all edge masks.
+
+    Sums over every parent assignment (of both sides for a bipartite
+    graph); the blocks, their count laws and their slots come from the
+    samplers' own `block_routes` and `block_pairs`.  `w(s, t)` is the
+    probability that input pair (s, t) is an edge.
+    """
+    n, N = params.n, params.N
+    if bipartite:
+        n_slots = N * N
+        if (n**N) ** 2 * (1 << n_slots) > 20 * _ENUMERATION_CAP:
+            raise TooLargeError("bipartite assignment x graph space exceeds the cap")
+        slot_of = [[u * N + v for v in range(N)] for u in range(N)]
+    else:
+        pairs, n_slots = _graph_space(N)
+        if n**N * (1 << n_slots) > _ENUMERATION_CAP:
+            raise TooLargeError("assignment x graph space exceeds the enumeration cap")
+        slot_of = [[0] * N for _ in range(N)]
+        for i, (u, v) in enumerate(pairs):
+            slot_of[u][v] = slot_of[v][u] = i
+    parts = [
+        [[v for v in range(N) if assignment[v] == s] for s in range(n)]
+        for assignment in product(range(n), repeat=N)
+    ]
+    if bipartite:
+        # separate column lists: block_routes reads `cols is rows` as unipartite
+        sides = list(product(parts, [list(part) for part in parts]))
+    else:
+        sides = [(part, part) for part in parts]
+    weight = 1.0 / len(sides)
+    masks = np.arange(1 << n_slots, dtype=np.int64)
+    bits = ((masks >> np.arange(n_slots)[:, None]) & 1).astype(np.uint8)
+    table = KernelTable.for_params(params)
+    law = np.zeros(masks.size)
+    for rows, cols in sides:
+        factor = np.full(masks.size, weight)
+        for vs, vt, diagonal, slots, dist in block_routes(rows, cols, table, w):
+            ids = [slot_of[u][v] for u, v in block_pairs(vs, vt, diagonal, range(slots))]
+            factor *= _block_factor(bits, ids, dist)
+        law += factor
+    return law
+
+
+def _bipartite_tv(law: np.ndarray, N: int, rate: float) -> float:
+    """TV between a bipartite law over N x N edge masks and the product
+    Bernoulli(rate) law."""
+    n_slots = N * N
+    pop = _popcount(np.arange(1 << n_slots, dtype=np.int64))
+    target = rate**pop * (1.0 - rate) ** (n_slots - pop)
+    return 0.5 * float(np.abs(law - target).sum())
 
 
 def reduced_law_exact(g_in: Graph, params: ReductionParams) -> np.ndarray:
     """Exact output law of the reduction for one fixed input graph, as a
     vector over all 2^C(N,2) edge masks.  Sums over every parent
     assignment; only viable for tiny n and ell."""
-    n, N = params.n, params.N
-    if g_in.num_vertices != n:
+    if g_in.num_vertices != params.n:
         raise InvalidParameterError("input graph size does not match params.n")
-    pairs, n_pairs = _graph_space(N)
-    if n**N * (1 << n_pairs) > _ENUMERATION_CAP:
-        raise TooLargeError("assignment x graph space exceeds the enumeration cap")
-    pair_index = {pair: i for i, pair in enumerate(pairs)}
-    masks = np.arange(1 << n_pairs, dtype=np.int64)
-    table = KernelTable.for_params(params)
-    law = np.zeros(masks.size)
-    weight = 1.0 / n**N
-    for assignment in product(range(n), repeat=N):
-        factor = np.full(masks.size, weight)
-        for s, t, ls, lt, ids in _unipartite_blocks(assignment, n, N, pair_index):
-            if s == t:
-                dist = table.plain(len(ids))
-            else:
-                dist = table.edge_distribution(g_in.has_edge(s, t), ls, lt)
-            factor *= _block_factor(masks, ids, dist)
-        law += factor
-    return law
+    return _reduced_law(params, g_in.has_edge, bipartite=False)
 
 
 def reduction_null_tv_exact(params: ReductionParams) -> float:
@@ -413,28 +436,8 @@ def reduction_null_tv_exact(params: ReductionParams) -> float:
     distinct input edge, so mixing over the input replaces each block law
     by (1-gamma) Q' + gamma P' analytically; no input enumeration needed.
     """
-    n, N, gamma = params.n, params.N, params.gamma
-    pairs, n_pairs = _graph_space(N)
-    if n**N * (1 << n_pairs) > _ENUMERATION_CAP:
-        raise TooLargeError("assignment x graph space exceeds the enumeration cap")
-    pair_index = {pair: i for i, pair in enumerate(pairs)}
-    masks = np.arange(1 << n_pairs, dtype=np.int64)
-    table = KernelTable.for_params(params)
-    law = np.zeros(masks.size)
-    weight = 1.0 / n**N
-    for assignment in product(range(n), repeat=N):
-        factor = np.full(masks.size, weight)
-        for s, t, ls, lt, ids in _unipartite_blocks(assignment, n, N, pair_index):
-            if s == t:
-                dist = table.plain(len(ids))
-            elif max(ls, lt) > 2 * params.ell:
-                dist = table.plain(ls * lt)
-            else:
-                p_prime, q_prime, _ = table.cell(ls, lt)
-                dist = Pmf((1.0 - gamma) * q_prime.probs + gamma * p_prime.probs)
-            factor *= _block_factor(masks, ids, dist)
-        law += factor
-    target = er_law_exact(N, params.q)
+    law = _reduced_law(params, lambda s, t: params.gamma, bipartite=False)
+    target = er_law_exact(params.N, params.q)
     return 0.5 * float(np.abs(law - target).sum())
 
 
@@ -456,55 +459,11 @@ def reduction_alt_tv_exact(params: ReductionParams) -> float:
     return 0.5 * float(np.abs(law - target).sum())
 
 
-def _bipartite_reduced_tv(params: ReductionParams, block_dist, target_rate: float) -> float:
-    """Shared enumeration: TV between the bipartite reduced law (block
-    count laws supplied by `block_dist(ls, lt)`) and a product Bernoulli
-    law at `target_rate`."""
-    n, N = params.n, params.N
-    n_slots = N * N
-    if (n**N) ** 2 * (1 << n_slots) > 20 * _ENUMERATION_CAP:
-        raise TooLargeError("bipartite assignment x graph space exceeds the cap")
-    masks = np.arange(1 << n_slots, dtype=np.int64)
-    law = np.zeros(masks.size)
-    weight = 1.0 / float(n ** (2 * N))
-    assignments = list(product(range(n), repeat=N))
-    for top_assign in assignments:
-        tops = [[u for u in range(N) if top_assign[u] == s] for s in range(n)]
-        for bottom_assign in assignments:
-            bottoms = [[v for v in range(N) if bottom_assign[v] == t] for t in range(n)]
-            factor = np.full(masks.size, weight)
-            for s in range(n):
-                if not tops[s]:
-                    continue
-                for t in range(n):
-                    if not bottoms[t]:
-                        continue
-                    ids = [u * N + v for u in tops[s] for v in bottoms[t]]
-                    factor *= _block_factor(masks, ids, block_dist(len(tops[s]), len(bottoms[t])))
-            law += factor
-    pop = _popcount(masks)
-    target = target_rate**pop * (1.0 - target_rate) ** (n_slots - pop)
-    return 0.5 * float(np.abs(law - target).sum())
-
-
 def reduction_null_tv_bipartite_exact(params: ReductionParams) -> float:
     """Bipartite analogue of the null exactness oracle (same analytic
     mixing over input edges; every block is off-diagonal)."""
-    gamma = params.gamma
-    table = KernelTable.for_params(params)
-    cache: dict = {}
-
-    def mixed(ls, lt):
-        key = ls * lt
-        if key not in cache:
-            if max(ls, lt) > 2 * params.ell:
-                cache[key] = table.plain(key)
-            else:
-                p_prime, q_prime, _ = table.cell(ls, lt)
-                cache[key] = Pmf((1.0 - gamma) * q_prime.probs + gamma * p_prime.probs)
-        return cache[key]
-
-    return _bipartite_reduced_tv(params, mixed, params.q)
+    law = _reduced_law(params, lambda s, t: params.gamma, bipartite=True)
+    return _bipartite_tv(law, params.N, params.q)
 
 
 def reduction_alt_tv_bipartite_exact(params: ReductionParams) -> float:
@@ -514,10 +473,8 @@ def reduction_alt_tv_bipartite_exact(params: ReductionParams) -> float:
     trend isolates the (8 q ell^2)^(m0+1) term."""
     if params.k != params.n:
         raise InvalidParameterError("the exact bipartite alternative oracle needs k = n")
-    table = KernelTable.for_params(params)
-    return _bipartite_reduced_tv(
-        params, lambda ls, lt: table.edge_distribution(True, ls, lt), params.p
-    )
+    law = _reduced_law(params, lambda s, t: 1, bipartite=True)
+    return _bipartite_tv(law, params.N, params.p)
 
 
 # ---------------------------------------------------------------------------

@@ -277,18 +277,6 @@ class TestEstimateErrors:
         assert est.ci_radius[0] == pytest.approx(1.96 * math.sqrt(0.16 / 100))
         assert est.ci_radius[1] == pytest.approx(1.96 * math.sqrt(0.25 / 100))
 
-    def test_worker_invariance(self):
-        params = PdsParams(30, 10, 0.8, 0.2)
-        test = lambda g: combined_test(g, params, scan_mode="heuristic", restarts=4, seed=Seed(9))
-        args = (
-            lambda s: gen_er(30, 0.2, s),
-            lambda s: gen_pds_random_size(params, s).graph,
-            test,
-            40,
-            Seed(2),
-        )
-        assert estimate_errors(*args) == estimate_errors(*args, workers=4)
-
     def test_same_distribution_consistency(self):
         # with p = q the two arms are identically distributed, so the H1
         # rate on the null matches the H1 rate on the alternative

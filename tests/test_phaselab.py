@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
 
+import pdslab
 from pdslab.errors import ConfigError
 from pdslab.phaselab.cli import main
 from pdslab.phaselab.config import SweepConfig, load_config
@@ -16,6 +20,18 @@ def run_cli(*argv):
     with redirect_stdout(buf):
         code = main(list(argv))
     return code, buf.getvalue()
+
+
+# values load_config must reject: a bad enum, and integer fields given as a
+# float, a boolean or a string
+BAD_VALUES = [
+    {"test": "median"},
+    {"N": 50.9},
+    {"trials": True},
+    {"restarts": 2.7},
+    {"master_seed": "99"},
+    {"workers": 1.0},
+]
 
 
 def small_config(tmp_path, **overrides):
@@ -69,9 +85,10 @@ class TestConfig:
             load_config(path)
 
     def test_bad_enum(self, tmp_path):
-        path, _ = small_config(tmp_path, test="median")
-        with pytest.raises(ConfigError):
-            load_config(path)
+        for override in BAD_VALUES:
+            path, _ = small_config(tmp_path, **override)
+            with pytest.raises(ConfigError):
+                load_config(path)
 
 
 class TestSweep:
@@ -181,6 +198,9 @@ class TestCli:
         bad.write_text("3 1\na b\n", encoding="utf-8")
         code, _ = run_cli("test", str(bad), "--test", "lin", "--K", "2", "--p", "0.5", "--q", "0.2")
         assert code == 3
+        for override in BAD_VALUES:
+            path, _ = small_config(tmp_path, **override)
+            assert run_cli("sweep", path)[0] == 3
 
     def test_budget_exit_code(self, tmp_path):
         out = str(tmp_path / "g.txt")
@@ -262,6 +282,18 @@ class TestCli:
         assert code == 0
         header = open(out, encoding="utf-8").readline().split()
         assert header[0] == "6" and header[1] == "6"
+
+    def test_module_entry_point_is_clean(self):
+        # `python -m` runs cli.py as __main__; importing the package must
+        # not import it first (runpy warns on stderr if it does)
+        src = os.path.dirname(os.path.dirname(pdslab.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdslab.phaselab.cli", "verify", "kernel"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     def test_verify_writes_report(self, tmp_path):
         report = tmp_path / "report.jsonl"

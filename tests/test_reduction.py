@@ -20,6 +20,7 @@ from pdslab.reduction import (
     ReductionParams,
     beta_sharp,
     beta_star,
+    block_routes,
     build_pprime,
     build_qprime,
     compose_test,
@@ -29,7 +30,6 @@ from pdslab.reduction import (
     reduce_bipartite,
     reduce_graph,
     regime_classify,
-    sample_edge_count,
     xi_bound,
     xi_bound_terms,
     _colex_pair,
@@ -132,16 +132,39 @@ class TestReductionParams:
 
 class TestSampleEdgeCount:
     def test_empty_part(self):
-        params = ReductionParams(n=2, k=2, gamma=0.5, ell=2, q=0.01)
-        assert sample_edge_count(True, 0, 3, params, Seed(1).rng()) == 0
+        # parts of sizes 2, 0, 3, 1: blocks with an empty part and the
+        # singleton's diagonal have no slot and are never yielded
+        table = KernelTable(0.01, 0.5, 2)
+        parts = [np.array([0, 1]), np.array([], dtype=np.int64), np.array([2, 3, 4]), np.array([5])]
+
+        def walk(rows, cols):
+            return [
+                (vs.tolist(), vt.tolist(), diagonal, slots)
+                for vs, vt, diagonal, slots, _ in block_routes(rows, cols, table, lambda s, t: 1)
+            ]
+
+        assert walk(parts, parts) == [
+            ([0, 1], [0, 1], True, 1),
+            ([0, 1], [2, 3, 4], False, 6),
+            ([0, 1], [5], False, 2),
+            ([2, 3, 4], [2, 3, 4], True, 3),
+            ([2, 3, 4], [5], False, 3),
+        ]
+        assert [blk[3] for blk in walk(parts, list(parts))] == [4, 6, 2, 6, 9, 3, 2, 3, 1]
 
     def test_oversize_part_ignores_input_bit(self):
         params = ReductionParams(n=2, k=2, gamma=0.5, ell=2, q=0.01)
         table = KernelTable.for_params(params)
-        on = table.edge_distribution(True, 6, 2)  # max part > 2*ell
-        off = table.edge_distribution(False, 6, 2)
+
+        def law(ls, lt, w):
+            ((*_, dist),) = block_routes([np.arange(ls)], [np.arange(lt)], table, lambda s, t: w)
+            return dist
+
+        on, off = law(6, 2, 1), law(6, 2, 0)  # max part > 2*ell
         assert np.array_equal(on.probs, off.probs)
         assert np.allclose(on.probs, binom_pmf(12, 0.01).probs, atol=1e-15)
+        p_prime, q_prime, _ = table.cell(2, 2)
+        assert law(2, 2, 1) is p_prime and law(2, 2, 0) is q_prime
 
     def test_mixture_sampling_matches_binomial(self):
         # drawing the input bit Bern(gamma) then the kernel reproduces the
