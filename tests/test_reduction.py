@@ -304,28 +304,39 @@ class TestFrozenStreams:
         (12, 6, 2, 0.05, 7, 0xFDA89532398E22C5, 0xAEB901A6689AEF03),
         (60, 20, 3, 0.02, 11, 0x0A4FEC521F8409F2, 0x73E055992B900516),
         (200, 40, 2, 0.01, 13, 0xE045C671F1BB4256, 0xF46E69A3B2FC890B),
+        # sparse enough that whole parent rows draw no edge
+        (300, 60, 3, 0.002, 17, 0xF45E8AA0831C0AE3, 0x1EF8586FD55CE41D),
+        # the pipeline's scale, unipartite only
+        (1000, 60, 2, 0.001, 19, 0x4BEF42142CD61CB4, None),
     ]
+
+    @staticmethod
+    def reduced(n, k, ell, q, seed, bipartite):
+        params = ReductionParams(n=n, k=k, gamma=0.5, ell=ell, q=q)
+        if bipartite:
+            b = BipartiteGraph(
+                n, n, [(u, v) for u in range(n) for v in range(n) if max(u, v) < k or (u + v) % 3 == 0]
+            )
+            return reduce_bipartite(b, params, Seed(seed))
+        g = Graph(n, [(u, v) for u, v in combinations(range(n), 2) if v < k or (u + 2 * v) % 3 == 0])
+        return reduce_graph(g, params, Seed(seed))
 
     @pytest.mark.parametrize("n,k,ell,q,seed,uni,bip", POINTS)
     def test_fingerprints(self, n, k, ell, q, seed, uni, bip):
-        params = ReductionParams(n=n, k=k, gamma=0.5, ell=ell, q=q)
-        g = Graph(n, [(u, v) for u, v in combinations(range(n), 2) if v < k or (u + 2 * v) % 3 == 0])
-        b = BipartiteGraph(
-            n, n, [(u, v) for u in range(n) for v in range(n) if max(u, v) < k or (u + v) % 3 == 0]
-        )
-        assert reduce_graph(g, params, Seed(seed)).fingerprint() == uni
-        assert reduce_bipartite(b, params, Seed(seed)).fingerprint() == bip
+        assert self.reduced(n, k, ell, q, seed, False).fingerprint() == uni
+        if bip is not None:
+            assert self.reduced(n, k, ell, q, seed, True).fingerprint() == bip
 
     def test_points_cover_empty_and_oversize_parts(self):
         # part sizes from the documented parent stream: one draw per side
         oversize_sides = 0
-        for n, _, ell, _, seed, _, _ in self.POINTS:
+        for n, _, ell, _, seed, _, bip in self.POINTS:
             rng = Seed(seed).child(0).rng()
-            for _side in range(2):
+            for _side in range(1 if bip is None else 2):
                 sizes = np.bincount(rng.integers(0, n, size=n * ell), minlength=n)
                 assert sizes.min() == 0
                 oversize_sides += sizes.max() > 2 * ell
-        assert oversize_sides >= 6
+        assert oversize_sides >= 7
 
 
 class TestXiBound:
