@@ -1,7 +1,8 @@
 """Graph containers, planted-model samplers, and edge-list I/O.
 
 Graphs are immutable after construction: edges live in a canonically sorted
-(M, 2) integer array, with hash-set and adjacency views built lazily.  That
+(M, 2) integer array; edge lookups binary-search its flat keys u*width + v,
+and the key array and the adjacency view are built lazily.  That
 makes instances safe to share read-only across parallel Monte Carlo trials;
 generation itself is single-threaded per instance.
 
@@ -87,10 +88,24 @@ def _normalize_edges(edges, num_vertices, allow_equal=False, n_right=None):
     return arr
 
 
+def _flat_keys(edges: np.ndarray, width: int) -> np.ndarray:
+    """Flat keys u*width + v of canonically sorted edges, ascending since
+    every v lies below width, closed by a sentinel above any key."""
+    return np.append(edges[:, 0] * width + edges[:, 1], np.iinfo(np.int64).max)
+
+
+def _find_keys(keys: np.ndarray, u: np.ndarray, v: np.ndarray, width: int) -> np.ndarray:
+    """Binary search of the pairs (u, v) among flat keys.  A v outside
+    [0, width) would alias another row's key; a u out of range matches no
+    key."""
+    query = u * width + v
+    return (v >= 0) & (v < width) & (keys[np.searchsorted(keys, query)] == query)
+
+
 class Graph:
     """Undirected simple graph on vertices 0..N-1 with no self-loops."""
 
-    __slots__ = ("num_vertices", "edges", "_edge_set", "_adj")
+    __slots__ = ("num_vertices", "edges", "_keys", "_adj")
 
     def __init__(self, num_vertices: int, edges=()):
         num_vertices = int(num_vertices)
@@ -100,22 +115,23 @@ class Graph:
         arr = _normalize_edges(edges, num_vertices)
         arr.flags.writeable = False
         self.edges = arr
-        self._edge_set = None
+        self._keys = None
         self._adj = None
 
     @property
     def num_edges(self) -> int:
         return self.edges.shape[0]
 
-    def edge_set(self) -> frozenset:
-        if self._edge_set is None:
-            self._edge_set = frozenset(map(tuple, self.edges.tolist()))
-        return self._edge_set
+    def has_edges(self, u, v) -> np.ndarray:
+        """Elementwise has_edge over broadcast arrays of endpoints."""
+        u, v = np.asarray(u), np.asarray(v)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        if self._keys is None:
+            self._keys = _flat_keys(self.edges, self.num_vertices)
+        return _find_keys(self._keys, lo, hi, self.num_vertices)
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edge_set()
+        return bool(self.has_edges(u, v))
 
     def adjacency(self) -> list:
         """Neighbor sets per vertex (built once, then cached)."""
@@ -155,7 +171,7 @@ class Graph:
 class BipartiteGraph:
     """Bipartite graph with disjoint top/bottom vertex sets, indexed from 0."""
 
-    __slots__ = ("num_top", "num_bottom", "edges", "_edge_set")
+    __slots__ = ("num_top", "num_bottom", "edges", "_keys")
 
     def __init__(self, num_top: int, num_bottom: int, edges=()):
         self.num_top = int(num_top)
@@ -165,19 +181,20 @@ class BipartiteGraph:
         arr = _normalize_edges(edges, self.num_top, n_right=self.num_bottom)
         arr.flags.writeable = False
         self.edges = arr
-        self._edge_set = None
+        self._keys = None
 
     @property
     def num_edges(self) -> int:
         return self.edges.shape[0]
 
-    def edge_set(self) -> frozenset:
-        if self._edge_set is None:
-            self._edge_set = frozenset(map(tuple, self.edges.tolist()))
-        return self._edge_set
+    def has_edges(self, u, v) -> np.ndarray:
+        """Elementwise has_edge over broadcast arrays of top and bottom ends."""
+        if self._keys is None:
+            self._keys = _flat_keys(self.edges, self.num_bottom)
+        return _find_keys(self._keys, np.asarray(u), np.asarray(v), self.num_bottom)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edge_set()
+        return bool(self.has_edges(u, v))
 
     def fingerprint(self) -> int:
         h = hashlib.blake2b(digest_size=8)

@@ -16,7 +16,30 @@ from ..graphmodels import PdsParams
 
 _TESTS = ("lin", "scan", "combined")
 _SCAN_MODES = ("exact", "heuristic")
-_INT_KEYS = ("N", "trials", "master_seed", "restarts", "workers")
+
+
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    # Python's json also loads NaN and Infinity, which JSON has no number for
+    return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
+
+
+def _is_number_array(x) -> bool:
+    return isinstance(x, list) and all(map(_is_number, x))
+
+
+# (key, check, what the check wants) for every typed key
+_TYPED_KEYS = (
+    *((key, _is_int, "a JSON integer") for key in ("N", "trials", "master_seed", "restarts", "workers")),
+    ("alpha_grid", _is_number_array, "a JSON array of numbers"),
+    ("beta_grid", _is_number_array, "a JSON array of numbers"),
+    ("c", _is_number, "a JSON number"),
+    *((key, lambda x: isinstance(x, str), "a JSON string") for key in ("test", "scan_mode", "output_path")),
+)
 
 
 @dataclass(frozen=True)
@@ -88,23 +111,22 @@ def load_config(path) -> SweepConfig:
     unknown = sorted(set(raw) - allowed)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    for key in _INT_KEYS:
-        # JSON true/false load as bool, a subclass of int
-        if key in raw and (isinstance(raw[key], bool) or not isinstance(raw[key], int)):
-            raise ConfigError(f"{key} must be a JSON integer, got {json.dumps(raw[key])}")
+    for key, ok, kind in _TYPED_KEYS:
+        if key in raw and not ok(raw[key]):
+            raise ConfigError(f"{key} must be {kind}, got {json.dumps(raw[key])}")
     try:
         # exact enumeration is infeasible past small N, so it must be opted
         # into explicitly there
-        scan_mode = str(raw.get("scan_mode", "exact" if raw["N"] <= 60 else "heuristic"))
+        scan_mode = raw.get("scan_mode", "exact" if raw["N"] <= 60 else "heuristic")
         return SweepConfig(
             alpha_grid=tuple(float(a) for a in raw["alpha_grid"]),
             beta_grid=tuple(float(b) for b in raw["beta_grid"]),
             N=raw["N"],
             trials=raw["trials"],
-            test=str(raw["test"]),
+            test=raw["test"],
             scan_mode=scan_mode,
             master_seed=raw["master_seed"],
-            output_path=str(raw["output_path"]),
+            output_path=raw["output_path"],
             c=float(raw.get("c", 2.0)),
             restarts=raw.get("restarts", 16),
             workers=raw.get("workers", 1),

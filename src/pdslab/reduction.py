@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,6 +53,11 @@ __all__ = [
     "m0_of",
     "build_pprime",
     "build_qprime",
+    "BlockRow",
+    "ROUTE_PLAIN",
+    "ROUTE_QPRIME",
+    "ROUTE_PPRIME",
+    "ROUTE_MIXED",
     "block_routes",
     "block_pairs",
     "reduce_graph",
@@ -193,6 +198,11 @@ def _check_valid(probs: np.ndarray, label: str) -> None:
         )
 
 
+# the count law a block takes, set by `block_routes`; Q' and P' are one apart
+# so that an input bit picks between them
+ROUTE_PLAIN, ROUTE_QPRIME, ROUTE_PPRIME, ROUTE_MIXED = range(4)
+
+
 class KernelTable:
     """Memoized block distributions for one (q, gamma, ell) triple.
 
@@ -209,6 +219,7 @@ class KernelTable:
         self.m0 = m0_of(gamma)
         self._cells: dict = {}
         self._plain: dict = {}
+        self._mixed: dict = {}
 
     @classmethod
     def for_params(cls, params: ReductionParams) -> "KernelTable":
@@ -234,6 +245,23 @@ class KernelTable:
             self._plain[slots] = hit
         return hit
 
+    def law(self, route: int, slots: int) -> Pmf:
+        """The count law of a block with `slots` slots on a `block_routes`
+        route: plain, Q', P' or the gamma-mixture (1-gamma) Q' + gamma P'."""
+        if route == ROUTE_PLAIN:
+            return self.plain(slots)
+        p_prime, q_prime, _ = self.cell(slots, 1)
+        if route == ROUTE_PPRIME:
+            return p_prime
+        if route == ROUTE_QPRIME:
+            return q_prime
+        slots = int(slots)
+        hit = self._mixed.get(slots)
+        if hit is None:
+            hit = Pmf((1.0 - self.gamma) * q_prime.probs + self.gamma * p_prime.probs)
+            self._mixed[slots] = hit
+        return hit
+
 
 def _floyd_sample(n_slots: int, m: int, rng: np.random.Generator) -> list:
     """Uniform m-subset of range(n_slots) in O(m) draws (Floyd's algorithm)."""
@@ -254,46 +282,60 @@ def _colex_pair(idx: int) -> tuple:
     return idx - j * (j - 1) // 2, j
 
 
-def block_routes(rows, cols, table: KernelTable, w):
-    """Walk the parent blocks in draw order and route each to its count law.
+class BlockRow(NamedTuple):
+    """The blocks (s, t) of parent row s that have at least one slot, in
+    draw order, as parallel arrays.  Block i draws its edge count from
+    `table.law(route[i], slots[i])`."""
+
+    s: int
+    t: np.ndarray
+    diagonal: np.ndarray
+    slots: np.ndarray
+    route: np.ndarray
+
+
+def block_routes(rows, cols, table: KernelTable, has_edge):
+    """Walk the parent blocks in draw order, one parent row at a time, and
+    route each block to its count law.
 
     `rows[s]` and `cols[t]` hold the sorted output vertices with parent s
     (row side) and t (column side).  When `cols is rows` the graph is
-    unipartite and the blocks are (s, t) with s <= t, where s == t is the
-    diagonal block of within-part pairs; otherwise every (s, t) is an
-    off-diagonal block.  `w(s, t)` is the probability that input pair
-    (s, t) is an edge: 0 or 1 for a fixed input graph, gamma for an
-    Erdos-Renyi(gamma) input.
+    unipartite and row s holds the blocks (s, t) with t >= s, where s == t
+    is the diagonal block of within-part pairs; otherwise row s holds every
+    (s, t), all off-diagonal.  `has_edge(s, t)` gives, for an array of
+    column parents t, whether each input pair (s, t) is an edge; None
+    stands for an Erdos-Renyi(gamma) input whose edges are not drawn.
 
-    Yields (vs, vt, diagonal, slots, law) for every block with at least one
-    slot.  Diagonal blocks draw Binom(C(l,2), q); a block with a part above
-    2*ell draws plain Binom(ls*lt, q); every other block draws P' if w is 1,
-    Q' if w is 0, and the mixture (1-w) Q' + w P' otherwise.
+    Yields a `BlockRow` for every row with a block of at least one slot.
+    Diagonal blocks and blocks with a part above 2*ell take the plain
+    route, Binom(slots, q); every other block takes P' if its input pair
+    is an edge, Q' if not, and the mixture (1-gamma) Q' + gamma P' for an
+    Erdos-Renyi(gamma) input.
     """
     unipartite = cols is rows
+    col_sizes = np.fromiter(map(len, cols), dtype=np.int64, count=len(cols))
+    oversize = col_sizes > 2 * table.ell
     for s, vs in enumerate(rows):
         ls = len(vs)
         if ls == 0:
             continue
-        for t in range(s if unipartite else 0, len(cols)):
-            vt = cols[t]
-            lt = len(vt)
-            diagonal = unipartite and s == t
-            slots = ls * (ls - 1) // 2 if diagonal else ls * lt
-            if slots == 0:
-                continue
-            if diagonal or max(ls, lt) > 2 * table.ell:
-                law = table.plain(slots)
-            else:
-                p_prime, q_prime, _ = table.cell(ls, lt)
-                weight = w(s, t)
-                if weight == 1:
-                    law = p_prime
-                elif weight == 0:
-                    law = q_prime
-                else:
-                    law = Pmf((1.0 - weight) * q_prime.probs + weight * p_prime.probs)
-            yield vs, vt, diagonal, slots, law
+        start = s if unipartite else 0
+        slots = ls * col_sizes[start:]
+        plain = oversize[start:] | (ls > 2 * table.ell)
+        if unipartite:
+            slots[0] = ls * (ls - 1) // 2
+            plain[0] = True
+        t = np.flatnonzero(slots)
+        if t.size == 0:
+            continue
+        slots, plain = slots[t], plain[t]
+        t += start
+        diagonal = t == s if unipartite else np.zeros(t.size, dtype=bool)
+        if has_edge is None:
+            kernel = ROUTE_MIXED
+        else:
+            kernel = ROUTE_QPRIME + np.asarray(has_edge(s, t), dtype=np.int64)
+        yield BlockRow(s, t, diagonal, slots, np.where(plain, ROUTE_PLAIN, kernel))
 
 
 def block_pairs(vs, vt, diagonal: bool, idx) -> list:
@@ -308,8 +350,17 @@ def block_pairs(vs, vt, diagonal: bool, idx) -> list:
 
 def _sample_blocks(g, params: ReductionParams, seed) -> list:
     """Edges of one reduced graph: parents for each side from the parent
-    stream, then a count draw and a Floyd placement per routed block from
-    the edge stream."""
+    stream, then, per routed block in draw order, one count uniform from
+    the edge stream and, after a nonzero count, its Floyd placement.
+
+    A block's count is 0 exactly when its uniform falls below its law's
+    P(0), and a zero count draws nothing more, so a run of zero-count
+    blocks is one vectorised `random` call.  The first block at or above
+    its threshold ends the run: the generator goes back to the state
+    before the run, steps past the zero-count uniforms by drawing them
+    again, and draws that block's count and placement as a lone block
+    would.  The stream is the one a per-block loop consumes.
+    """
     n = params.n
     root = as_seed(seed)
     parent_rng = root.child(_PARENT_STREAM).rng()
@@ -318,13 +369,35 @@ def _sample_blocks(g, params: ReductionParams, seed) -> list:
     for _ in range(2 if isinstance(g, BipartiteGraph) else 1):
         parents = parent_rng.integers(0, n, size=params.N)
         sides.append([np.nonzero(parents == s)[0] for s in range(n)])
+    rows, cols = sides[0], sides[-1]
     table = KernelTable.for_params(params)
+    # P(count = 0) by slots * 4 + route, filled in as routes turn up
+    biggest = max(len(part) for side in sides for part in side)
+    zero_mass = np.full(4 * biggest * biggest + 4, np.nan)
+    bit_generator = edge_rng.bit_generator
     edges = []
-    # with one side, sides[0] is sides[-1]: block_routes walks it as unipartite
-    for vs, vt, diagonal, slots, law in block_routes(sides[0], sides[-1], table, g.has_edge):
-        m = sample_pmf(law, edge_rng)
-        if m:
-            edges.extend(block_pairs(vs, vt, diagonal, _floyd_sample(slots, m, edge_rng)))
+    # with one side, rows is cols: block_routes walks it as unipartite
+    for row in block_routes(rows, cols, table, g.has_edges):
+        code = row.slots * 4 + row.route
+        missing = np.isnan(zero_mass[code])
+        if missing.any():
+            for c in np.unique(code[missing]).tolist():
+                zero_mass[c] = table.law(c % 4, c // 4).cdf()[0]
+        row_zero_mass = zero_mass[code]
+        start = 0
+        while start < code.size:
+            state = bit_generator.state
+            nonzero = edge_rng.random(code.size - start) >= row_zero_mass[start:]
+            skip = int(np.argmax(nonzero))
+            if not nonzero[skip]:
+                break
+            bit_generator.state = state
+            edge_rng.random(skip)
+            i = start + skip
+            m = sample_pmf(table.law(row.route[i], row.slots[i]), edge_rng)
+            idx = _floyd_sample(int(row.slots[i]), m, edge_rng)
+            edges.extend(block_pairs(rows[row.s], cols[row.t[i]], row.diagonal[i], idx))
+            start = i + 1
     return edges
 
 

@@ -366,13 +366,14 @@ def _block_factor(bits: np.ndarray, slot_ids: list, dist: Pmf) -> np.ndarray:
     return weights[m]
 
 
-def _reduced_law(params: ReductionParams, w, bipartite: bool) -> np.ndarray:
+def _reduced_law(params: ReductionParams, has_edge, bipartite: bool) -> np.ndarray:
     """Exact output law of the reduction as a vector over all edge masks.
 
     Sums over every parent assignment (of both sides for a bipartite
     graph); the blocks, their count laws and their slots come from the
-    samplers' own `block_routes` and `block_pairs`.  `w(s, t)` is the
-    probability that input pair (s, t) is an edge.
+    samplers' own `block_routes` and `block_pairs`.  `has_edge` is the
+    input-edge lookup `block_routes` takes, None for an Erdos-Renyi(gamma)
+    input.
     """
     n, N = params.n, params.N
     if bipartite:
@@ -403,9 +404,11 @@ def _reduced_law(params: ReductionParams, w, bipartite: bool) -> np.ndarray:
     law = np.zeros(masks.size)
     for rows, cols in sides:
         factor = np.full(masks.size, weight)
-        for vs, vt, diagonal, slots, dist in block_routes(rows, cols, table, w):
-            ids = [slot_of[u][v] for u, v in block_pairs(vs, vt, diagonal, range(slots))]
-            factor *= _block_factor(bits, ids, dist)
+        for row in block_routes(rows, cols, table, has_edge):
+            blocks = zip(row.t.tolist(), row.diagonal.tolist(), row.slots.tolist(), row.route.tolist())
+            for t, diagonal, slots, route in blocks:
+                pairs = block_pairs(rows[row.s], cols[t], diagonal, range(slots))
+                factor *= _block_factor(bits, [slot_of[u][v] for u, v in pairs], table.law(route, slots))
         law += factor
     return law
 
@@ -425,7 +428,7 @@ def reduced_law_exact(g_in: Graph, params: ReductionParams) -> np.ndarray:
     assignment; only viable for tiny n and ell."""
     if g_in.num_vertices != params.n:
         raise InvalidParameterError("input graph size does not match params.n")
-    return _reduced_law(params, g_in.has_edge, bipartite=False)
+    return _reduced_law(params, g_in.has_edges, bipartite=False)
 
 
 def reduction_null_tv_exact(params: ReductionParams) -> float:
@@ -436,7 +439,7 @@ def reduction_null_tv_exact(params: ReductionParams) -> float:
     distinct input edge, so mixing over the input replaces each block law
     by (1-gamma) Q' + gamma P' analytically; no input enumeration needed.
     """
-    law = _reduced_law(params, lambda s, t: params.gamma, bipartite=False)
+    law = _reduced_law(params, None, bipartite=False)
     target = er_law_exact(params.N, params.q)
     return 0.5 * float(np.abs(law - target).sum())
 
@@ -462,7 +465,7 @@ def reduction_alt_tv_exact(params: ReductionParams) -> float:
 def reduction_null_tv_bipartite_exact(params: ReductionParams) -> float:
     """Bipartite analogue of the null exactness oracle (same analytic
     mixing over input edges; every block is off-diagonal)."""
-    law = _reduced_law(params, lambda s, t: params.gamma, bipartite=True)
+    law = _reduced_law(params, None, bipartite=True)
     return _bipartite_tv(law, params.N, params.q)
 
 
@@ -473,7 +476,7 @@ def reduction_alt_tv_bipartite_exact(params: ReductionParams) -> float:
     trend isolates the (8 q ell^2)^(m0+1) term."""
     if params.k != params.n:
         raise InvalidParameterError("the exact bipartite alternative oracle needs k = n")
-    law = _reduced_law(params, lambda s, t: 1, bipartite=True)
+    law = _reduced_law(params, lambda s, t: True, bipartite=True)
     return _bipartite_tv(law, params.N, params.p)
 
 

@@ -2,16 +2,23 @@
 
 These deliberately avoid the library's own code paths: the recursive scan
 enumerator checks the vectorized subset scan, the model-law evaluator
-checks the samplers' target distributions, and the same-parent planted law
-is the reference for the reduction's kernel-controlled gap.
+checks the samplers' target distributions, the same-parent planted law
+is the reference for the reduction's kernel-controlled gap, and the
+per-block reduction loop is the reference for the vectorised reduction
+sampler's random stream.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, product
 
 import numpy as np
 import pytest
+
+from pdslab.graphmodels import BipartiteGraph
+from pdslab.randkit import as_seed, sample_pmf
+from pdslab.reduction import KernelTable, _floyd_sample
 
 
 def recursive_scan_max(g, K: int):
@@ -64,6 +71,53 @@ def same_parent_planted_law(n: int, N: int, p: float, q: float) -> np.ndarray:
         rate = np.array([q if assignment[u] == assignment[v] else p for u, v in pairs])
         law += np.where(present, rate, 1.0 - rate).prod(axis=1)
     return law / n**N
+
+
+def per_block_reduce_edges(g, params, seed) -> list:
+    """The reduction's output edges from a plain loop over parent blocks.
+
+    One count draw per block with at least one slot, in draw order (rows s,
+    then columns t >= s, or every t when bipartite), and a Floyd placement
+    after each nonzero count.  Walk, routing and slot layout are written
+    out here; only the kernel laws, `sample_pmf` and `_floyd_sample` come
+    from the library.
+    """
+    n = params.n
+    root = as_seed(seed)
+    parent_rng = root.child(0).rng()
+    edge_rng = root.child(1).rng()
+    bipartite = isinstance(g, BipartiteGraph)
+    sides = []
+    for _ in range(2 if bipartite else 1):
+        parents = parent_rng.integers(0, n, size=params.N)
+        sides.append([np.nonzero(parents == s)[0].tolist() for s in range(n)])
+    rows, cols = sides[0], sides[-1]
+    present = set(map(tuple, g.edges.tolist()))
+    table = KernelTable(params.q, params.gamma, params.ell)
+    edges = []
+    for s in range(n):
+        for t in range(0 if bipartite else s, n):
+            vs, vt = rows[s], cols[t]
+            diagonal = not bipartite and s == t
+            slots = math.comb(len(vs), 2) if diagonal else len(vs) * len(vt)
+            if slots == 0:
+                continue
+            if diagonal or max(len(vs), len(vt)) > 2 * params.ell:
+                law = table.plain(slots)
+            else:
+                p_prime, q_prime, _ = table.cell(len(vs), len(vt))
+                law = p_prime if (s, t) in present else q_prime
+            m = sample_pmf(law, edge_rng)
+            if m == 0:
+                continue
+            for k in _floyd_sample(slots, m, edge_rng):
+                if diagonal:
+                    # colex: slot k is the pair (i, j), i < j, with k = C(j, 2) + i
+                    j = max(j for j in range(len(vs)) if math.comb(j, 2) <= k)
+                    edges.append((vs[k - math.comb(j, 2)], vs[j]))
+                else:
+                    edges.append((vs[k // len(vt)], vt[k % len(vt)]))
+    return edges
 
 
 @pytest.fixture

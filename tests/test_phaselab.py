@@ -22,8 +22,9 @@ def run_cli(*argv):
     return code, buf.getvalue()
 
 
-# values load_config must reject: a bad enum, and integer fields given as a
-# float, a boolean or a string
+# values load_config must reject: a bad enum; integer fields given as a
+# float, a boolean or a string; grids that are not arrays of finite numbers; a c
+# that is not a number; and string fields given as another type
 BAD_VALUES = [
     {"test": "median"},
     {"N": 50.9},
@@ -31,6 +32,16 @@ BAD_VALUES = [
     {"restarts": 2.7},
     {"master_seed": "99"},
     {"workers": 1.0},
+    {"alpha_grid": "12"},
+    {"alpha_grid": [0.3, "0.3"]},
+    {"alpha_grid": [0.3, float("nan")]},
+    {"beta_grid": [0.4, True]},
+    {"beta_grid": 0.4},
+    {"c": "3"},
+    {"c": True},
+    {"output_path": 7},
+    {"test": ["lin"]},
+    {"scan_mode": 1},
 ]
 
 

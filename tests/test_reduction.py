@@ -4,6 +4,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from conftest import per_block_reduce_edges
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pdslab.detectors import H0, combined_test, estimate_errors
 from pdslab.errors import (
@@ -139,8 +142,9 @@ class TestSampleEdgeCount:
 
         def walk(rows, cols):
             return [
-                (vs.tolist(), vt.tolist(), diagonal, slots)
-                for vs, vt, diagonal, slots, _ in block_routes(rows, cols, table, lambda s, t: 1)
+                (rows[row.s].tolist(), cols[t].tolist(), diagonal, slots)
+                for row in block_routes(rows, cols, table, lambda s, t: True)
+                for t, diagonal, slots in zip(row.t.tolist(), row.diagonal.tolist(), row.slots.tolist())
             ]
 
         assert walk(parts, parts) == [
@@ -157,8 +161,8 @@ class TestSampleEdgeCount:
         table = KernelTable.for_params(params)
 
         def law(ls, lt, w):
-            ((*_, dist),) = block_routes([np.arange(ls)], [np.arange(lt)], table, lambda s, t: w)
-            return dist
+            (row,) = block_routes([np.arange(ls)], [np.arange(lt)], table, lambda s, t: w)
+            return table.law(row.route[0], row.slots[0])
 
         on, off = law(6, 2, 1), law(6, 2, 0)  # max part > 2*ell
         assert np.array_equal(on.probs, off.probs)
@@ -326,6 +330,32 @@ class TestFrozenStreams:
         assert self.reduced(n, k, ell, q, seed, False).fingerprint() == uni
         if bip is not None:
             assert self.reduced(n, k, ell, q, seed, True).fingerprint() == bip
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        ell=st.integers(1, 4),
+        q_frac=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        gamma=st.sampled_from([0.5, 0.25]),
+        seed=st.integers(0, 2**32),
+        mask=st.integers(0, 2**36 - 1),
+    )
+    # q = 0, and 16 q ell^2 = 1 at points where both sides have an empty
+    # part and a part above 2*ell
+    @example(n=6, ell=1, q_frac=0.0, gamma=0.5, seed=4, mask=2**36 - 1)
+    @example(n=5, ell=1, q_frac=1.0, gamma=0.5, seed=25, mask=0x5A5A5A)
+    @example(n=4, ell=2, q_frac=1.0, gamma=0.25, seed=83, mask=0xF0F0)
+    def test_matches_per_block_loop(self, n, ell, q_frac, gamma, seed, mask):
+        # q_frac scales q to the kernel condition's edge, 16 q ell^2 = 1
+        params = ReductionParams(n=n, k=n, gamma=gamma, ell=ell, q=q_frac / (16 * ell * ell))
+        pairs = [(u, v) for u in range(n) for v in range(n) if mask >> (u * n + v) & 1]
+        g = Graph(n, [(u, v) for u, v in pairs if u < v])
+        b = BipartiteGraph(n, n, pairs)
+        N = params.N
+        want = Graph(N, per_block_reduce_edges(g, params, Seed(seed)))
+        assert reduce_graph(g, params, Seed(seed)).fingerprint() == want.fingerprint()
+        want = BipartiteGraph(N, N, per_block_reduce_edges(b, params, Seed(seed)))
+        assert reduce_bipartite(b, params, Seed(seed)).fingerprint() == want.fingerprint()
 
     def test_points_cover_empty_and_oversize_parts(self):
         # part sizes from the documented parent stream: one draw per side
