@@ -23,9 +23,18 @@ row-major over the sorted vertex lists for off-diagonal blocks, colex over
 within-part pairs for diagonal blocks.
 
 `block_routes` is the one place that walks the parent blocks and routes
-each to its count law, and `block_pairs` the one place that lays out its
-slots.  Both samplers and the exact oracles in `theorychecks` consume
-them, so the oracles check the routing the samplers use.
+each to its count law, one parent row at a time as arrays, and
+`block_pairs` the one place that lays out its slots.  Both samplers and
+the exact oracles in `theorychecks` consume them, so the oracles check the
+routing the samplers use.
+
+The edge stream's layout is fixed: one uniform per block with at least one
+slot, in draw order (rows s, then columns t >= s, or every t when
+bipartite), inverted through the block's count law; when the count is
+nonzero, the block's Floyd placement draws follow at once.  The sampler
+skips each run of zero-count blocks with one vectorised draw and keeps
+this layout, so its output for a seed is that of a per-block loop and the
+reduce sidecar format stays pdslab-sidecar-v1.
 """
 
 from __future__ import annotations
@@ -54,10 +63,6 @@ __all__ = [
     "build_pprime",
     "build_qprime",
     "BlockRow",
-    "ROUTE_PLAIN",
-    "ROUTE_QPRIME",
-    "ROUTE_PPRIME",
-    "ROUTE_MIXED",
     "block_routes",
     "block_pairs",
     "reduce_graph",
@@ -371,14 +376,16 @@ def _sample_blocks(g, params: ReductionParams, seed) -> list:
         sides.append([np.nonzero(parents == s)[0] for s in range(n)])
     rows, cols = sides[0], sides[-1]
     table = KernelTable.for_params(params)
-    # P(count = 0) by slots * 4 + route, filled in as routes turn up
-    biggest = max(len(part) for side in sides for part in side)
-    zero_mass = np.full(4 * biggest * biggest + 4, np.nan)
+    # P(count = 0) by slots * 4 + route, grown and filled in as routes turn up
+    zero_mass = np.empty(0)
     bit_generator = edge_rng.bit_generator
     edges = []
     # with one side, rows is cols: block_routes walks it as unipartite
     for row in block_routes(rows, cols, table, g.has_edges):
         code = row.slots * 4 + row.route
+        grow = int(code.max()) + 1 - zero_mass.size
+        if grow > 0:
+            zero_mass = np.concatenate((zero_mass, np.full(grow, np.nan)))
         missing = np.isnan(zero_mass[code])
         if missing.any():
             for c in np.unique(code[missing]).tolist():

@@ -29,6 +29,10 @@ class TestGraphContainers:
         assert g.edges.tolist() == [[0, 3], [1, 2]]
         assert g.has_edge(1, 2) and g.has_edge(2, 1)
         assert not g.has_edge(0, 1)
+        # out-of-range ends are absent, not aliased onto another flat key
+        assert not any(g.has_edge(u, v) for u, v in [(0, 6), (-1, 5), (1, -2), (4, 4), (-1, 3)])
+        assert g.has_edges(np.arange(4), 3).tolist() == [True, False, False, False]
+        assert not Graph(3).has_edge(0, 1)
 
     def test_rejects_self_loops_and_duplicates(self):
         with pytest.raises(InvalidParameterError):
@@ -46,6 +50,9 @@ class TestGraphContainers:
     def test_bipartite_ranges(self):
         b = BipartiteGraph(2, 3, [(1, 2), (0, 0)])
         assert b.num_edges == 2
+        assert b.has_edge(1, 2) and not b.has_edge(2, 1)
+        assert not any(b.has_edge(u, v) for u, v in [(0, 5), (1, -3), (2, 0), (-1, 5)])
+        assert b.has_edges(1, np.arange(3)).tolist() == [False, False, True]
         with pytest.raises(InvalidParameterError):
             BipartiteGraph(2, 3, [(2, 0)])
 
