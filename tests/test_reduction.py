@@ -366,7 +366,7 @@ class TestFrozenStreams:
                 sizes = np.bincount(rng.integers(0, n, size=n * ell), minlength=n)
                 assert sizes.min() == 0
                 oversize_sides += sizes.max() > 2 * ell
-        assert oversize_sides >= 7
+        assert oversize_sides >= 9
 
 
 class TestXiBound:
