@@ -195,26 +195,67 @@ class TestEdgeListIO:
         assert read_edge_list(path) == g
 
     def test_malformed_line_reports_position(self, tmp_graph_file):
-        with pytest.raises(EdgeListParseError) as err:
-            read_edge_list(tmp_graph_file("3 1\na b\n"))
-        assert err.value.line == 2
+        self.assert_faults(tmp_graph_file, [
+            ("4 1\n0 1 2\n", 2, "expected 2 fields, got 3"),
+            ("2 3 1\n0\n", 2, "expected 2 fields, got 1"),
+            ("3 1\na b\n", 2, "non-integer field in 'a b'"),
+            ("3 1\n0 1.5\n", 2, "non-integer field in '0 1.5'"),
+        ])
 
     def test_duplicate_edge(self, tmp_graph_file):
-        with pytest.raises(EdgeListParseError):
-            read_edge_list(tmp_graph_file("4 2\n0 1\n0 1\n"))
+        self.assert_faults(tmp_graph_file, [
+            ("4 2\n0 1\n0 1\n", 3, "duplicate edge (0, 1)"),
+            ("6 3\n0 1\n2 3\n2 3\n", 4, "duplicate edge (2, 3)"),
+            ("2 3 2\n1 0\n1 0\n", 3, "duplicate edge (1, 0)"),
+        ])
 
     def test_endpoint_order_enforced(self, tmp_graph_file):
-        with pytest.raises(EdgeListParseError):
-            read_edge_list(tmp_graph_file("4 1\n2 1\n"))
+        self.assert_faults(tmp_graph_file, [
+            ("4 1\n2 1\n", 2, "need 0 <= u < v < N in (2, 1)"),
+            ("4 1\n1 1\n", 2, "need 0 <= u < v < N in (1, 1)"),
+        ])
 
     def test_out_of_range_endpoint(self, tmp_graph_file):
-        with pytest.raises(EdgeListParseError):
-            read_edge_list(tmp_graph_file("4 1\n0 9\n"))
+        self.assert_faults(tmp_graph_file, [
+            ("4 1\n0 9\n", 2, "need 0 <= u < v < N in (0, 9)"),
+            ("4 1\n-1 2\n", 2, "need 0 <= u < v < N in (-1, 2)"),
+            ("2 3 1\n2 0\n", 2, "endpoint out of range in (2, 0)"),
+            ("2 3 1\n0 -1\n", 2, "endpoint out of range in (0, -1)"),
+            # beyond int64: still a range fault, not an overflow
+            ("4 1\n0 99999999999999999999\n", 2,
+             "need 0 <= u < v < N in (0, 99999999999999999999)"),
+            ("2 3 1\n99999999999999999999 0\n", 2,
+             "endpoint out of range in (99999999999999999999, 0)"),
+        ])
 
     def test_wrong_edge_count(self, tmp_graph_file):
-        with pytest.raises(EdgeListParseError):
-            read_edge_list(tmp_graph_file("4 2\n0 1\n"))
+        self.assert_faults(tmp_graph_file, [
+            ("4 2\n0 1\n", 3, "expected 2 edge lines, found 1"),
+            ("4 1\n0 1\n0 2\n", 4, "expected 1 edge lines, found 2"),
+            ("2 3 2\n0 1\n", 3, "expected 2 edge lines, found 1"),
+        ])
 
     def test_bad_header(self, tmp_graph_file):
-        with pytest.raises(EdgeListParseError):
-            read_edge_list(tmp_graph_file("oops\n"))
+        self.assert_faults(tmp_graph_file, [
+            ("oops\n", 1, "header must be 'N M' or 'Nt Nb M'"),
+            ("1 2 3 4\n", 1, "header must be 'N M' or 'Nt Nb M'"),
+            ("\n", 1, "header must be 'N M' or 'Nt Nb M'"),
+            ("3 x\n", 1, "non-integer field in '3 x'"),
+            ("", 1, "empty file"),
+        ])
+
+    def test_earliest_fault_wins(self, tmp_graph_file):
+        # a duplicate and a per-line fault in one file: the earlier line is reported
+        self.assert_faults(tmp_graph_file, [
+            ("6 4\n0 1\n0 1\n2 3\n0 9\n", 3, "duplicate edge (0, 1)"),
+            ("6 4\n0 1\n0 9\n2 3\n0 1\n", 3, "need 0 <= u < v < N in (0, 9)"),
+        ])
+
+    @staticmethod
+    def assert_faults(tmp_graph_file, cases):
+        """Each (text, line, message): reading text fails at exactly that line
+        with exactly that message."""
+        for text, line, message in cases:
+            with pytest.raises(EdgeListParseError) as err:
+                read_edge_list(tmp_graph_file(text))
+            assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}"), text
