@@ -1,10 +1,12 @@
 """Graph containers, planted-model samplers, and edge-list I/O.
 
-Graphs are immutable after construction: edges live in a canonically sorted
-(M, 2) integer array; edge lookups binary-search its flat keys u*width + v,
-and the key array and the adjacency view are built lazily.  That
-makes instances safe to share read-only across parallel Monte Carlo trials;
-generation itself is single-threaded per instance.
+Graphs are immutable after construction.  Graph and BipartiteGraph share one
+implementation whose one edge form is the sorted int64 flat key u*width + v:
+construction validates, sorts and checks duplicates on keys, lookups
+binary-search them, and the public (M, 2) ``edges`` rows are derived from
+them.  Samplers merge their parts on keys, and the edge-list reader finds
+duplicates on them.  Instances are safe to share read-only across parallel
+Monte Carlo trials; generation itself is single-threaded per instance.
 
 Samplers take a :class:`~pdslab.randkit.Seed` and split it into a
 *membership* stream (which vertices are planted) and an *edge* stream, so a
@@ -58,65 +60,65 @@ def _check_prob(x, name="probability"):
         raise InvalidProbabilityError(f"{name} {x!r} outside [0, 1]")
 
 
-def _normalize_edges(edges, num_vertices, allow_equal=False, n_right=None):
-    """Validate and canonically sort an edge array.
+# Largest vertex count W with W*W - 1 <= 2**63 - 1: every flat key u*width + v
+# then fits int64, so no key or lookup query can wrap onto another edge.
+_MAX_VERTEX_COUNT = 3_037_000_499
 
-    Unipartite (n_right is None): rows are unordered pairs, stored u < v.
-    Bipartite: rows are (left, right) with independent ranges.
+
+def _vertex_count(n) -> int:
+    n = int(n)
+    if n < 0:
+        raise InvalidParameterError("vertex count must be nonnegative")
+    if n > _MAX_VERTEX_COUNT:
+        raise InvalidParameterError(
+            f"vertex count {n} above {_MAX_VERTEX_COUNT}: flat edge keys would overflow int64"
+        )
+    return n
+
+
+class _SortedKeyGraph:
+    """Storage and queries shared by Graph and BipartiteGraph.
+
+    The edge set is its sorted int64 flat keys u*width + v, with height the
+    first dimension and width the last; the public (M, 2) ``edges`` rows are
+    derived from those keys, so they come out in lexicographic order.
+    Subclasses name their dimensions and say whether rows are unordered
+    pairs, stored u < v.
     """
-    arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
-    if arr.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise InvalidParameterError("edges must be pairs")
-    if n_right is None:
-        if np.any(arr[:, 0] == arr[:, 1]):
+
+    __slots__ = ("edges", "_keys")
+    _DIM_NAMES: tuple = ()
+    _UNORDERED = False
+
+    @property
+    def _dims(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._DIM_NAMES)
+
+    def _orient(self, u, v):
+        return (np.minimum(u, v), np.maximum(u, v)) if self._UNORDERED else (u, v)
+
+    def _store(self, edges) -> None:
+        """Validate the edge rows, then keep them as sorted flat keys."""
+        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
+        if arr.size == 0:
+            arr = np.empty((0, 2), dtype=np.int64)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise InvalidParameterError("edges must be pairs")
+        if self._UNORDERED and (arr[:, 0] == arr[:, 1]).any():
             raise InvalidParameterError("self-loops are not representable")
-        arr = np.sort(arr, axis=1)
-        hi = num_vertices
-        if np.any(arr < 0) or np.any(arr >= hi):
+        u, v = self._orient(arr[:, 0], arr[:, 1])
+        height, width = self._dims[0], self._dims[-1]
+        if (u < 0).any() or (u >= height).any() or (v < 0).any() or (v >= width).any():
             raise InvalidParameterError("edge endpoint out of range")
-    else:
-        if np.any(arr < 0) or np.any(arr[:, 0] >= num_vertices) or np.any(arr[:, 1] >= n_right):
-            raise InvalidParameterError("edge endpoint out of range")
-    order = np.lexsort((arr[:, 1], arr[:, 0]))
-    arr = arr[order]
-    dup = (arr[1:] == arr[:-1]).all(axis=1)
-    if np.any(dup):
-        u, v = arr[1:][dup][0]
-        raise InvalidParameterError(f"duplicate edge ({u}, {v})")
-    return arr
-
-
-def _flat_keys(edges: np.ndarray, width: int) -> np.ndarray:
-    """Flat keys u*width + v of canonically sorted edges, ascending since
-    every v lies below width, closed by a sentinel above any key."""
-    return np.append(edges[:, 0] * width + edges[:, 1], np.iinfo(np.int64).max)
-
-
-def _find_keys(keys: np.ndarray, u: np.ndarray, v: np.ndarray, width: int) -> np.ndarray:
-    """Binary search of the pairs (u, v) among flat keys.  A v outside
-    [0, width) would alias another row's key; a u out of range matches no
-    key."""
-    query = u * width + v
-    return (v >= 0) & (v < width) & (keys[np.searchsorted(keys, query)] == query)
-
-
-class Graph:
-    """Undirected simple graph on vertices 0..N-1 with no self-loops."""
-
-    __slots__ = ("num_vertices", "edges", "_keys", "_adj")
-
-    def __init__(self, num_vertices: int, edges=()):
-        num_vertices = int(num_vertices)
-        if num_vertices < 0:
-            raise InvalidParameterError("vertex count must be nonnegative")
-        self.num_vertices = num_vertices
-        arr = _normalize_edges(edges, num_vertices)
-        arr.flags.writeable = False
-        self.edges = arr
-        self._keys = None
-        self._adj = None
+        # stable is timsort: linear on the sorted rows samplers and files give
+        keys = np.sort(u * width + v, kind="stable")
+        repeat = np.flatnonzero(keys[1:] == keys[:-1])
+        if repeat.size:
+            raise InvalidParameterError("duplicate edge (%d, %d)" % divmod(keys[repeat[0]], width))
+        self.edges = np.column_stack(np.divmod(keys, width))
+        self.edges.flags.writeable = False
+        # closed by a sentinel above any key, so a lookup never runs off the end
+        self._keys = np.append(keys, np.iinfo(np.int64).max)
 
     @property
     def num_edges(self) -> int:
@@ -124,98 +126,67 @@ class Graph:
 
     def has_edges(self, u, v) -> np.ndarray:
         """Elementwise has_edge over broadcast arrays of endpoints."""
-        u, v = np.asarray(u), np.asarray(v)
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        if self._keys is None:
-            self._keys = _flat_keys(self.edges, self.num_vertices)
-        return _find_keys(self._keys, lo, hi, self.num_vertices)
+        u, v = self._orient(np.asarray(u), np.asarray(v))
+        height, width = self._dims[0], self._dims[-1]
+        # an end out of range would alias another row's key: it queries -1
+        inside = (u >= 0) & (u < height) & (v >= 0) & (v < width)
+        query = np.where(inside, u * width + v, -1)
+        return self._keys[np.searchsorted(self._keys, query)] == query
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.has_edges(u, v))
 
-    def adjacency(self) -> list:
-        """Neighbor sets per vertex (built once, then cached)."""
-        if self._adj is None:
-            adj = [set() for _ in range(self.num_vertices)]
-            for u, v in self.edges.tolist():
-                adj[u].add(v)
-                adj[v].add(u)
-            self._adj = adj
-        return self._adj
+    def fingerprint(self) -> int:
+        """Stable 64-bit digest of (dimensions, edges); platform independent."""
+        h = hashlib.blake2b(digest_size=8)
+        for n in self._dims:
+            h.update(n.to_bytes(8, "little"))
+        h.update(np.ascontiguousarray(self.edges).tobytes())
+        return int.from_bytes(h.digest(), "little")
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._dims == other._dims
+            and np.array_equal(self.edges, other.edges)
+        )
+
+    def __repr__(self) -> str:
+        dims = "".join(f"{name}={n}, " for name, n in zip(self._DIM_NAMES, self._dims))
+        return f"{type(self).__name__}({dims}num_edges={self.num_edges})"
+
+
+class Graph(_SortedKeyGraph):
+    """Undirected simple graph on vertices 0..N-1 with no self-loops."""
+
+    __slots__ = ("num_vertices",)
+    _DIM_NAMES = ("num_vertices",)
+    _UNORDERED = True
+
+    def __init__(self, num_vertices: int, edges=()):
+        self.num_vertices = _vertex_count(num_vertices)
+        self._store(edges)
 
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.num_vertices, self.num_vertices), dtype=np.uint8)
-        if self.num_edges:
-            a[self.edges[:, 0], self.edges[:, 1]] = 1
-            a[self.edges[:, 1], self.edges[:, 0]] = 1
+        a[self.edges[:, 0], self.edges[:, 1]] = 1
+        a[self.edges[:, 1], self.edges[:, 0]] = 1
         return a
 
-    def fingerprint(self) -> int:
-        """Stable 64-bit digest of (N, edges); platform independent."""
-        h = hashlib.blake2b(digest_size=8)
-        h.update(self.num_vertices.to_bytes(8, "little"))
-        h.update(np.ascontiguousarray(self.edges).tobytes())
-        return int.from_bytes(h.digest(), "little")
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.num_vertices == other.num_vertices
-            and np.array_equal(self.edges, other.edges)
-        )
+class BipartiteGraph(_SortedKeyGraph):
+    """Bipartite graph with disjoint top/bottom vertex sets, indexed from 0.
 
-    def __repr__(self) -> str:
-        return f"Graph(num_vertices={self.num_vertices}, num_edges={self.num_edges})"
+    Rows are (top, bottom) pairs; ``has_edges`` takes top ends first.
+    """
 
-
-class BipartiteGraph:
-    """Bipartite graph with disjoint top/bottom vertex sets, indexed from 0."""
-
-    __slots__ = ("num_top", "num_bottom", "edges", "_keys")
+    __slots__ = ("num_top", "num_bottom")
+    _DIM_NAMES = ("num_top", "num_bottom")
 
     def __init__(self, num_top: int, num_bottom: int, edges=()):
-        self.num_top = int(num_top)
-        self.num_bottom = int(num_bottom)
-        if self.num_top < 0 or self.num_bottom < 0:
-            raise InvalidParameterError("vertex counts must be nonnegative")
-        arr = _normalize_edges(edges, self.num_top, n_right=self.num_bottom)
-        arr.flags.writeable = False
-        self.edges = arr
-        self._keys = None
-
-    @property
-    def num_edges(self) -> int:
-        return self.edges.shape[0]
-
-    def has_edges(self, u, v) -> np.ndarray:
-        """Elementwise has_edge over broadcast arrays of top and bottom ends."""
-        if self._keys is None:
-            self._keys = _flat_keys(self.edges, self.num_bottom)
-        return _find_keys(self._keys, np.asarray(u), np.asarray(v), self.num_bottom)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.has_edges(u, v))
-
-    def fingerprint(self) -> int:
-        h = hashlib.blake2b(digest_size=8)
-        h.update(self.num_top.to_bytes(8, "little"))
-        h.update(self.num_bottom.to_bytes(8, "little"))
-        h.update(np.ascontiguousarray(self.edges).tobytes())
-        return int.from_bytes(h.digest(), "little")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BipartiteGraph)
-            and self.num_top == other.num_top
-            and self.num_bottom == other.num_bottom
-            and np.array_equal(self.edges, other.edges)
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"BipartiteGraph(num_top={self.num_top}, num_bottom={self.num_bottom}, "
-            f"num_edges={self.num_edges})"
-        )
+        self.num_top = _vertex_count(num_top)
+        self.num_bottom = _vertex_count(num_bottom)
+        self._store(edges)
 
 
 @dataclass(frozen=True)
@@ -306,18 +277,28 @@ def _bernoulli_flat(total: int, prob: float, rng: np.random.Generator) -> np.nda
     return np.concatenate(out)
 
 
-def _er_pairs(n: int, q: float, rng: np.random.Generator) -> np.ndarray:
-    flat = _bernoulli_flat(_pair_count(n), q, rng)
-    return _pairs_from_flat(n, flat) if flat.size else np.empty((0, 2), dtype=np.int64)
+def _pairs_within(members: np.ndarray, r: float, rng) -> np.ndarray:
+    """Bernoulli(r) pairs inside a sorted vertex subset, as rows u < v in
+    lexicographic order."""
+    local = _bernoulli_flat(_pair_count(members.size), r, rng)
+    if local.size == 0:  # spares tiny samplers the inversion's fixed cost
+        return np.empty((0, 2), dtype=np.int64)
+    return members[_pairs_from_flat(members.size, local)]
 
 
-def _union_edges(base: np.ndarray, extra: np.ndarray) -> np.ndarray:
-    if extra.size == 0:
-        return base
-    if base.size == 0:
-        return extra
-    both = np.concatenate([base, extra])
-    return np.unique(both, axis=0)
+def _pairs_between(top: np.ndarray, bottom: np.ndarray, r: float, rng) -> np.ndarray:
+    """Bernoulli(r) (top, bottom) pairs between two sorted vertex sets, in
+    lexicographic order."""
+    flat = _bernoulli_flat(top.size * bottom.size, r, rng)
+    return np.column_stack([top[flat // bottom.size], bottom[flat % bottom.size]])
+
+
+def _union_edges(width: int, *parts: np.ndarray) -> np.ndarray:
+    """Sorted union of canonical edge rows, merged on their flat keys."""
+    keys = np.sort(np.concatenate([p[:, 0] * width + p[:, 1] for p in parts]), kind="stable")
+    # the first key, then every key that differs from its predecessor
+    keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
+    return np.column_stack(np.divmod(keys, width))
 
 
 # ---------------------------------------------------------------------------
@@ -331,46 +312,32 @@ def gen_er(N: int, q: float, seed) -> Graph:
         raise InvalidParameterError("need N >= 1")
     _check_prob(q, "q")
     rng = as_seed(seed).child(_EDGE_STREAM).rng()
-    return Graph(N, _er_pairs(N, q, rng))
+    return Graph(N, _pairs_within(np.arange(N), q, rng))
 
 
-def _within_pairs(members: np.ndarray, r: float, rng) -> np.ndarray:
-    """Extra Bernoulli(r) pairs inside a vertex subset, mapped to labels."""
-    k = members.size
-    if k < 2 or r <= 0.0:
-        return np.empty((0, 2), dtype=np.int64)
-    local = _bernoulli_flat(_pair_count(k), r, rng)
-    if local.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    pairs = _pairs_from_flat(k, local)
-    return members[pairs]
-
-
-def _plant_and_sample(N, members, p, q, edge_rng) -> Graph:
+def _plant_and_sample(params: PdsParams, members: np.ndarray, s) -> PlantedInstance:
     # union of a rate-q background and rate-(p-q)/(1-q) extras inside the
-    # planted set gives exactly Bernoulli(p) within and Bernoulli(q) outside
-    base = _er_pairs(N, q, edge_rng)
+    # sorted planted set gives exactly Bernoulli(p) within and Bernoulli(q) outside
+    N, p, q = params.N, params.p, params.q
+    edge_rng = s.child(_EDGE_STREAM).rng()
+    base = _pairs_within(np.arange(N), q, edge_rng)
     r = 0.0 if p == q else (p - q) / (1.0 - q)
-    extra = _within_pairs(np.sort(members), r, edge_rng)
-    return Graph(N, _union_edges(base, np.sort(extra, axis=1) if extra.size else extra))
+    extra = _pairs_within(members, r, edge_rng)
+    return PlantedInstance(Graph(N, _union_edges(N, base, extra)), tuple(members.tolist()))
 
 
 def gen_pds_random_size(params: PdsParams, seed) -> PlantedInstance:
     """Planted dense subgraph with Bernoulli(K/N) membership per vertex."""
     s = as_seed(seed)
     mrng = s.child(_MEMBERSHIP_STREAM).rng()
-    members = np.nonzero(mrng.random(params.N) < params.K / params.N)[0]
-    g = _plant_and_sample(params.N, members, params.p, params.q, s.child(_EDGE_STREAM).rng())
-    return PlantedInstance(graph=g, planted=tuple(members.tolist()))
+    return _plant_and_sample(params, np.nonzero(mrng.random(params.N) < params.K / params.N)[0], s)
 
 
 def gen_pds_fixed_size(params: PdsParams, seed) -> PlantedInstance:
     """Planted dense subgraph on a uniform size-K vertex subset."""
     s = as_seed(seed)
     mrng = s.child(_MEMBERSHIP_STREAM).rng()
-    members = np.sort(mrng.permutation(params.N)[: params.K])
-    g = _plant_and_sample(params.N, members, params.p, params.q, s.child(_EDGE_STREAM).rng())
-    return PlantedInstance(graph=g, planted=tuple(members.tolist()))
+    return _plant_and_sample(params, np.sort(mrng.permutation(params.N)[: params.K]), s)
 
 
 def gen_planted_clique(n: int, k: int, gamma: float, seed) -> PlantedInstance:
@@ -381,14 +348,11 @@ def gen_planted_clique(n: int, k: int, gamma: float, seed) -> PlantedInstance:
     s = as_seed(seed)
     mrng = s.child(_MEMBERSHIP_STREAM).rng()
     clique = np.sort(mrng.permutation(n)[:k])
-    base = _er_pairs(n, gamma, s.child(_EDGE_STREAM).rng())
-    kk = clique.size
-    if kk >= 2:
-        local = _pairs_from_flat(kk, np.arange(_pair_count(kk), dtype=np.int64))
-        forced = clique[local]
-    else:
-        forced = np.empty((0, 2), dtype=np.int64)
-    g = Graph(n, _union_edges(base, forced))
+    edge_rng = s.child(_EDGE_STREAM).rng()
+    base = _pairs_within(np.arange(n), gamma, edge_rng)
+    # rate 1 draws nothing from the stream
+    forced = _pairs_within(clique, 1.0, edge_rng)
+    g = Graph(n, _union_edges(n, base, forced))
     return PlantedInstance(graph=g, planted=tuple(clique.tolist()))
 
 
@@ -397,29 +361,13 @@ def gen_planted_clique(n: int, k: int, gamma: float, seed) -> PlantedInstance:
 # ---------------------------------------------------------------------------
 
 
-def _bipartite_block(top: np.ndarray, bottom: np.ndarray, r: float, num_bottom: int, rng):
-    if top.size == 0 or bottom.size == 0 or r <= 0.0:
-        return np.empty((0, 2), dtype=np.int64)
-    flat = _bernoulli_flat(top.size * bottom.size, r, rng)
-    if flat.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.column_stack([top[flat // bottom.size], bottom[flat % bottom.size]])
-
-
-def _bipartite_er_edges(nt: int, nb: int, q: float, rng) -> np.ndarray:
-    flat = _bernoulli_flat(nt * nb, q, rng)
-    if flat.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.column_stack([flat // nb, flat % nb])
-
-
 def gen_bipartite_er(N: int, q: float, seed) -> BipartiteGraph:
     """Bipartite Erdos-Renyi with N top and N bottom vertices."""
     if N < 1:
         raise InvalidParameterError("need N >= 1")
     _check_prob(q, "q")
     rng = as_seed(seed).child(_EDGE_STREAM).rng()
-    return BipartiteGraph(N, N, _bipartite_er_edges(N, N, q, rng))
+    return BipartiteGraph(N, N, _pairs_between(np.arange(N), np.arange(N), q, rng))
 
 
 def gen_bipartite_pds(params: PdsParams, seed, fixed_size: bool = False) -> PlantedInstance:
@@ -434,10 +382,11 @@ def gen_bipartite_pds(params: PdsParams, seed, fixed_size: bool = False) -> Plan
         top = np.nonzero(mrng.random(params.N) < params.K / params.N)[0]
         bottom = np.nonzero(mrng.random(params.N) < params.K / params.N)[0]
     erng = s.child(_EDGE_STREAM).rng()
-    base = _bipartite_er_edges(params.N, params.N, params.q, erng)
+    everyone = np.arange(params.N)
+    base = _pairs_between(everyone, everyone, params.q, erng)
     r = 0.0 if params.p == params.q else (params.p - params.q) / (1.0 - params.q)
-    extra = _bipartite_block(top, bottom, r, params.N, erng)
-    g = BipartiteGraph(params.N, params.N, _union_edges(base, extra))
+    extra = _pairs_between(top, bottom, r, erng)
+    g = BipartiteGraph(params.N, params.N, _union_edges(params.N, base, extra))
     return PlantedInstance(graph=g, planted=(tuple(top.tolist()), tuple(bottom.tolist())))
 
 
@@ -450,9 +399,12 @@ def gen_bipartite_pc(n: int, k: int, gamma: float, seed) -> PlantedInstance:
     mrng = s.child(_MEMBERSHIP_STREAM).rng()
     top = np.sort(mrng.permutation(n)[:k])
     bottom = np.sort(mrng.permutation(n)[:k])
-    base = _bipartite_er_edges(n, n, gamma, s.child(_EDGE_STREAM).rng())
-    forced = np.column_stack([np.repeat(top, k), np.tile(bottom, k)])
-    g = BipartiteGraph(n, n, _union_edges(base, forced))
+    edge_rng = s.child(_EDGE_STREAM).rng()
+    everyone = np.arange(n)
+    base = _pairs_between(everyone, everyone, gamma, edge_rng)
+    # rate 1 draws nothing from the stream
+    forced = _pairs_between(top, bottom, 1.0, edge_rng)
+    g = BipartiteGraph(n, n, _union_edges(n, base, forced))
     return PlantedInstance(graph=g, planted=(tuple(top.tolist()), tuple(bottom.tolist())))
 
 
@@ -463,27 +415,23 @@ def gen_bipartite_pc(n: int, k: int, gamma: float, seed) -> PlantedInstance:
 
 def subgraph_edge_count(g: Graph, S: Iterable[int]) -> int:
     """Number of edges with both endpoints in S."""
-    members = sorted(set(int(v) for v in S))
-    if members and (members[0] < 0 or members[-1] >= g.num_vertices):
+    members = [int(v) for v in S]
+    if not all(0 <= v < g.num_vertices for v in members):
         raise InvalidParameterError("subset is not within the vertex range")
-    if len(members) < 2:
-        return 0
-    ss = set(members)
-    adj = g.adjacency()
-    return sum(1 for u in members for v in adj[u] if v > u and v in ss)
+    inside = np.zeros(g.num_vertices, dtype=bool)
+    inside[members] = True
+    return int(np.count_nonzero(inside[g.edges[:, 0]] & inside[g.edges[:, 1]]))
 
 
 def write_edge_list(g, path) -> None:
     """Write the text edge-list format (header line, then one edge per line)."""
+    if not isinstance(g, _SortedKeyGraph):
+        raise InvalidParameterError(f"cannot serialize {type(g).__name__}")
+    header = " ".join(map(str, (*g._dims, g.num_edges)))
+    # two flat lists, one per column, convert far faster than M row lists
+    body = "".join([f"{u} {v}\n" for u, v in zip(*g.edges.T.tolist())])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if isinstance(g, BipartiteGraph):
-            fh.write(f"{g.num_top} {g.num_bottom} {g.num_edges}\n")
-        elif isinstance(g, Graph):
-            fh.write(f"{g.num_vertices} {g.num_edges}\n")
-        else:
-            raise InvalidParameterError(f"cannot serialize {type(g).__name__}")
-        for u, v in g.edges.tolist():
-            fh.write(f"{u} {v}\n")
+        fh.write(f"{header}\n{body}")
 
 
 def _parse_ints(text: str, line_no: int, expect: int) -> list:
@@ -497,38 +445,49 @@ def _parse_ints(text: str, line_no: int, expect: int) -> list:
 
 
 def read_edge_list(path):
-    """Read an edge-list file; the header arity picks Graph vs BipartiteGraph."""
+    """Read an edge-list file; the header arity picks Graph vs BipartiteGraph.
+
+    Lines are checked in order and the first faulty one is reported.  The
+    scan stops at the first line that breaks a per-line rule; a duplicate
+    among the lines before it is found on their flat keys and wins.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise EdgeListParseError("empty file", 1)
-    header = lines[0].split()
-    if len(header) == 2:
-        n, m = _parse_ints(lines[0], 1, 2)
-        bipartite = False
-    elif len(header) == 3:
-        nt, nb, m = _parse_ints(lines[0], 1, 3)
-        bipartite = True
-    else:
+    kinds = {len(cls._DIM_NAMES) + 1: cls for cls in (Graph, BipartiteGraph)}
+    cls = kinds.get(len(lines[0].split()))
+    if cls is None:
         raise EdgeListParseError("header must be 'N M' or 'Nt Nb M'", 1)
-    body = [ln for ln in lines[1:]]
-    if len(body) != m:
-        raise EdgeListParseError(f"expected {m} edge lines, found {len(body)}", len(lines) + 1)
-    edges = []
-    seen = set()
-    for offset, ln in enumerate(body):
-        line_no = offset + 2
-        u, v = _parse_ints(ln, line_no, 2)
-        if bipartite:
-            if not (0 <= u < nt and 0 <= v < nb):
-                raise EdgeListParseError(f"endpoint out of range in ({u}, {v})", line_no)
-        else:
-            if not (0 <= u < v < n):
-                raise EdgeListParseError(f"need 0 <= u < v < N in ({u}, {v})", line_no)
-        if (u, v) in seen:
-            raise EdgeListParseError(f"duplicate edge ({u}, {v})", line_no)
-        seen.add((u, v))
-        edges.append((u, v))
-    if bipartite:
-        return BipartiteGraph(nt, nb, edges)
-    return Graph(n, edges)
+    *dims, m = _parse_ints(lines[0], 1, len(cls._DIM_NAMES) + 1)
+    if len(lines) - 1 != m:
+        raise EdgeListParseError(f"expected {m} edge lines, found {len(lines) - 1}", len(lines) + 1)
+    height, width = dims[0], dims[-1]
+    rule = "need 0 <= u < v < N" if cls._UNORDERED else "endpoint out of range"
+    rows = []
+    fault = None
+    for line_no, text in enumerate(lines[1:], start=2):
+        try:
+            u, v = _parse_ints(text, line_no, 2)
+            if not (0 <= u < height and 0 <= v < width and (u < v or not cls._UNORDERED)):
+                raise EdgeListParseError(f"{rule} in ({u}, {v})", line_no)
+        except EdgeListParseError as exc:
+            fault = exc
+            break
+        rows.append((u, v))
+    edges = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    if rows:
+        # a row in range means every dimension is positive; one above the
+        # limit is rejected here, before its keys could wrap
+        for n in dims:
+            _vertex_count(n)
+        keys = edges[:, 0] * width + edges[:, 1]
+        order = np.argsort(keys, kind="stable")
+        # stable: of two equal keys the later line comes second
+        repeats = order[1:][np.diff(keys[order]) == 0]
+        if repeats.size:
+            i = int(repeats.min())
+            raise EdgeListParseError(f"duplicate edge ({rows[i][0]}, {rows[i][1]})", i + 2)
+    if fault is not None:
+        raise fault
+    return cls(*dims, edges)

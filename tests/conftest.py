@@ -23,8 +23,11 @@ from pdslab.reduction import KernelTable, _floyd_sample
 
 def recursive_scan_max(g, K: int):
     """Independent densest-K oracle: plain DFS over vertex choices."""
-    adj = g.adjacency()
     n = g.num_vertices
+    adj = [set() for _ in range(n)]
+    for u, v in g.edges.tolist():
+        adj[u].add(v)
+        adj[v].add(u)
     best_value = -1
     best_set = None
 

@@ -56,6 +56,20 @@ class TestGraphContainers:
         with pytest.raises(InvalidParameterError):
             BipartiteGraph(2, 3, [(2, 0)])
 
+    def test_rejects_vertex_counts_whose_keys_overflow(self):
+        # above 3037000499 a flat key u*width + v can pass 2**63 - 1 and wrap
+        # onto a stored key: both lookups here once answered True
+        with pytest.raises(InvalidParameterError, match="3037000499"):
+            Graph(10**10, [(0, 1)]).has_edge(1844674407, 3709551617)
+        with pytest.raises(InvalidParameterError, match="3037000499"):
+            BipartiteGraph(10**10, 10**10, [(0, 0)]).has_edge(1844674407, 3709551616)
+        with pytest.raises(InvalidParameterError, match="3037000499"):
+            BipartiteGraph(3, 3_037_000_500)
+        # at the limit every key fits, and a top end out of range is absent
+        # rather than wrapped onto key 1
+        b = BipartiteGraph(3_037_000_499, 3_037_000_499, [(0, 1)])
+        assert b.has_edge(0, 1) and not b.has_edge(1880594865473421322, 3)
+
 
 class TestErdosRenyi:
     def test_extremes(self):
@@ -163,18 +177,33 @@ class TestSubgraphEdgeCount:
         g = gen_er(8, 0.5, Seed(5))
         assert subgraph_edge_count(g, []) == 0
         assert subgraph_edge_count(g, [3]) == 0
+        assert subgraph_edge_count(g, [3, 3, 3]) == 0
 
     def test_complete_graph(self):
         g = gen_er(8, 1.0, Seed(5))
         assert subgraph_edge_count(g, [0, 2, 5, 7]) == 6
+        # repeated and unsorted members, and a one-shot iterator
+        assert subgraph_edge_count(g, [7, 2, 7, 0, 5, 2]) == 6
+        assert subgraph_edge_count(g, iter(np.array([5, 0, 7, 2]))) == 6
 
     def test_path(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         assert subgraph_edge_count(g, {1, 2, 3}) == 2
+        assert subgraph_edge_count(g, (v for v in [3, 1, 2, 1])) == 2
+
+    def test_random_graphs_against_edge_scan(self):
+        for i in range(20):
+            g = gen_er(30, 0.3, Seed(31).child(i))
+            S = Seed(32).child(i).rng().choice(30, size=12).tolist()
+            members = set(S)
+            expected = sum(1 for u, v in g.edges.tolist() if u in members and v in members)
+            assert subgraph_edge_count(g, S) == expected
 
     def test_out_of_range(self):
         with pytest.raises(InvalidParameterError):
             subgraph_edge_count(Graph(3, []), [5])
+        with pytest.raises(InvalidParameterError):
+            subgraph_edge_count(Graph(3, [(0, 1)]), [0, -1])
 
 
 class TestEdgeListIO:

@@ -213,6 +213,14 @@ class TestCli:
             path, _ = small_config(tmp_path, **override)
             assert run_cli("sweep", path)[0] == 3
 
+    def test_bad_vertex_count_in_header_exit_code(self, tmp_path):
+        # a count whose flat edge keys would overflow int64 fails like a negative one
+        for header in ("-3 0", "3037000500 1\n0 1", "2 3037000500 1\n0 1"):
+            bad = tmp_path / "bad.txt"
+            bad.write_text(header + "\n", encoding="utf-8")
+            assert run_cli("reduce", str(bad), "--k", "2", "--gamma", "0.5", "--ell", "2",
+                           "--q", "0.01", "--out", str(tmp_path / "r.txt"))[0] == 2
+
     def test_budget_exit_code(self, tmp_path):
         out = str(tmp_path / "g.txt")
         run_cli("generate", "er", "--n", "40", "--q", "0.2", "--seed", "3", "--out", out)
