@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a phase-diagram sweep from a JSON config")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--workers", type=int, default=None,
-                         help="override the config's worker count")
+                         help="override the config's workers value (points run serially)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_ver = sub.add_parser("verify", help="run a numeric verification battery")

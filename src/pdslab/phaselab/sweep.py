@@ -1,16 +1,15 @@
 """Deterministic sweep engine: per-point Monte Carlo error rates.
 
-Each grid point gets its own derived seed, so points can run on a worker
-pool in any order and still produce identical rows; output is always
-written in grid order.  The CSV schema is fixed and versioned by its
+Each grid point gets its own derived seed, so a row is a pure function of
+(config, point index).  Points run serially in grid order: a thread pool
+over points was slower under the GIL, so the ``workers`` setting is
+accepted for compatibility and does not change the run or its output.  The CSV schema is fixed and versioned by its
 header line:
 
     alpha,beta,N,K,q,p,test,scan_mode,type1,type2,trials,seed,regime
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 from ..detectors import (
     H0,
@@ -86,15 +85,7 @@ def run_point(config: SweepConfig, index: int, alpha: float, beta: float) -> dic
 
 def run_sweep(config: SweepConfig) -> list:
     """All grid points, in deterministic row-major order."""
-    points = config.points
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(
-                pool.map(lambda ia: run_point(config, ia[0], *ia[1]), enumerate(points))
-            )
-    else:
-        rows = [run_point(config, i, a, b) for i, (a, b) in enumerate(points)]
-    return rows
+    return [run_point(config, i, a, b) for i, (a, b) in enumerate(config.points)]
 
 
 def rows_to_csv(rows) -> str:
