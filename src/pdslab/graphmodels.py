@@ -345,15 +345,9 @@ def gen_planted_clique(n: int, k: int, gamma: float, seed) -> PlantedInstance:
     if not (1 <= k <= n):
         raise InvalidParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     _check_prob(gamma, "gamma")
-    s = as_seed(seed)
-    mrng = s.child(_MEMBERSHIP_STREAM).rng()
-    clique = np.sort(mrng.permutation(n)[:k])
-    edge_rng = s.child(_EDGE_STREAM).rng()
-    base = _pairs_within(np.arange(n), gamma, edge_rng)
-    # rate 1 draws nothing from the stream
-    forced = _pairs_within(clique, 1.0, edge_rng)
-    g = Graph(n, _union_edges(n, base, forced))
-    return PlantedInstance(graph=g, planted=tuple(clique.tolist()))
+    # the fixed-size planted dense subgraph with p = 1: its extras come at
+    # rate exactly 1, which draws nothing from the edge stream
+    return gen_pds_fixed_size(PdsParams(n, k, 1.0, gamma), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -395,17 +389,9 @@ def gen_bipartite_pc(n: int, k: int, gamma: float, seed) -> PlantedInstance:
     if not (1 <= k <= n):
         raise InvalidParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     _check_prob(gamma, "gamma")
-    s = as_seed(seed)
-    mrng = s.child(_MEMBERSHIP_STREAM).rng()
-    top = np.sort(mrng.permutation(n)[:k])
-    bottom = np.sort(mrng.permutation(n)[:k])
-    edge_rng = s.child(_EDGE_STREAM).rng()
-    everyone = np.arange(n)
-    base = _pairs_between(everyone, everyone, gamma, edge_rng)
-    # rate 1 draws nothing from the stream
-    forced = _pairs_between(top, bottom, 1.0, edge_rng)
-    g = BipartiteGraph(n, n, _union_edges(n, base, forced))
-    return PlantedInstance(graph=g, planted=(tuple(top.tolist()), tuple(bottom.tolist())))
+    # the fixed-size bipartite planted dense subgraph with p = 1 (see
+    # gen_planted_clique)
+    return gen_bipartite_pds(PdsParams(n, k, 1.0, gamma), seed, fixed_size=True)
 
 
 # ---------------------------------------------------------------------------
@@ -475,19 +461,19 @@ def read_edge_list(path):
             fault = exc
             break
         rows.append((u, v))
-    edges = np.array(rows, dtype=np.int64).reshape(-1, 2)
     if rows:
         # a row in range means every dimension is positive; one above the
-        # limit is rejected here, before its keys could wrap
+        # limit is rejected here, before its endpoints or keys could overflow
         for n in dims:
             _vertex_count(n)
-        keys = edges[:, 0] * width + edges[:, 1]
+        rows = np.array(rows, dtype=np.int64)
+        keys = rows[:, 0] * width + rows[:, 1]
         order = np.argsort(keys, kind="stable")
         # stable: of two equal keys the later line comes second
         repeats = order[1:][np.diff(keys[order]) == 0]
         if repeats.size:
             i = int(repeats.min())
-            raise EdgeListParseError(f"duplicate edge ({rows[i][0]}, {rows[i][1]})", i + 2)
+            raise EdgeListParseError(f"duplicate edge ({rows[i, 0]}, {rows[i, 1]})", i + 2)
     if fault is not None:
         raise fault
-    return cls(*dims, edges)
+    return cls(*dims, rows)

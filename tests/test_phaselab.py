@@ -214,8 +214,10 @@ class TestCli:
             assert run_cli("sweep", path)[0] == 3
 
     def test_bad_vertex_count_in_header_exit_code(self, tmp_path):
-        # a count whose flat edge keys would overflow int64 fails like a negative one
-        for header in ("-3 0", "3037000500 1\n0 1", "2 3037000500 1\n0 1"):
+        # a count whose flat edge keys would overflow int64 fails like a
+        # negative one, also when the count or an endpoint is past int64
+        for header in ("-3 0", "3037000500 1\n0 1", "2 3037000500 1\n0 1",
+                       "99999999999999999999 1\n0 99999999999999999998"):
             bad = tmp_path / "bad.txt"
             bad.write_text(header + "\n", encoding="utf-8")
             assert run_cli("reduce", str(bad), "--k", "2", "--gamma", "0.5", "--ell", "2",
