@@ -3,8 +3,8 @@
 Each grid point gets its own derived seed, so a row is a pure function of
 (config, point index).  Points run serially in grid order: a thread pool
 over points was slower under the GIL, so the ``workers`` setting is
-accepted for compatibility and does not change the run or its output.  The CSV schema is fixed and versioned by its
-header line:
+accepted for compatibility and changes neither the run nor its output.
+The CSV schema is fixed and versioned by its header line:
 
     alpha,beta,N,K,q,p,test,scan_mode,type1,type2,trials,seed,regime
 """
