@@ -108,7 +108,7 @@ class _SortedKeyGraph:
             raise InvalidParameterError("self-loops are not representable")
         u, v = self._orient(arr[:, 0], arr[:, 1])
         height, width = self._dims[0], self._dims[-1]
-        if (u < 0).any() or (u >= height).any() or (v < 0).any() or (v >= width).any():
+        if ((u < 0) | (u >= height) | (v < 0) | (v >= width)).any():
             raise InvalidParameterError("edge endpoint out of range")
         # stable is timsort: linear on the sorted rows samplers and files give
         keys = np.sort(u * width + v, kind="stable")

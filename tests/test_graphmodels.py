@@ -235,6 +235,8 @@ class TestEdgeListIO:
         self.assert_faults(tmp_graph_file, [
             ("4 2\n0 1\n0 1\n", 3, "duplicate edge (0, 1)"),
             ("6 3\n0 1\n2 3\n2 3\n", 4, "duplicate edge (2, 3)"),
+            # the earliest repeated line, not the smallest repeated edge
+            ("6 4\n2 3\n0 1\n2 3\n0 1\n", 4, "duplicate edge (2, 3)"),
             ("2 3 2\n1 0\n1 0\n", 3, "duplicate edge (1, 0)"),
         ])
 
