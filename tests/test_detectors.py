@@ -73,18 +73,36 @@ class TestScanExact:
         g = gen_er(30, 0.2, Seed(1))
         with pytest.raises(BudgetExceededError):
             t_scan_exact(g, 10, budget=100_000)
+        # the budget caps C(N, K) itself: at C(N, K) the scan runs, one below it raises
+        g = gen_er(12, 0.3, Seed(2))
+        total = math.comb(12, 5)
+        assert t_scan_exact(g, 5, budget=total) == recursive_scan_max(g, 5)
+        with pytest.raises(BudgetExceededError):
+            t_scan_exact(g, 5, budget=total - 1)
 
     def test_matches_recursive_enumerator(self):
-        # independent oracle, 100 random graphs with N <= 10, K <= 4
+        # independent oracle at every K <= min(N, 8), N <= 16: random
+        # densities, densities near 0 and near 1, planted cliques, and the
+        # empty and complete graphs, where every K-set ties
         rng = Seed(17).rng()
-        for i in range(100):
-            n = int(rng.integers(4, 11))
-            k = int(rng.integers(2, 5))
-            g = gen_er(n, float(rng.random()), Seed(18).child(i))
-            got_v, got_s = t_scan_exact(g, k)
-            want_v, want_s = recursive_scan_max(g, k)
-            assert got_v == want_v
-            assert got_s == want_s  # both pick the lexicographically first argmax
+        graphs = []
+        for i in range(60):
+            n = int(rng.integers(1, 17))
+            q = (float(rng.random()), 0.03, 0.97)[i % 3]
+            graphs.append(gen_er(n, q, Seed(18).child(i)))
+        for i in range(12):
+            n = int(rng.integers(6, 17))
+            k = int(rng.integers(3, 9))
+            graphs.append(gen_planted_clique(n, k, 0.25, Seed(19).child(i)).graph)
+        for n in (1, 5, 9, 16):
+            graphs.append(Graph(n, []))
+            graphs.append(Graph(n, list(combinations(range(n), 2))))
+        for g in graphs:
+            for k in range(min(g.num_vertices, 8) + 1):
+                got_v, got_s = t_scan_exact(g, k)
+                want_v, want_s = recursive_scan_max(g, k)
+                assert got_v == want_v
+                assert got_s == want_s  # both pick the lexicographically first argmax
 
 
 class TestScanHeuristic:
