@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import combinations
 
@@ -280,6 +281,28 @@ class TestRecoveryDetector:
         det = recovery_detector(lambda g: t_scan_exact(g, 3)[1], params, 0.5, Seed(7))
         g = gen_er(12, 0.2, Seed(8))
         assert det(g) == det(g)
+
+    # (N, K, q, seed, decision, steps, blake2b-64 of the intermediate
+    # graphs' fingerprints in order); a change here changes the
+    # resampling stream
+    FROZEN = [
+        (40, 6, 0.1, 31, H0, 40, "2a0936a629a0bbcb"),
+        (60, 8, 0.05, 32, H0, 60, "43a06f98b843af13"),
+    ]
+
+    @pytest.mark.parametrize("n,k,q,seed,decision,steps,digest", FROZEN)
+    def test_frozen_resampling_stream(self, n, k, q, seed, decision, steps, digest):
+        seen = []
+
+        def recover(g):
+            seen.append(g.fingerprint())
+            return tuple(range(k))
+
+        det = recovery_detector(recover, PdsParams(n, k, 0.9, q), 0.5, Seed(seed + 100))
+        assert det(gen_er(n, q, Seed(seed))) == decision
+        assert len(seen) == steps
+        fingerprints = np.array(seen, dtype=np.uint64).tobytes()
+        assert hashlib.blake2b(fingerprints, digest_size=8).hexdigest() == digest
 
 
 class TestEstimateErrors:
