@@ -9,8 +9,9 @@ scan statistic, exponential to compute exactly).  Their thresholds are
 
 and every comparison against a threshold is strict: ties go to H0.
 
-Exact scan enumeration is budgeted by the number of subsets visited (not by
-wall time, so runs are reproducible); above budget callers must fall back
+The exact scan is a depth-first branch-and-bound over the K-subsets.  Its
+budget caps C(N, K), not the search nodes visited or wall time, so whether
+a call runs depends on N and K alone; above budget callers must fall back
 to the restart hill-climbing heuristic, whose value never exceeds the true
 maximum.  Derived detectors wrap user-supplied subgraph finders: one
 thresholds the density of a densest-K-subgraph approximation, the other
@@ -61,11 +62,6 @@ H0 = "H0"
 H1 = "H1"
 
 DEFAULT_SCAN_BUDGET = 10_000_000
-
-# Subset tables are memoized only above this size; smaller ones are cheap
-# to rebuild and not worth the memory.
-_COMBO_CACHE_MIN = 500_000
-_combo_cache: dict = {}
 
 
 def _comb2(x: float) -> float:
@@ -130,30 +126,14 @@ def tau_scan(K: int, p: float, q: float) -> float:
     return _comb2(K) * (p + q) / 2.0
 
 
-def _subset_table(N: int, K: int, total: int) -> np.ndarray:
-    key = (N, K)
-    cached = _combo_cache.get(key)
-    if cached is not None:
-        return cached
-    dtype = np.uint8 if N <= 255 else np.int32
-    flat = np.fromiter(
-        (v for combo in combinations(range(N), K) for v in combo),
-        dtype=dtype,
-        count=total * K,
-    )
-    table = flat.reshape(total, K)
-    if total >= _COMBO_CACHE_MIN:
-        _combo_cache.clear()  # keep at most one large table resident
-        _combo_cache[key] = table
-    return table
-
-
 def t_scan_exact(g: Graph, K: int, budget: int = DEFAULT_SCAN_BUDGET):
     """Maximum edge count over all K-subsets, plus the first argmax.
 
-    Subsets are enumerated in lexicographic order, so the returned set is
-    the lexicographically smallest among ties.  Raises BudgetExceededError
-    when C(N, K) exceeds the subset budget.
+    A depth-first branch-and-bound walks the K-subsets in lexicographic
+    order and keeps a leaf only when it beats the best so far strictly, so
+    the returned set is the lexicographically smallest among ties.  Raises
+    BudgetExceededError when C(N, K) exceeds the subset budget; the budget
+    caps C(N, K), not the number of search nodes visited.
     """
     N = g.num_vertices
     if not (0 <= K <= N):
@@ -165,15 +145,38 @@ def t_scan_exact(g: Graph, K: int, budget: int = DEFAULT_SCAN_BUDGET):
         raise BudgetExceededError(
             f"C({N},{K}) = {total} subsets exceeds the budget of {budget}"
         )
-    combos = _subset_table(N, K, total)
-    a_flat = g.adjacency_matrix().reshape(-1)
-    acc_dtype = np.uint8 if _comb2(K) <= 255 else np.int32
-    acc = np.zeros(total, dtype=acc_dtype)
-    for a, b in combinations(range(K), 2):
-        idx = combos[:, a].astype(np.int64) * N + combos[:, b]
-        acc += a_flat[idx].astype(acc_dtype)
-    best = int(np.argmax(acc))
-    return int(acc[best]), tuple(int(v) for v in combos[best])
+    A = g.adjacency_matrix().astype(np.int64)
+    best, best_set = -1, None
+    # A frame stands for every completion of `prefix` by vertices >= v, and
+    # an explicit stack keeps deep searches (K near N) off the recursion
+    # limit.  deg[u] counts u's edges into the prefix and rest[u] its edges
+    # to the open candidates v..N-1.
+    stack = [((), 0, 0, np.zeros(N, dtype=np.int64), A.sum(axis=1))]
+    while stack:
+        prefix, v, count, deg, rest = stack.pop()
+        r = K - len(prefix)
+        if N - v < r:
+            continue
+        if r == 1:
+            # the leaves prefix + (u,), u >= v, in lexicographic order
+            u = v + int(np.argmax(deg[v:]))
+            if count + int(deg[u]) > best:
+                best, best_set = count + int(deg[u]), prefix + (u,)
+            continue
+        # Twice any completion's count is at most 2*count plus the r largest
+        # 2*deg[u] + min(r-1, rest[u]): each added vertex brings deg[u] edges
+        # into the prefix and at most min(r-1, rest[u]) edges to the others
+        # added with it, each counted from both ends.  Below 2*best + 2 no
+        # completion beats best strictly.  Dropping the frame also drops the
+        # later siblings, which draw on fewer candidates.
+        gains = np.sort(2 * deg[v:] + np.minimum(r - 1, rest[v:]))
+        if 2 * count + int(gains[-r:].sum()) < 2 * best + 2:
+            continue
+        rest = rest - A[v]
+        # the child goes on top, so the walk stays in lexicographic order
+        stack.append((prefix, v + 1, count, deg, rest))
+        stack.append((prefix + (v,), v + 1, count + int(deg[v]), deg + A[v], rest))
+    return best, best_set
 
 
 def t_scan_heuristic(g: Graph, K: int, restarts: int, seed):
