@@ -359,15 +359,15 @@ def recovery_detector(
             )
         rng = root.child(g.fingerprint()).rng()
         order = rng.permutation(N)
-        adj = g.adjacency_matrix().copy()
+        g_t = g
         for t in range(N):
             v = int(order[t])
-            row = (rng.random(N) < params.q).astype(np.uint8)
-            row[v] = 0
-            adj[v, :] = row
-            adj[:, v] = row
-            iu, iv = np.nonzero(np.triu(adj, 1))
-            g_t = Graph(N, np.column_stack([iu, iv]))
+            row = rng.random(N) < params.q
+            row[v] = False
+            # v's old edges go, its freshly drawn ones come in
+            kept = g_t.edges[(g_t.edges[:, 0] != v) & (g_t.edges[:, 1] != v)]
+            fresh = np.flatnonzero(row)
+            g_t = Graph(N, np.concatenate([kept, np.column_stack([np.full(fresh.size, v), fresh])]))
             recovered = list(recovery_alg(g_t))
             if len(set(recovered)) != params.K:
                 raise ContractViolationError(
