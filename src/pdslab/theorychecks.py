@@ -186,12 +186,20 @@ def _graph_space(N: int):
     return pairs, n_pairs
 
 
+def _product_law(n_slots: int, rate: float) -> np.ndarray:
+    """Product Bernoulli(rate) law over all 2^n_slots edge masks, by mask."""
+    work = np.arange(1 << n_slots, dtype=np.int64)
+    pop = np.zeros_like(work)
+    while np.any(work):
+        pop += work & 1
+        work >>= 1
+    return rate**pop * (1.0 - rate) ** (n_slots - pop)
+
+
 def er_law_exact(N: int, q: float) -> np.ndarray:
     """G(N, q) law as a vector over all edge masks (lex pair order)."""
-    pairs, n_pairs = _graph_space(N)
-    masks = np.arange(1 << n_pairs, dtype=np.int64)
-    pop = _popcount(masks)
-    return q**pop * (1.0 - q) ** (n_pairs - pop)
+    _, n_pairs = _graph_space(N)
+    return _product_law(n_pairs, q)
 
 
 def pds_fixed_law_exact(N: int, Kp: int, p: float, q: float) -> np.ndarray:
@@ -234,15 +242,6 @@ def chi2_bruteforce(N: int, Kp: int, p: float, q: float) -> float:
     p1 = pds_fixed_law_exact(N, Kp, p, q)
     p0 = er_law_exact(N, q)
     return float(np.sum((p1 - p0) ** 2 / p0))
-
-
-def _popcount(masks: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(masks)
-    work = masks.copy()
-    while np.any(work):
-        out += work & 1
-        work >>= 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +415,7 @@ def _reduced_law(params: ReductionParams, has_edge, bipartite: bool) -> np.ndarr
 def _bipartite_tv(law: np.ndarray, N: int, rate: float) -> float:
     """TV between a bipartite law over N x N edge masks and the product
     Bernoulli(rate) law."""
-    n_slots = N * N
-    pop = _popcount(np.arange(1 << n_slots, dtype=np.int64))
-    target = rate**pop * (1.0 - rate) ** (n_slots - pop)
-    return 0.5 * float(np.abs(law - target).sum())
+    return 0.5 * float(np.abs(law - _product_law(N * N, rate)).sum())
 
 
 def reduced_law_exact(g_in: Graph, params: ReductionParams) -> np.ndarray:
