@@ -130,10 +130,9 @@ def t_scan_exact(g: Graph, K: int, budget: int = DEFAULT_SCAN_BUDGET):
     """Maximum edge count over all K-subsets, plus the first argmax.
 
     A depth-first branch-and-bound walks the K-subsets in lexicographic
-    order and keeps a leaf only when it beats the best so far strictly, so
-    the returned set is the lexicographically smallest among ties.  Raises
-    BudgetExceededError when C(N, K) exceeds the subset budget; the budget
-    caps C(N, K), not the number of search nodes visited.
+    order and keeps only strictly better leaves, so the returned set is the
+    lexicographically smallest among ties.  Raises BudgetExceededError when
+    C(N, K) exceeds the budget, which caps subsets, not search nodes.
     """
     N = g.num_vertices
     if not (0 <= K <= N):
@@ -147,10 +146,9 @@ def t_scan_exact(g: Graph, K: int, budget: int = DEFAULT_SCAN_BUDGET):
         )
     A = g.adjacency_matrix().astype(np.int64)
     best, best_set = -1, None
-    # A frame stands for every completion of `prefix` by vertices >= v, and
-    # an explicit stack keeps deep searches (K near N) off the recursion
-    # limit.  deg[u] counts u's edges into the prefix and rest[u] its edges
-    # to the open candidates v..N-1.
+    # A frame stands for the completions of `prefix` by vertices >= v; deg[u]
+    # counts u's edges into the prefix, rest[u] its edges to v..N-1.  An
+    # explicit stack keeps K near N off the recursion limit.
     stack = [((), 0, 0, np.zeros(N, dtype=np.int64), A.sum(axis=1))]
     while stack:
         prefix, v, count, deg, rest = stack.pop()
@@ -163,12 +161,10 @@ def t_scan_exact(g: Graph, K: int, budget: int = DEFAULT_SCAN_BUDGET):
             if count + int(deg[u]) > best:
                 best, best_set = count + int(deg[u]), prefix + (u,)
             continue
-        # Twice any completion's count is at most 2*count plus the r largest
-        # 2*deg[u] + min(r-1, rest[u]): each added vertex brings deg[u] edges
-        # into the prefix and at most min(r-1, rest[u]) edges to the others
-        # added with it, each counted from both ends.  Below 2*best + 2 no
-        # completion beats best strictly.  Dropping the frame also drops the
-        # later siblings, which draw on fewer candidates.
+        # Each added vertex brings deg[u] edges into the prefix and at most
+        # min(r-1, rest[u]) to the others added with it, each counted from both
+        # ends; below 2*best + 2 no completion beats best strictly.  A failed
+        # bound also drops the later siblings, which draw on fewer candidates.
         gains = np.sort(2 * deg[v:] + np.minimum(r - 1, rest[v:]))
         if 2 * count + int(gains[-r:].sum()) < 2 * best + 2:
             continue
