@@ -1,7 +1,7 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library's own code paths: the recursive scan
-enumerator checks the vectorized subset scan, the model-law evaluator
+enumerator checks the branch-and-bound exact scan, the model-law evaluator
 checks the samplers' target distributions, the same-parent planted law
 is the reference for the reduction's kernel-controlled gap, and the
 per-block reduction loop is the reference for the vectorised reduction
