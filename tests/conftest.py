@@ -5,7 +5,8 @@ enumerator checks the branch-and-bound exact scan, the model-law evaluator
 checks the samplers' target distributions, the same-parent planted law
 is the reference for the reduction's kernel-controlled gap, and the
 per-block reduction loop is the reference for the vectorised reduction
-sampler's random stream.
+sampler's random stream.  The dense-matrix restart scan is the reference
+for the sparse heuristic scan's swaps and tie rules.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from pdslab.graphmodels import BipartiteGraph
+from pdslab.errors import InvalidParameterError
+from pdslab.graphmodels import BipartiteGraph, Graph
 from pdslab.randkit import as_seed, sample_pmf
 from pdslab.reduction import KernelTable, _floyd_sample
 
@@ -121,6 +123,52 @@ def per_block_reduce_edges(g, params, seed) -> list:
                 else:
                     edges.append((vs[k // len(vt)], vt[k % len(vt)]))
     return edges
+
+
+def dense_scan_heuristic(g: Graph, K: int, restarts: int, seed):
+    """The restart heuristic scan as first written, over a dense matrix.
+
+    Reference for `t_scan_heuristic`: every swap builds the K x (N-K) gain
+    matrix d_v - d_u - A_uv and takes its row-major first argmax, so it
+    pins the sparse closed-form swap's tie rules.
+    """
+    N = g.num_vertices
+    if not (1 <= K <= N):
+        raise InvalidParameterError(f"need 1 <= K <= N, got K={K}, N={N}")
+    if K == 1:
+        return 0, (0,)
+    if restarts < 1:
+        raise InvalidParameterError("need at least one restart")
+    A = g.adjacency_matrix().astype(np.int64)
+    root = as_seed(seed)
+    best_count = -1
+    best_set = None
+    for r in range(restarts):
+        rng = root.child(r).rng()
+        in_s = np.zeros(N, dtype=bool)
+        in_s[rng.permutation(N)[:K]] = True
+        deg_s = A @ in_s
+        count = int(deg_s[in_s].sum()) // 2
+        while True:
+            members = np.nonzero(in_s)[0]
+            outside = np.nonzero(~in_s)[0]
+            if outside.size == 0:
+                break
+            gains = deg_s[outside][None, :] - deg_s[members][:, None] - A[np.ix_(members, outside)]
+            flat = int(np.argmax(gains))
+            gain = int(gains.reshape(-1)[flat])
+            if gain <= 0:
+                break
+            u = int(members[flat // outside.size])
+            v = int(outside[flat % outside.size])
+            in_s[u] = False
+            in_s[v] = True
+            deg_s += A[:, v] - A[:, u]
+            count += gain
+        cand = tuple(int(x) for x in np.nonzero(in_s)[0])
+        if count > best_count or (count == best_count and cand < best_set):
+            best_count, best_set = count, cand
+    return best_count, best_set
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import recursive_scan_max
+from conftest import dense_scan_heuristic, recursive_scan_max
 from pdslab.detectors import (
     H0,
     H1,
@@ -42,6 +42,17 @@ from pdslab.randkit import Seed
 
 PATH4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 K4 = Graph(4, list(combinations(range(4), 2)))
+
+
+def _frozen_scan_input(alpha, k, arm):
+    """The graph and K of one frozen heuristic-scan case."""
+    if alpha is None:
+        return gen_er(2000, 0.001, Seed(28)), k
+    q = 200.0 ** -alpha
+    seed = Seed(28).child(int(alpha * 10)).child(k).child(arm)
+    if arm == 0:
+        return gen_er(200, q, seed), k
+    return gen_pds_random_size(PdsParams(200, k, 2 * q, q), seed).graph, k
 
 
 class TestStatisticsAndThresholds:
@@ -125,6 +136,60 @@ class TestScanHeuristic:
     def test_deterministic(self):
         g = gen_er(40, 0.3, Seed(22))
         assert t_scan_heuristic(g, 8, 5, Seed(23)) == t_scan_heuristic(g, 8, 5, Seed(23))
+
+    def test_matches_dense_reference(self):
+        # same (value, set) as the dense-matrix scan on tie-heavy inputs:
+        # empty, complete and cycle graphs, densities near 0, 1/2 and 1,
+        # planted cliques; K in {2, N-1, N} and one random K; 1-4 restarts
+        rng = Seed(24).rng()
+        graphs = []
+        for n in (2, 3, 7, 20):
+            graphs += [Graph(n, []), Graph(n, list(combinations(range(n), 2)))]
+            if n >= 3:
+                graphs.append(Graph(n, [(i, (i + 1) % n) for i in range(n)]))
+        for i in range(45):
+            n = int(rng.integers(2, 61))
+            q = (0.02, 0.5, 0.98)[i % 3]
+            graphs.append(gen_er(n, q, Seed(25).child(i)))
+        for i in range(10):
+            n = int(rng.integers(8, 61))
+            graphs.append(gen_planted_clique(n, int(rng.integers(3, 9)), 0.25, Seed(26).child(i)).graph)
+        for i, g in enumerate(graphs):
+            n = g.num_vertices
+            for k in sorted({2, n - 1, n, int(rng.integers(1, n + 1))} & set(range(1, n + 1))):
+                restarts = int(rng.integers(1, 5))
+                seed = Seed(27).child(i).child(k)
+                assert t_scan_heuristic(g, k, restarts, seed) == dense_scan_heuristic(g, k, restarts, seed)
+
+    # (alpha, K, arm, value, blake2b-64 of the set): null (arm 0) and planted
+    # (arm 1) graphs at the `sweeps` heuristic config's four alpha rows, N=200,
+    # K = 5 and 118, p = 2q, 16 restarts; then G(2000, 0.001) with K=120, the
+    # pipeline's scale; captured from the dense-matrix scan
+    FROZEN = [
+        (0.2, 5, 0, 10, 'd5947dd25aca880b'),
+        (0.2, 5, 1, 10, '1a73dc1cc2398294'),
+        (0.2, 118, 0, 2711, '1ed2219a26d97837'),
+        (0.2, 118, 1, 4434, 'a6b308e71b586adf'),
+        (0.6, 5, 0, 7, 'dbf8320697a57564'),
+        (0.6, 5, 1, 7, '91db848b0be427bf'),
+        (0.6, 118, 0, 450, '188d1ea25c37b8fe'),
+        (0.6, 118, 1, 610, 'f98c7a2be5684b7a'),
+        (1.0, 5, 0, 4, '4a3738428679f67d'),
+        (1.0, 5, 1, 4, '032edfb05524c805'),
+        (1.0, 118, 0, 98, '0fa24bdedec6d205'),
+        (1.0, 118, 1, 122, '4c47f81350fcec06'),
+        (1.4, 5, 0, 2, '8652397141c2c5a5'),
+        (1.4, 5, 1, 1, '6c8cdcaf03155c5e'),
+        (1.4, 118, 0, 17, '0d1f2a437173b841'),
+        (1.4, 118, 1, 18, 'fb600cd5faf94a62'),
+        (None, 120, 0, 112, '6c1458d27d7b21ee'),
+    ]
+
+    @pytest.mark.parametrize("alpha,k,arm,value,digest", FROZEN)
+    def test_frozen_values(self, alpha, k, arm, value, digest):
+        got_value, got_set = t_scan_heuristic(*_frozen_scan_input(alpha, k, arm), 16, Seed(29))
+        assert got_value == value
+        assert hashlib.blake2b(np.array(got_set).tobytes(), digest_size=8).hexdigest() == digest
 
     def test_planted_clique_recovery_rate(self):
         # frozen regression: 100/100 recoveries at these parameters
