@@ -175,47 +175,84 @@ def t_scan_exact(g: Graph, K: int, budget: int = DEFAULT_SCAN_BUDGET):
     return best, best_set
 
 
+def _rows(ptr: np.ndarray, nbrs: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """The CSR rows of the vertices `vs`, concatenated."""
+    starts = ptr[vs]
+    lens = ptr[vs + 1] - starts
+    ends = lens.cumsum()
+    return nbrs[np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens)]
+
+
 def t_scan_heuristic(g: Graph, K: int, restarts: int, seed):
     """Best-of-restarts steepest-ascent 1-swap search for a dense K-subset.
 
-    Always a lower bound on the exact scan statistic.  Deterministic given
-    the seed: each restart uses its own derived stream, swap candidates are
-    scanned in sorted vertex order, and ties keep the earliest candidate.
+    Always a lower bound on the exact scan statistic.  Restart r starts from
+    the first K vertices of a permutation drawn from seed child r, then
+    swaps a member u for an outside vertex v while the best gain
+    d_v - d_u - A_uv is positive, d being the degree into the set.  Ties go
+    to the first member, then to the first outside vertex, in vertex order;
+    across restarts the larger count wins, then the smaller set.
+
+    The best swap has a closed form.  With D the largest d outside the set
+    and T the outside vertices at D, member u's best gain is D - d_u, less 1
+    when u is adjacent to every vertex of T, and its partner is the first
+    outside v that maximises d_v - A_uv.  The graph is held as CSR
+    adjacency and a swap updates d on N(u) and N(v) only, so memory is
+    O(N + M): no N x N or K x (N - K) array is built.
     """
     N = g.num_vertices
     if not (1 <= K <= N):
         raise InvalidParameterError(f"need 1 <= K <= N, got K={K}, N={N}")
-    if K == 1:
-        return 0, (0,)
     if restarts < 1:
         raise InvalidParameterError("need at least one restart")
-    A = g.adjacency_matrix().astype(np.int64)
+    if K == 1:
+        return 0, (0,)
+    # both directions of every edge; row x is nbrs[ptr[x]:ptr[x + 1]]
+    lo, hi = g.edges.T
+    heads, nbrs = np.divmod(np.sort(np.concatenate([lo * N + hi, hi * N + lo])), N)
+    ptr = np.zeros(N + 1, dtype=np.int64)
+    np.cumsum(np.bincount(heads, minlength=N), out=ptr[1:])
+    # key[x] is x's degree into the set, less `off` for members: members sit
+    # at or below -2 and outside vertices at or above 0
+    off = N + 1
     root = as_seed(seed)
     best_count = -1
     best_set = None
     for r in range(restarts):
-        rng = root.child(r).rng()
-        in_s = np.zeros(N, dtype=bool)
-        in_s[rng.permutation(N)[:K]] = True
-        deg_s = A @ in_s
-        count = int(deg_s[in_s].sum()) // 2
+        start = root.child(r).rng().permutation(N)[:K]
+        key = np.bincount(_rows(ptr, nbrs, start), minlength=N)
+        count = int(key[start].sum()) // 2
+        key[start] -= off
         while True:
-            members = np.nonzero(in_s)[0]
-            outside = np.nonzero(~in_s)[0]
-            if outside.size == 0:
-                break
-            gains = deg_s[outside][None, :] - deg_s[members][:, None] - A[np.ix_(members, outside)]
-            flat = int(np.argmax(gains))
-            gain = int(gains.reshape(-1)[flat])
+            D = key.max()
+            u = key.argmin()  # the first member of least degree
+            # no swap gains more than D - d_u; with K = N, D is a member's key
+            # and this is negative
+            gain = int(D - off - key[u])
             if gain <= 0:
                 break
-            u = int(members[flat // outside.size])
-            v = int(outside[flat % outside.size])
-            in_s[u] = False
-            in_s[v] = True
-            deg_s += A[:, v] - A[:, u]
+            top = key == D
+            n_top = top.sum()
+            if top[nbrs[ptr[u]:ptr[u + 1]]].sum() == n_top:
+                # u sees all of T, so its gain is one less and a later member
+                # may reach more: take the first member of largest row maximum
+                members = (key < 0).nonzero()[0]
+                sees_top = np.bincount(_rows(ptr, nbrs, top.nonzero()[0]), minlength=N) == n_top
+                row_max = (D - off) - key[members] - sees_top[members]
+                i = row_max.argmax()
+                gain = int(row_max[i])
+                if gain <= 0:
+                    break
+                u = members[i]
+            # with u's edges taken off, the first argmax of key is the first
+            # outside v maximising d_v - A_uv, since members stay below -1
+            key[nbrs[ptr[u]:ptr[u + 1]]] -= 1
+            v = key.argmax()
+            key[nbrs[ptr[v]:ptr[v + 1]]] += 1
+            key[u] += off
+            key[v] -= off
             count += gain
-        cand = tuple(int(x) for x in np.nonzero(in_s)[0])
+        cand = tuple((key < 0).nonzero()[0].tolist())
         if count > best_count or (count == best_count and cand < best_set):
             best_count, best_set = count, cand
     return best_count, best_set

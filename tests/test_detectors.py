@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -132,6 +133,24 @@ class TestScanHeuristic:
             exact, _ = t_scan_exact(g, k)
             heur, _ = t_scan_heuristic(g, k, 3, Seed(21).child(i))
             assert heur <= exact
+
+    def test_rejects_bad_parameters(self):
+        # K = 1 makes no swap, but its restarts are checked all the same
+        for k, restarts in ((0, 1), (6, 1), (1, 0), (2, 0), (5, -1)):
+            with pytest.raises(InvalidParameterError):
+                t_scan_heuristic(Graph(5, [(0, 1)]), k, restarts, Seed(0))
+
+    def test_memory_is_linear_in_vertices_and_edges(self):
+        # CSR adjacency and degree vectors only: the dense matrix of
+        # G(5000, 4e-4) alone would take 200 MB
+        g = gen_er(5000, 4e-4, Seed(3))
+        tracemalloc.start()
+        try:
+            t_scan_heuristic(g, 50, 2, Seed(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
     def test_deterministic(self):
         g = gen_er(40, 0.3, Seed(22))

@@ -223,6 +223,14 @@ class TestCli:
             assert run_cli("reduce", str(bad), "--k", "2", "--gamma", "0.5", "--ell", "2",
                            "--q", "0.01", "--out", str(tmp_path / "r.txt"))[0] == 2
 
+    def test_no_restarts_exit_code(self, tmp_path):
+        out = str(tmp_path / "g.txt")
+        run_cli("generate", "er", "--n", "10", "--q", "0.3", "--seed", "3", "--out", out)
+        for k in ("1", "2"):
+            code, _ = run_cli("test", out, "--test", "scan", "--K", k, "--p", "0.9", "--q", "0.3",
+                              "--scan-mode", "heuristic", "--restarts", "0")
+            assert code == 2
+
     def test_budget_exit_code(self, tmp_path):
         out = str(tmp_path / "g.txt")
         run_cli("generate", "er", "--n", "40", "--q", "0.2", "--seed", "3", "--out", out)
