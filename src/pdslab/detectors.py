@@ -232,8 +232,8 @@ def t_scan_heuristic(g: Graph, K: int, restarts: int, seed):
             if gain <= 0:
                 break
             top = key == D
-            n_top = top.sum()
-            if top[nbrs[ptr[u]:ptr[u + 1]]].sum() == n_top:
+            n_top = np.count_nonzero(top)
+            if np.count_nonzero(top[nbrs[ptr[u]:ptr[u + 1]]]) == n_top:
                 # u sees all of T, so its gain is one less and a later member
                 # may reach more: take the first member of largest row maximum
                 members = (key < 0).nonzero()[0]
