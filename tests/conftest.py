@@ -6,7 +6,8 @@ checks the samplers' target distributions, the same-parent planted law
 is the reference for the reduction's kernel-controlled gap, and the
 per-block reduction loop is the reference for the vectorised reduction
 sampler's random stream.  The dense-matrix restart scan is the reference
-for the sparse heuristic scan's swaps and tie rules.
+for the sparse heuristic scan's swaps and tie rules, and the per-line
+edge-list reader is the reference for every file the array parse reads.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from pdslab.errors import InvalidParameterError
-from pdslab.graphmodels import BipartiteGraph, Graph
+from pdslab.errors import EdgeListParseError, InvalidParameterError
+from pdslab.graphmodels import BipartiteGraph, Graph, _parse_ints, _vertex_count
 from pdslab.randkit import as_seed, sample_pmf
 from pdslab.reduction import KernelTable, _floyd_sample
 
@@ -171,11 +172,59 @@ def dense_scan_heuristic(g: Graph, K: int, restarts: int, seed):
     return best_count, best_set
 
 
+def line_by_line_read_edge_list(path):
+    """The edge-list reader as a per-line loop, before the array parse.
+
+    Reference for `read_edge_list`: on any file it must return the same
+    graph, or raise the same error at the same line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise EdgeListParseError("empty file", 1)
+    kinds = {len(cls._DIM_NAMES) + 1: cls for cls in (Graph, BipartiteGraph)}
+    cls = kinds.get(len(lines[0].split()))
+    if cls is None:
+        raise EdgeListParseError("header must be 'N M' or 'Nt Nb M'", 1)
+    *dims, m = _parse_ints(lines[0], 1, len(cls._DIM_NAMES) + 1)
+    if len(lines) - 1 != m:
+        raise EdgeListParseError(f"expected {m} edge lines, found {len(lines) - 1}", len(lines) + 1)
+    height, width = dims[0], dims[-1]
+    rule = "need 0 <= u < v < N" if cls._UNORDERED else "endpoint out of range"
+    rows = []
+    fault = None
+    for line_no, text in enumerate(lines[1:], start=2):
+        try:
+            u, v = _parse_ints(text, line_no, 2)
+            if not (0 <= u < height and 0 <= v < width and (u < v or not cls._UNORDERED)):
+                raise EdgeListParseError(f"{rule} in ({u}, {v})", line_no)
+        except EdgeListParseError as exc:
+            fault = exc
+            break
+        rows.append((u, v))
+    if rows:
+        # a row in range means every dimension is positive; one above the
+        # limit is rejected here, before its endpoints or keys could overflow
+        for n in dims:
+            _vertex_count(n)
+        rows = np.array(rows, dtype=np.int64)
+        keys = rows[:, 0] * width + rows[:, 1]
+        order = np.argsort(keys, kind="stable")
+        # stable: of two equal keys the later line comes second
+        repeats = order[1:][np.diff(keys[order]) == 0]
+        if repeats.size:
+            i = int(repeats.min())
+            raise EdgeListParseError(f"duplicate edge ({rows[i, 0]}, {rows[i, 1]})", i + 2)
+    if fault is not None:
+        raise fault
+    return cls(*dims, rows)
+
+
 @pytest.fixture
 def tmp_graph_file(tmp_path):
-    def write(text: str, name: str = "g.txt"):
+    def write(text, name: str = "g.txt"):
         path = tmp_path / name
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         return str(path)
 
     return write

@@ -1,7 +1,12 @@
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
+from conftest import line_by_line_read_edge_list
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdslab.errors import EdgeListParseError, InvalidParameterError
 from pdslab.graphmodels import (
@@ -206,6 +211,58 @@ class TestSubgraphEdgeCount:
             subgraph_edge_count(Graph(3, [(0, 1)]), [0, -1])
 
 
+_MUTATIONS = ("swap", "insert", "double_space", "crlf", "lone_cr", "drop_final_newline",
+              "duplicate_line", "long_value", "sign_or_zero", "non_ascii_digit")
+# bytes a mutation may insert: separators splitlines or split() honour,
+# signs, a letter, and U+0660 (an Arabic-Indic zero, which int() accepts)
+_INSERTS = "0123456789 \n\r\t\x0b\x0c+-x\u0660"
+
+
+def _mutate(text: str, kind: str, i: int, pick: int) -> str:
+    """One edit of an edge-list text; i picks where, pick picks how."""
+    if kind == "swap":
+        j = i % max(len(text) - 1, 1)
+        return text[:j] + text[j + 1:j + 2] + text[j:j + 1] + text[j + 2:]
+    if kind == "insert":
+        j = i % (len(text) + 1)
+        return text[:j] + _INSERTS[pick % len(_INSERTS)] + text[j:]
+    if kind == "drop_final_newline":
+        return text[:-1] if text.endswith("\n") else text
+    if kind == "duplicate_line":
+        # insert the copy, or write it over the next line so the count holds
+        lines = text.splitlines(keepends=True)
+        j = i % len(lines)
+        return "".join(lines[:j + 1] + lines[j:j + 1] + lines[j + 1 + pick % 2:])
+    if kind in ("double_space", "crlf", "lone_cr"):
+        old, new = {"double_space": (" ", "  "), "crlf": ("\n", "\r\n"), "lone_cr": ("\r\n", "\r")}[kind]
+        spots = [m.start() for m in re.finditer(re.escape(old), text)]
+    else:
+        spots = [m.start() for m in re.finditer(r"\d+", text)]
+    if not spots:
+        return text
+    j = spots[i % len(spots)]
+    if kind in ("double_space", "crlf", "lone_cr"):
+        return text[:j] + new + text[j + len(old):]
+    token = re.match(r"\d+", text[j:]).group()
+    if kind == "long_value":
+        width = 19 + pick % 2
+        # the same value padded with zeros, or a value of that many digits
+        new = token.zfill(width) if pick % 4 < 2 else str(10 ** (width - 1) + int(token))
+    elif kind == "sign_or_zero":
+        new = "+0"[pick % 2] + token
+    else:
+        new = "".join(chr(0x660 + int(c)) for c in token)
+    return text[:j] + new + text[j + len(token):]
+
+
+def _read_outcome(read, path):
+    """The graph read, or the type and text of the error raised."""
+    try:
+        return read(path)
+    except (EdgeListParseError, InvalidParameterError) as exc:
+        return type(exc), str(exc)
+
+
 class TestEdgeListIO:
     def test_empty_graph_header(self, tmp_graph_file):
         g = read_edge_list(tmp_graph_file("3 0\n"))
@@ -222,6 +279,33 @@ class TestEdgeListIO:
         path = tmp_path / "b.txt"
         write_edge_list(g, path)
         assert read_edge_list(path) == g
+
+    def test_writer_bytes_frozen(self, tmp_path):
+        # digests of the files the writer produced before its one-format body
+        cases = [
+            (gen_planted_clique(1000, 60, 0.5, Seed(1)).graph, "ae31cebd8ef4e6a603538eb21cdf38f5"),
+            (gen_bipartite_er(30, 0.2, Seed(2)), "1c16d5964cc7cebeb8e9c3f6b2d306f7"),
+        ]
+        for g, digest in cases:
+            path = tmp_path / "g.txt"
+            write_edge_list(g, path)
+            assert hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest() == digest
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: t.replace(" ", "\t \t  "),
+        lambda t: t.replace("\n", " \t\n"),
+        lambda t: re.sub(r"\d+", lambda m: "+00" + m.group(), t),
+        lambda t: t[:-1],
+    ], ids=["crlf", "tabs-and-space-runs", "trailing-whitespace", "plus-and-zeros", "no-final-newline"])
+    def test_non_canonical_input_accepted(self, tmp_path, rewrite):
+        for g in (gen_er(30, 0.2, Seed(13)), gen_bipartite_er(12, 0.3, Seed(14))):
+            canonical = tmp_path / "canonical.txt"
+            write_edge_list(g, canonical)
+            twin = tmp_path / "twin.txt"
+            twin.write_bytes(rewrite(canonical.read_text()).encode())
+            assert twin.read_bytes() != canonical.read_bytes()
+            assert read_edge_list(twin) == g
 
     def test_malformed_line_reports_position(self, tmp_graph_file):
         self.assert_faults(tmp_graph_file, [
@@ -281,6 +365,23 @@ class TestEdgeListIO:
             ("6 4\n0 1\n0 1\n2 3\n0 9\n", 3, "duplicate edge (0, 1)"),
             ("6 4\n0 1\n0 9\n2 3\n0 1\n", 3, "need 0 <= u < v < N in (0, 9)"),
         ])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_files_match_line_by_line_reader(self, tmp_path_factory, data):
+        seed = Seed(data.draw(st.integers(0, 2**16), label="seed"))
+        if data.draw(st.booleans(), label="bipartite"):
+            g = gen_bipartite_er(data.draw(st.integers(1, 6)), 0.4, seed)
+        else:
+            g = gen_er(data.draw(st.integers(2, 9)), 0.4, seed)
+        path = tmp_path_factory.getbasetemp() / "mutated.txt"
+        write_edge_list(g, path)
+        text = path.read_text()
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            kind = data.draw(st.sampled_from(_MUTATIONS), label="kind")
+            text = _mutate(text, kind, data.draw(st.integers(0, 10**6)), data.draw(st.integers(0, 63)))
+        path.write_bytes(text.encode("utf-8"))
+        assert _read_outcome(read_edge_list, path) == _read_outcome(line_by_line_read_edge_list, path)
 
     @staticmethod
     def assert_faults(tmp_graph_file, cases):
