@@ -414,8 +414,7 @@ def write_edge_list(g, path) -> None:
     if not isinstance(g, _SortedKeyGraph):
         raise InvalidParameterError(f"cannot serialize {type(g).__name__}")
     header = " ".join(map(str, (*g._dims, g.num_edges)))
-    # two flat lists, one per column, convert far faster than M row lists
-    body = "".join([f"{u} {v}\n" for u, v in zip(*g.edges.T.tolist())])
+    body = ("%d %d\n" * g.num_edges) % tuple(g.edges.ravel().tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{header}\n{body}")
 
@@ -430,44 +429,112 @@ def _parse_ints(text: str, line_no: int, expect: int) -> list:
         raise EdgeListParseError(f"non-integer field in {text!r}", line_no) from None
 
 
-def read_edge_list(path):
-    """Read an edge-list file; the header arity picks Graph vs BipartiteGraph.
-
-    Lines are checked in order and the first faulty one is reported.  The
-    scan stops at the first line that breaks a per-line rule; a duplicate
-    among the lines before it is found on their flat keys and wins.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise EdgeListParseError("empty file", 1)
+def _parse_header(text: str):
+    """The class, dimensions and edge count that header line 1 declares."""
     kinds = {len(cls._DIM_NAMES) + 1: cls for cls in (Graph, BipartiteGraph)}
-    cls = kinds.get(len(lines[0].split()))
+    cls = kinds.get(len(text.split()))
     if cls is None:
         raise EdgeListParseError("header must be 'N M' or 'Nt Nb M'", 1)
-    *dims, m = _parse_ints(lines[0], 1, len(cls._DIM_NAMES) + 1)
+    *dims, m = _parse_ints(text, 1, len(cls._DIM_NAMES) + 1)
+    return cls, dims, m
+
+
+# 10**18 - 1 < 2**63 - 1: a decimal of at most this many digits fits int64
+_CANONICAL_DIGITS = 18
+
+
+def _canonical_rows(body: np.ndarray, cls, dims, m: int):
+    """The (m, 2) int64 rows of a canonical body, or None if it is not one.
+
+    Canonical is what write_edge_list writes: m lines 'u v' of ASCII
+    decimals, one space between, each line ended by '\n'.  The rows must
+    also be in range and, for a Graph, have u < v.  Any other body gives
+    None, for the per-line loop to read or report.
+    """
+    digits = body - 48  # uint8: every byte but '0'..'9' wraps to 10 or more
+    seps = np.flatnonzero(digits > 9)
+    if seps.size != 2 * m or body.size != (seps[-1] + 1 if m else 0):
+        return None
+    if m == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if (body[seps[0::2]] != ord(" ")).any() or (body[seps[1::2]] != ord("\n")).any():
+        return None
+    lengths = np.diff(seps, prepend=-1) - 1
+    if lengths.min() < 1 or lengths.max() > _CANONICAL_DIGITS:
+        return None
+    # Horner over right-aligned digit columns: a token shorter than the
+    # column reads a zero there, and its index, masked, may point anywhere
+    values = np.zeros(seps.size, dtype=np.int64)
+    for k in range(int(lengths.max()) - 1, -1, -1):
+        values = values * 10 + np.where(lengths > k, digits[seps - 1 - k], 0)
+    rows = values.reshape(m, 2)
+    if int(rows[:, 0].max()) >= dims[0] or int(rows[:, 1].max()) >= dims[-1]:
+        return None
+    if cls._UNORDERED and (rows[:, 0] >= rows[:, 1]).any():
+        return None
+    return rows
+
+
+def _per_line_rows(lines: list, cls, dims, m: int):
+    """Rows up to the first line that breaks a per-line rule, and its error."""
     if len(lines) - 1 != m:
         raise EdgeListParseError(f"expected {m} edge lines, found {len(lines) - 1}", len(lines) + 1)
     height, width = dims[0], dims[-1]
     rule = "need 0 <= u < v < N" if cls._UNORDERED else "endpoint out of range"
     rows = []
-    fault = None
     for line_no, text in enumerate(lines[1:], start=2):
         try:
             u, v = _parse_ints(text, line_no, 2)
             if not (0 <= u < height and 0 <= v < width and (u < v or not cls._UNORDERED)):
                 raise EdgeListParseError(f"{rule} in ({u}, {v})", line_no)
         except EdgeListParseError as exc:
-            fault = exc
-            break
+            return rows, exc
         rows.append((u, v))
-    if rows:
+    return rows, None
+
+
+def read_edge_list(path):
+    """Read an edge-list file; the header arity picks Graph vs BipartiteGraph.
+
+    The file is read once.  A canonical file, as write_edge_list writes it
+    (a header of digits and spaces, then lines 'u v' of ASCII digits with
+    one space and one '\n', every row in range and ordered), is parsed as
+    one byte array.  Any other file takes the per-line loop, which accepts
+    every whitespace and sign that int() and str.split() accept.  Either
+    way the same file gives the same graph or the same error.
+
+    Lines are checked in order and the first faulty one is reported.  The
+    loop stops at the first line that breaks a per-line rule; a duplicate
+    among the lines before it is found on their flat keys and wins.  A file
+    that is not UTF-8 fails at the line of its first undecodable byte.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # numbered as splitlines() numbers them; the dot ends the bad line
+        line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise EdgeListParseError("not UTF-8 text", line) from None
+    head_end = data.find(b"\n")
+    rows = fault = None
+    if head_end >= 0 and data[:head_end].replace(b" ", b"").isdigit():
+        # ASCII digits and spaces hold no line break: this is splitlines()[0]
+        cls, dims, m = _parse_header(text[:head_end])
+        rows = _canonical_rows(np.frombuffer(data, np.uint8, offset=head_end + 1), cls, dims, m)
+    if rows is None:
+        lines = text.splitlines()
+        if not lines:
+            raise EdgeListParseError("empty file", 1)
+        cls, dims, m = _parse_header(lines[0])
+        rows, fault = _per_line_rows(lines, cls, dims, m)
+    if len(rows):
         # a row in range means every dimension is positive; one above the
         # limit is rejected here, before its endpoints or keys could overflow
         for n in dims:
             _vertex_count(n)
-        rows = np.array(rows, dtype=np.int64)
-        keys = rows[:, 0] * width + rows[:, 1]
+        rows = np.asarray(rows, dtype=np.int64)
+        keys = rows[:, 0] * dims[-1] + rows[:, 1]
         order = np.argsort(keys, kind="stable")
         # stable: of two equal keys the later line comes second
         repeats = order[1:][np.diff(keys[order]) == 0]

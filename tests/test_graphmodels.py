@@ -313,6 +313,7 @@ class TestEdgeListIO:
             ("2 3 1\n0\n", 2, "expected 2 fields, got 1"),
             ("3 1\na b\n", 2, "non-integer field in 'a b'"),
             ("3 1\n0 1.5\n", 2, "non-integer field in '0 1.5'"),
+            (b"3 1\n0 \xff1\n", 2, "not UTF-8 text"),
         ])
 
     def test_duplicate_edge(self, tmp_graph_file):

@@ -206,9 +206,10 @@ class TestCli:
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"
-        bad.write_text("3 1\na b\n", encoding="utf-8")
-        code, _ = run_cli("test", str(bad), "--test", "lin", "--K", "2", "--p", "0.5", "--q", "0.2")
-        assert code == 3
+        for body in (b"3 1\na b\n", b"3 1\n0 \xff1\n"):
+            bad.write_bytes(body)
+            code, _ = run_cli("test", str(bad), "--test", "lin", "--K", "2", "--p", "0.5", "--q", "0.2")
+            assert code == 3
         for override in BAD_VALUES:
             path, _ = small_config(tmp_path, **override)
             assert run_cli("sweep", path)[0] == 3
