@@ -8,6 +8,7 @@ from conftest import line_by_line_read_edge_list
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdslab import graphmodels
 from pdslab.errors import EdgeListParseError, InvalidParameterError
 from pdslab.graphmodels import (
     BipartiteGraph,
@@ -211,10 +212,12 @@ class TestSubgraphEdgeCount:
             subgraph_edge_count(Graph(3, [(0, 1)]), [0, -1])
 
 
-_MUTATIONS = ("swap", "insert", "double_space", "crlf", "lone_cr", "drop_final_newline",
-              "duplicate_line", "long_value", "sign_or_zero", "non_ascii_digit")
-# bytes a mutation may insert: separators splitlines or split() honour,
-# signs, a letter, and U+0660 (an Arabic-Indic zero, which int() accepts)
+_MUTATIONS = ("swap", "insert", "delete", "replace_separator", "double_space", "crlf", "lone_cr",
+              "drop_final_newline", "duplicate_line", "long_value", "sign_or_zero",
+              "non_ascii_digit")
+# characters a mutation may insert or write over a separator: separators
+# splitlines or split() honour, signs, a letter, and U+0660 (an Arabic-Indic
+# zero, which int() accepts)
 _INSERTS = "0123456789 \n\r\t\x0b\x0c+-x\u0660"
 
 
@@ -226,6 +229,9 @@ def _mutate(text: str, kind: str, i: int, pick: int) -> str:
     if kind == "insert":
         j = i % (len(text) + 1)
         return text[:j] + _INSERTS[pick % len(_INSERTS)] + text[j:]
+    if kind == "delete":
+        j = i % len(text)
+        return text[:j] + text[j + 1:]
     if kind == "drop_final_newline":
         return text[:-1] if text.endswith("\n") else text
     if kind == "duplicate_line":
@@ -233,18 +239,19 @@ def _mutate(text: str, kind: str, i: int, pick: int) -> str:
         lines = text.splitlines(keepends=True)
         j = i % len(lines)
         return "".join(lines[:j + 1] + lines[j:j + 1] + lines[j + 1 + pick % 2:])
-    if kind in ("double_space", "crlf", "lone_cr"):
-        old, new = {"double_space": (" ", "  "), "crlf": ("\n", "\r\n"), "lone_cr": ("\r\n", "\r")}[kind]
-        spots = [m.start() for m in re.finditer(re.escape(old), text)]
-    else:
-        spots = [m.start() for m in re.finditer(r"\d+", text)]
+    # the rest rewrite one match of a pattern
+    pattern = {"replace_separator": r"[ \n]", "double_space": " ", "crlf": "\n",
+               "lone_cr": "\r\n"}.get(kind, r"\d+")
+    spots = list(re.finditer(pattern, text))
     if not spots:
         return text
-    j = spots[i % len(spots)]
-    if kind in ("double_space", "crlf", "lone_cr"):
-        return text[:j] + new + text[j + len(old):]
-    token = re.match(r"\d+", text[j:]).group()
-    if kind == "long_value":
+    j, end = spots[i % len(spots)].span()
+    token = text[j:end]
+    if kind == "replace_separator":
+        new = _INSERTS[pick % len(_INSERTS)]
+    elif kind in ("double_space", "crlf", "lone_cr"):
+        new = {"double_space": "  ", "crlf": "\r\n", "lone_cr": "\r"}[kind]
+    elif kind == "long_value":
         width = 19 + pick % 2
         # the same value padded with zeros, or a value of that many digits
         new = token.zfill(width) if pick % 4 < 2 else str(10 ** (width - 1) + int(token))
@@ -252,7 +259,7 @@ def _mutate(text: str, kind: str, i: int, pick: int) -> str:
         new = "+0"[pick % 2] + token
     else:
         new = "".join(chr(0x660 + int(c)) for c in token)
-    return text[:j] + new + text[j + len(token):]
+    return text[:j] + new + text[end:]
 
 
 def _read_outcome(read, path):
@@ -307,10 +314,22 @@ class TestEdgeListIO:
             assert twin.read_bytes() != canonical.read_bytes()
             assert read_edge_list(twin) == g
 
+    def test_canonical_file_skips_per_line_loop(self, tmp_path, monkeypatch):
+        def per_line_rows(*args):
+            raise AssertionError("the per-line loop ran on a canonical file")
+
+        monkeypatch.setattr(graphmodels, "_per_line_rows", per_line_rows)
+        for g in (gen_er(30, 0.2, Seed(13)), gen_bipartite_er(12, 0.3, Seed(14)), Graph(3)):
+            path = tmp_path / "g.txt"
+            write_edge_list(g, path)
+            assert read_edge_list(path) == g
+
     def test_malformed_line_reports_position(self, tmp_graph_file):
         self.assert_faults(tmp_graph_file, [
             ("4 1\n0 1 2\n", 2, "expected 2 fields, got 3"),
             ("2 3 1\n0\n", 2, "expected 2 fields, got 1"),
+            # separators in canonical order around an empty field
+            ("2 3 2\n0 \n1 2\n", 2, "expected 2 fields, got 1"),
             ("3 1\na b\n", 2, "non-integer field in 'a b'"),
             ("3 1\n0 1.5\n", 2, "non-integer field in '0 1.5'"),
             (b"3 1\n0 \xff1\n", 2, "not UTF-8 text"),
@@ -342,12 +361,16 @@ class TestEdgeListIO:
              "need 0 <= u < v < N in (0, 99999999999999999999)"),
             ("2 3 1\n99999999999999999999 0\n", 2,
              "endpoint out of range in (99999999999999999999, 0)"),
+            # 10**19 would wrap to a negative int64
+            ("4 1\n10000000000000000000 1\n", 2, "need 0 <= u < v < N in (10000000000000000000, 1)"),
+            ("2 3 1\n10000000000000000000 0\n", 2, "endpoint out of range in (10000000000000000000, 0)"),
         ])
 
     def test_wrong_edge_count(self, tmp_graph_file):
         self.assert_faults(tmp_graph_file, [
             ("4 2\n0 1\n", 3, "expected 2 edge lines, found 1"),
             ("4 1\n0 1\n0 2\n", 4, "expected 1 edge lines, found 2"),
+            ("4 1\n0 1\n2", 4, "expected 1 edge lines, found 2"),
             ("2 3 2\n0 1\n", 3, "expected 2 edge lines, found 1"),
         ])
 
