@@ -288,7 +288,7 @@ class TestEdgeListIO:
         assert read_edge_list(path) == g
 
     def test_writer_bytes_frozen(self, tmp_path):
-        # digests of the files the writer produced before its one-format body
+        # the bytes are the file format: these digests must never move
         cases = [
             (gen_planted_clique(1000, 60, 0.5, Seed(1)).graph, "ae31cebd8ef4e6a603538eb21cdf38f5"),
             (gen_bipartite_er(30, 0.2, Seed(2)), "1c16d5964cc7cebeb8e9c3f6b2d306f7"),
