@@ -8,6 +8,8 @@ per-block reduction loop is the reference for the vectorised reduction
 sampler's random stream.  The dense-matrix restart scan is the reference
 for the sparse heuristic scan's swaps and tie rules, and the per-line
 edge-list reader is the reference for every file the array parse reads.
+The per-mask reduced law is the reference for the exact reduction oracles'
+floats, and the count-cube negative-association check for the battery's.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import pytest
 from pdslab.errors import EdgeListParseError, InvalidParameterError
 from pdslab.graphmodels import BipartiteGraph, Graph, _parse_ints, _vertex_count
 from pdslab.randkit import as_seed, sample_pmf
-from pdslab.reduction import KernelTable, _floyd_sample
+from pdslab.reduction import KernelTable, _floyd_sample, block_pairs, block_routes
+from pdslab.theorychecks import CheckReport
 
 
 def recursive_scan_max(g, K: int):
@@ -218,6 +221,95 @@ def line_by_line_read_edge_list(path):
     if fault is not None:
         raise fault
     return cls(*dims, rows)
+
+
+def _per_mask_block_factor(bits: np.ndarray, slot_ids: list, dist) -> np.ndarray:
+    m = bits[slot_ids].sum(axis=0, dtype=np.uint8)
+    n_slots = len(slot_ids)
+    weights = np.array([dist[c] / math.comb(n_slots, c) for c in range(n_slots + 1)])
+    return weights[m]
+
+
+def per_mask_reduced_law(params, has_edge, bipartite: bool) -> np.ndarray:
+    """The exact reduction oracle as first written, one full-width pass per
+    block: a bit plane per slot, and every block factor gathered over all
+    2^n_slots edge masks and multiplied into the running factor.
+
+    Reference for `theorychecks._reduced_law`, which must give the same
+    floats, byte for byte.  The enumeration caps are left out.
+    """
+    n, N = params.n, params.N
+    if bipartite:
+        n_slots = N * N
+        slot_of = [[u * N + v for v in range(N)] for u in range(N)]
+    else:
+        pairs = list(combinations(range(N), 2))
+        n_slots = len(pairs)
+        slot_of = [[0] * N for _ in range(N)]
+        for i, (u, v) in enumerate(pairs):
+            slot_of[u][v] = slot_of[v][u] = i
+    parts = [
+        [[v for v in range(N) if assignment[v] == s] for s in range(n)]
+        for assignment in product(range(n), repeat=N)
+    ]
+    if bipartite:
+        sides = list(product(parts, [list(part) for part in parts]))
+    else:
+        sides = [(part, part) for part in parts]
+    weight = 1.0 / len(sides)
+    masks = np.arange(1 << n_slots, dtype=np.int64)
+    bits = ((masks >> np.arange(n_slots)[:, None]) & 1).astype(np.uint8)
+    table = KernelTable(params.q, params.gamma, params.ell)
+    law = np.zeros(masks.size)
+    for rows, cols in sides:
+        factor = np.full(masks.size, weight)
+        for row in block_routes(rows, cols, table, has_edge):
+            blocks = zip(row.t.tolist(), row.diagonal.tolist(), row.slots.tolist(), row.route.tolist())
+            for t, diagonal, slots, route in blocks:
+                pairs = block_pairs(rows[row.s], cols[t], diagonal, range(slots))
+                factor *= _per_mask_block_factor(
+                    bits, [slot_of[u][v] for u, v in pairs], table.law(route, slots)
+                )
+        law += factor
+    return law
+
+
+_CUBE_NA_BATTERY = (
+    ("identity", lambda x: x.astype(np.float64)),
+    ("square", lambda x: x.astype(np.float64) ** 2),
+    ("exp-quadratic", lambda x: np.exp(0.1 * x.astype(np.float64) ** 2)),
+    ("threshold-at-2", lambda x: (x >= 2).astype(np.float64)),
+)
+
+
+def count_cube_negative_association(k: int, S_size: int) -> CheckReport:
+    """The negative-association battery as first written: every battery
+    function evaluated in float64 over the whole count cube.
+
+    Reference for `check_negative_association`'s lhs and worst function.
+    """
+    assignments = np.array(list(product(range(k), repeat=S_size)), dtype=np.int64)
+    n_assign = assignments.shape[0]
+    counts = np.zeros((n_assign, n_assign, k * k), dtype=np.int16)
+    for ball in range(S_size):
+        cell = assignments[:, ball][:, None] * k + assignments[None, :, ball]
+        for c in range(k * k):
+            counts[:, :, c] += cell == c
+    worst = -math.inf
+    worst_fn = None
+    for fn_name, fn in _CUBE_NA_BATTERY:
+        vals = fn(counts)
+        lhs = float(vals.prod(axis=2).mean())
+        rhs = float(vals.reshape(-1, k * k).mean(axis=0).prod())
+        if lhs - rhs > worst:
+            worst = lhs - rhs
+            worst_fn = fn_name
+    return CheckReport(
+        name="negative-association-battery",
+        params={"k": k, "S_size": S_size, "worst_fn": worst_fn},
+        lhs=worst,
+        rhs=0.0,
+    )
 
 
 @pytest.fixture

@@ -1,8 +1,12 @@
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+
+from conftest import count_cube_negative_association, per_mask_reduced_law
+from pdslab import theorychecks
 
 from pdslab.errors import (
     InvalidParameterError,
@@ -14,6 +18,7 @@ from pdslab.graphmodels import Graph
 from pdslab.reduction import ReductionParams
 from pdslab.theorychecks import (
     CheckReport,
+    _reduced_law,
     battery_kernel,
     battery_lemmas,
     battery_reduction_exact,
@@ -170,6 +175,13 @@ class TestNegativeAssociation:
         with pytest.raises(TooLargeError):
             check_negative_association(3, 7)
 
+    def test_matches_count_cube_reference(self):
+        for k in range(1, 4):
+            for s in range(1, 7):
+                got = check_negative_association(k, s)
+                want = count_cube_negative_association(k, s)
+                assert (got.lhs, got.params) == (want.lhs, want.params), (k, s)
+
 
 class TestHyperMgf:
     def test_lambda_zero(self):
@@ -230,6 +242,83 @@ class TestReductionOracles:
         # single-edge graphs are exchangeable: masks 1, 2, 4
         assert law[1] == pytest.approx(law[2], abs=1e-14)
         assert law[2] == pytest.approx(law[4], abs=1e-14)
+
+
+def _oracle_cases():
+    """(n, ell, bipartite, has_edge label, q, gamma) for the oracle pin.
+
+    The cheap shapes take every input, q and gamma.  The bipartite shapes
+    with 9 and 16 slots, the slowest for the per-mask reference, take five
+    points that cover every input, q and gamma.
+    """
+    inputs = {
+        (2, 2, False): ("er", "empty", "complete"),
+        (3, 1, False): ("er", "empty", "complete", "path"),
+        (2, 1, True): ("er", "all", "alternate"),
+    }
+    cases = []
+    for (n, ell, bipartite), labels in inputs.items():
+        for q in (0.0, 0.001, 0.01, 1.0 / (16 * ell**2)):
+            for gamma in (0.5, 0.25):
+                cases.extend((n, ell, bipartite, label, q, gamma) for label in labels)
+    for n, ell in [(3, 1), (2, 2)]:
+        # the first three are the bipartite points `battery_reduction_exact` runs
+        for label, q, gamma in [
+            ("er", 0.01, 0.5),
+            ("all", 0.01, 0.5),
+            ("all", 0.001, 0.5),
+            ("alternate", 1.0 / (16 * ell**2), 0.25),
+            ("er", 0.0, 0.25),
+        ]:
+            cases.append((n, ell, True, label, q, gamma))
+    return cases
+
+
+def _has_edge(n: int, bipartite: bool, label: str):
+    if label == "er":
+        return None
+    if bipartite:
+        return {"all": lambda s, t: True, "alternate": lambda s, t: (s + t) % 2 == 0}[label]
+    edges = {
+        "empty": [],
+        "complete": list(combinations(range(n), 2)),
+        "path": [(0, 1), (1, 2)],
+    }[label]
+    return Graph(n, edges).has_edges
+
+
+class TestOraclePin:
+    def test_laws_match_per_mask_reference(self):
+        for n, ell, bipartite, label, q, gamma in _oracle_cases():
+            params = ReductionParams(n=n, k=n, gamma=gamma, ell=ell, q=q)
+            has_edge = _has_edge(n, bipartite, label)
+            got = _reduced_law(params, has_edge, bipartite)
+            want = per_mask_reduced_law(params, has_edge, bipartite)
+            assert got.tobytes() == want.tobytes(), (n, ell, bipartite, label, q, gamma)
+
+    def test_caps_admit_fewer_than_32_slots(self, monkeypatch):
+        # the assignment enumeration starts once the caps have passed
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args, **kwargs):
+            raise Admitted
+
+        monkeypatch.setattr(theorychecks, "product", admitted)
+        largest = 0
+        for bipartite in (False, True):
+            for n in range(1, 7):
+                for ell in range(1, 9):
+                    params = ReductionParams(n=n, k=1, gamma=0.5, ell=ell, q=0.0)
+                    N = params.N
+                    try:
+                        _reduced_law(params, None, bipartite)
+                    except TooLargeError:
+                        continue
+                    except Admitted:
+                        largest = max(largest, N * N if bipartite else N * (N - 1) // 2)
+        assert largest == 25  # a 5 x 5 bipartite graph at n = 1
+        assert largest < 32
 
 
 class TestBatteries:
