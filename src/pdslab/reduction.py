@@ -39,6 +39,7 @@ reduce sidecar format stays pdslab-sidecar-v1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -147,6 +148,12 @@ class ReductionParams:
     def size_condition(self) -> bool:
         return self.k >= 6.0 * math.e * self.ell
 
+    @functools.cached_property
+    def kernel_table(self) -> "KernelTable":
+        """The block count laws for (q, gamma, ell), built once per
+        instance: every reduction with these parameters shares its cells."""
+        return KernelTable(self.q, self.gamma, self.ell)
+
     def validate(self, strict: bool = False) -> list:
         """Return human-readable warnings; in strict mode raise instead."""
         problems = []
@@ -225,10 +232,6 @@ class KernelTable:
         self._cells: dict = {}
         self._plain: dict = {}
         self._mixed: dict = {}
-
-    @classmethod
-    def for_params(cls, params: ReductionParams) -> "KernelTable":
-        return cls(params.q, params.gamma, params.ell)
 
     def cell(self, ls: int, lt: int) -> tuple:
         """(P', Q', a) for a block with ls * lt slots."""
@@ -375,7 +378,7 @@ def _sample_blocks(g, params: ReductionParams, seed) -> list:
         parents = parent_rng.integers(0, n, size=params.N)
         sides.append([np.nonzero(parents == s)[0] for s in range(n)])
     rows, cols = sides[0], sides[-1]
-    table = KernelTable.for_params(params)
+    table = params.kernel_table
     # P(count = 0) by slots * 4 + route, grown and filled in as routes turn up
     zero_mass = np.empty(0)
     bit_generator = edge_rng.bit_generator

@@ -30,7 +30,6 @@ from .errors import (
 from .graphmodels import Graph
 from .randkit import Pmf, binom_pmf, hyper_pmf, tv_distance
 from .reduction import (
-    KernelTable,
     ReductionParams,
     block_pairs,
     block_routes,
@@ -163,13 +162,17 @@ def check_pprime_tv(grid) -> list:
 # ---------------------------------------------------------------------------
 
 
-def chi2_planted_vs_null_exact(N: int, Kp: int, p: float, q: float) -> float:
-    """chi^2 of the size-Kp planted law from the null, via the overlap
-    identity: E[(1 + (p-q)^2 / (q(1-q)))^C(H,2)] - 1, H hypergeometric."""
+def _check_chi2_domain(N: int, Kp: int, q: float) -> None:
     if not (1 <= Kp <= N):
         raise InvalidParameterError(f"need 1 <= Kp <= N, got Kp={Kp}, N={N}")
     if not (0.0 < q < 1.0):
         raise InvalidParameterError("need 0 < q < 1 for the chi-square reference")
+
+
+def chi2_planted_vs_null_exact(N: int, Kp: int, p: float, q: float) -> float:
+    """chi^2 of the size-Kp planted law from the null, via the overlap
+    identity: E[(1 + (p-q)^2 / (q(1-q)))^C(H,2)] - 1, H hypergeometric."""
+    _check_chi2_domain(N, Kp, q)
     ratio = 1.0 + (p - q) ** 2 / (q * (1.0 - q))
     overlap = hyper_pmf(N, Kp, Kp)
     total = math.fsum(
@@ -186,13 +189,18 @@ def _graph_space(N: int):
     return pairs, n_pairs
 
 
+def _popcount(n_bits: int) -> np.ndarray:
+    """Number of set bits of every integer in range(2^n_bits)."""
+    pop = np.zeros(1, dtype=np.int64)
+    for _ in range(n_bits):
+        # setting the next bit adds one to the count of every lower value
+        pop = np.concatenate((pop, pop + 1))
+    return pop
+
+
 def _product_law(n_slots: int, rate: float) -> np.ndarray:
     """Product Bernoulli(rate) law over all 2^n_slots edge masks, by mask."""
-    work = np.arange(1 << n_slots, dtype=np.int64)
-    pop = np.zeros_like(work)
-    while np.any(work):
-        pop += work & 1
-        work >>= 1
+    pop = _popcount(n_slots)
     return rate**pop * (1.0 - rate) ** (n_slots - pop)
 
 
@@ -204,6 +212,8 @@ def er_law_exact(N: int, q: float) -> np.ndarray:
 
 def pds_fixed_law_exact(N: int, Kp: int, p: float, q: float) -> np.ndarray:
     """Planted law conditional on a uniform size-Kp planted set."""
+    if not (0 <= Kp <= N):
+        raise InvalidParameterError(f"need 0 <= Kp <= N, got Kp={Kp}, N={N}")
     pairs, n_pairs = _graph_space(N)
     masks = np.arange(1 << n_pairs, dtype=np.int64)
     law = np.zeros(masks.size)
@@ -239,6 +249,7 @@ def _planted_given_set(masks, pairs, subset, p, q):
 
 def chi2_bruteforce(N: int, Kp: int, p: float, q: float) -> float:
     """Graph-space chi-square, the independent cross-check of the identity."""
+    _check_chi2_domain(N, Kp, q)
     p1 = pds_fixed_law_exact(N, Kp, p, q)
     p0 = er_law_exact(N, q)
     return float(np.sum((p1 - p0) ** 2 / p0))
@@ -311,10 +322,10 @@ def check_negative_association(k: int, S_size: int) -> CheckReport:
     ball-in-bin assignments, checked exhaustively on a fixed battery of
     non-decreasing functions.  A finite battery can only falsify the
     property, never prove it; the report records the worst violation."""
-    if k > 3 or S_size > 6:
-        raise TooLargeError("exhaustive check capped at k <= 3, S_size <= 6")
     if k < 1 or S_size < 1:
         raise InvalidParameterError("need k >= 1 and S_size >= 1")
+    if k > 3 or S_size > 6:
+        raise TooLargeError("exhaustive check capped at k <= 3, S_size <= 6")
     assignments = np.array(list(product(range(k), repeat=S_size)), dtype=np.int64)
     n_assign = assignments.shape[0]
     counts = np.zeros((n_assign, n_assign, k * k), dtype=np.int16)
@@ -322,10 +333,12 @@ def check_negative_association(k: int, S_size: int) -> CheckReport:
         cell = assignments[:, ball][:, None] * k + assignments[None, :, ball]
         for c in range(k * k):
             counts[:, :, c] += cell == c
+    # every count lies in 0..S_size: evaluate each function there, then gather
+    levels = np.arange(S_size + 1)
     worst = -math.inf
     worst_fn = None
     for fn_name, fn in _NA_BATTERY:
-        vals = fn(counts)
+        vals = fn(levels)[counts]
         lhs = float(vals.prod(axis=2).mean())
         rhs = float(vals.reshape(-1, k * k).mean(axis=0).prod())
         if lhs - rhs > worst:
@@ -354,15 +367,18 @@ def hyper_mgf(pop: int, m: int, lam: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _block_factor(bits: np.ndarray, slot_ids: list, dist: Pmf) -> np.ndarray:
-    """Probability factor of one block across all edge masks: the block's
-    count law divided by the number of uniform placements.  `bits[i]` is
-    slot i's presence bit in every mask."""
-    # the enumeration caps keep every block far below 2^8 slots
-    m = bits[slot_ids].sum(axis=0, dtype=np.uint8)
-    n_slots = len(slot_ids)
-    weights = np.array([dist[c] / math.comb(n_slots, c) for c in range(n_slots + 1)])
-    return weights[m]
+def _block_factor(n_slots: int, slot_ids: list, dist: Pmf) -> np.ndarray:
+    """Probability factor of one block as a tensor that broadcasts against
+    the law: the block's count law divided by the number of uniform
+    placements.  Slot i is axis n_slots-1-i; the tensor has length 2 on the
+    block's slot axes and 1 on every other.  The factor depends on the
+    block's bits through their sum alone, so the order of its axes is free."""
+    k = len(slot_ids)
+    weights = np.array([dist[c] / math.comb(k, c) for c in range(k + 1)])
+    shape = [1] * n_slots
+    for slot in slot_ids:
+        shape[n_slots - 1 - slot] = 2
+    return weights[_popcount(k)].reshape(shape)
 
 
 def _reduced_law(params: ReductionParams, has_edge, bipartite: bool) -> np.ndarray:
@@ -373,6 +389,14 @@ def _reduced_law(params: ReductionParams, has_edge, bipartite: bool) -> np.ndarr
     samplers' own `block_routes` and `block_pairs`.  `has_edge` is the
     input-edge lookup `block_routes` takes, None for an Erdos-Renyi(gamma)
     input.
+
+    The law is held as a tensor of shape (2,)*n_slots with slot i on axis
+    n_slots-1-i, so its C-order flattening is the mask order.  Each
+    assignment's factor starts as the scalar weight and takes one block
+    tensor at a time, so it grows to full size only with the blocks that
+    span the last axes.  Every mask still takes the weight and then each
+    block's factor in `block_routes` order, the order of a per-mask
+    product, so the floats do not depend on the layout.
     """
     n, N = params.n, params.N
     if bipartite:
@@ -397,19 +421,19 @@ def _reduced_law(params: ReductionParams, has_edge, bipartite: bool) -> np.ndarr
     else:
         sides = [(part, part) for part in parts]
     weight = 1.0 / len(sides)
-    masks = np.arange(1 << n_slots, dtype=np.int64)
-    bits = ((masks >> np.arange(n_slots)[:, None]) & 1).astype(np.uint8)
-    table = KernelTable.for_params(params)
-    law = np.zeros(masks.size)
+    table = params.kernel_table
+    # the caps keep n_slots at 25 or below, inside numpy's 32-axis limit
+    law = np.zeros((2,) * n_slots)
     for rows, cols in sides:
-        factor = np.full(masks.size, weight)
+        factor = weight
         for row in block_routes(rows, cols, table, has_edge):
             blocks = zip(row.t.tolist(), row.diagonal.tolist(), row.slots.tolist(), row.route.tolist())
             for t, diagonal, slots, route in blocks:
                 pairs = block_pairs(rows[row.s], cols[t], diagonal, range(slots))
-                factor *= _block_factor(bits, [slot_of[u][v] for u, v in pairs], table.law(route, slots))
+                block = _block_factor(n_slots, [slot_of[u][v] for u, v in pairs], table.law(route, slots))
+                factor = factor * block
         law += factor
-    return law
+    return law.reshape(-1)
 
 
 def _bipartite_tv(law: np.ndarray, N: int, rate: float) -> float:

@@ -8,6 +8,7 @@ from conftest import per_block_reduce_edges
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pdslab import reduction
 from pdslab.detectors import H0, combined_test, estimate_errors
 from pdslab.errors import (
     InvalidGammaError,
@@ -158,7 +159,7 @@ class TestSampleEdgeCount:
 
     def test_oversize_part_ignores_input_bit(self):
         params = ReductionParams(n=2, k=2, gamma=0.5, ell=2, q=0.01)
-        table = KernelTable.for_params(params)
+        table = params.kernel_table
 
         def law(ls, lt, w):
             (row,) = block_routes([np.arange(ls)], [np.arange(lt)], table, lambda s, t: w)
@@ -176,7 +177,7 @@ class TestSampleEdgeCount:
         from scipy import stats
 
         params = ReductionParams(n=4, k=4, gamma=0.5, ell=2, q=0.01)
-        table = KernelTable.for_params(params)
+        table = params.kernel_table
         p_prime, q_prime, _ = table.cell(2, 2)
         rng = Seed(43).rng()
         n_draws = 1_000_000
@@ -198,7 +199,7 @@ class TestSampleEdgeCount:
         from scipy import stats
 
         params = ReductionParams(n=2, k=2, gamma=0.25, ell=2, q=0.01)
-        table = KernelTable.for_params(params)
+        table = params.kernel_table
         p_prime, _, _ = table.cell(2, 2)
         rng = Seed(44).rng()
         n_draws = 100_000
@@ -253,6 +254,19 @@ class TestReduceGraph:
         params = ReductionParams(n=3, k=2, gamma=0.5, ell=2, q=0.01)
         with pytest.raises(VertexCountMismatchError):
             reduce_graph(Graph(4, []), params, Seed(0))
+
+    def test_kernel_laws_built_once_per_params(self, monkeypatch):
+        params = ReductionParams(n=20, k=5, gamma=0.5, ell=2, q=0.01)
+        g = gen_er(20, 0.5, Seed(4))
+        first = reduce_graph(g, params, Seed(5))
+        calls = []
+        build = reduction.build_pprime
+        monkeypatch.setattr(reduction, "build_pprime", lambda *args: calls.append(args) or build(*args))
+        assert reduce_graph(g, params, Seed(5)) == first
+        assert calls == []
+        # the table belongs to the instance: an equal one builds its own
+        assert reduce_graph(g, ReductionParams(n=20, k=5, gamma=0.5, ell=2, q=0.01), Seed(5)) == first
+        assert calls
 
     def test_partition_marginals(self):
         # |V_t| ~ Binom(N, 1/n): reproduce the documented parent stream

@@ -112,6 +112,34 @@ class TestChi2Identity:
             chi2_planted_vs_null_exact(4, 2, 0.5, 0.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: chi2_bruteforce(3, 2, 0.5, 0.0),
+        lambda: chi2_bruteforce(3, 2, 0.5, 1.0),
+        lambda: chi2_bruteforce(3, 0, 0.5, 0.25),
+        lambda: chi2_bruteforce(3, 4, 0.5, 0.25),
+        lambda: pds_fixed_law_exact(3, 4, 0.5, 0.25),
+        lambda: pds_fixed_law_exact(3, -1, 0.5, 0.25),
+        lambda: check_negative_association(0, 7),
+        lambda: check_negative_association(4, 0),
+    ],
+    ids=[
+        "chi2-bruteforce-q0",
+        "chi2-bruteforce-q1",
+        "chi2-bruteforce-Kp0",
+        "chi2-bruteforce-Kp-above-N",
+        "fixed-law-Kp-above-N",
+        "fixed-law-Kp-negative",
+        "na-k0-S-above-cap",
+        "na-k-above-cap-S0",
+    ],
+)
+def test_out_of_domain_raises(call):
+    with pytest.raises(InvalidParameterError):
+        call()
+
+
 class TestDecoupling:
     def test_fixture(self):
         report = check_decoupling(2, 0.5, 1 / 32)
