@@ -23,6 +23,7 @@ import json
 import math
 import time
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,7 +323,7 @@ def test_criterion_09_cli_determinism(tmp_path):
         ok &= code1 == code2 == 0
         blobs = []
         for tag in ("a", "b"):
-            blobs.append([open(str(o).format(tag=tag), "rb").read() for o in outputs])
+            blobs.append([Path(str(o).format(tag=tag)).read_bytes() for o in outputs])
         ok &= blobs[0] == blobs[1]
         return out1, out2
 

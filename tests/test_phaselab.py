@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -127,10 +128,10 @@ class TestSweep:
         path, _ = small_config(tmp_path)
         config = load_config(path)
         csv_path, svg_path = write_outputs(config, run_sweep(config))
-        svg = open(svg_path, encoding="utf-8").read()
+        svg = Path(svg_path).read_text(encoding="utf-8")
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert "polygon" in svg and "polyline" in svg
-        assert open(csv_path, encoding="utf-8").read().startswith(CSV_HEADER)
+        assert Path(csv_path).read_text(encoding="utf-8").startswith(CSV_HEADER)
 
     def test_error_rates_ordered_in_alpha(self, tmp_path):
         # stochastic ordering along a fixed beta row: harder (sparser)
@@ -168,8 +169,8 @@ class TestCli:
         code1, _ = run_cli("generate", "er", "--n", "50", "--q", "0.1", "--seed", "7", "--out", out1)
         code2, _ = run_cli("generate", "er", "--n", "50", "--q", "0.1", "--seed", "7", "--out", out2)
         assert code1 == code2 == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
-        assert json.load(open(out1 + ".json"))["model"] == "er"
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
+        assert json.loads(Path(out1 + ".json").read_text())["model"] == "er"
 
     def test_generate_pc_sidecar_planted_clique(self, tmp_path):
         out = str(tmp_path / "pc.txt")
@@ -177,7 +178,7 @@ class TestCli:
             "generate", "pc", "--n", "50", "--k", "10", "--gamma", "0.5", "--seed", "1", "--out", out
         )
         assert code == 0
-        side = json.load(open(out + ".json"))
+        side = json.loads(Path(out + ".json").read_text())
         assert len(side["planted"]) == 10
         from pdslab.graphmodels import read_edge_list, subgraph_edge_count
 
@@ -250,9 +251,9 @@ class TestCli:
             "--seed", "11", "--out", out,
         )
         assert code == 0
-        header = open(out, encoding="utf-8").readline().split()
+        header = Path(out).read_text(encoding="utf-8").splitlines()[0].split()
         assert header[0] == "4"
-        side = json.load(open(out + ".json"))
+        side = json.loads(Path(out + ".json").read_text())
         assert side["reduction"]["m0"] == 1 and side["reduction"]["N"] == 4
         code, _ = run_cli(
             "reduce", src, "--k", "2", "--gamma", "0.5", "--ell", "2", "--q", "0.4",
@@ -310,7 +311,7 @@ class TestCli:
             "--seed", "4", "--out", out,
         )
         assert code == 0
-        header = open(out, encoding="utf-8").readline().split()
+        header = Path(out).read_text(encoding="utf-8").splitlines()[0].split()
         assert header[0] == "6" and header[1] == "6"
 
     def test_module_entry_point_is_clean(self):
