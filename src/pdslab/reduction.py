@@ -149,7 +149,7 @@ class ReductionParams:
         return self.k >= 6.0 * math.e * self.ell
 
     @functools.cached_property
-    def kernel_table(self) -> "KernelTable":
+    def kernel_table(self) -> KernelTable:
         """The block count laws for (q, gamma, ell), built once per
         instance: every reduction with these parameters shares its cells."""
         return KernelTable(self.q, self.gamma, self.ell)
@@ -220,8 +220,9 @@ class KernelTable:
 
     P' and Q' depend on the part sizes only through the slot count
     ls * lt, so cells are keyed by that product.  Part sizes concentrate
-    near ell, so only a handful of cells ever materialize.  Lookups after
-    construction are read-only and safe to share across threads.
+    near ell, so only a handful of cells ever materialize.  Cells fill on
+    first use; `ReductionParams.kernel_table` keeps one table per params
+    instance, so every reduction with those params shares them.
     """
 
     def __init__(self, q: float, gamma, ell: int):

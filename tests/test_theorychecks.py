@@ -7,7 +7,6 @@ import pytest
 
 from conftest import count_cube_negative_association, per_mask_reduced_law
 from pdslab import theorychecks
-
 from pdslab.errors import (
     InvalidParameterError,
     PreconditionViolationError,
@@ -290,7 +289,7 @@ def _oracle_cases():
             for gamma in (0.5, 0.25):
                 cases.extend((n, ell, bipartite, label, q, gamma) for label in labels)
     for n, ell in [(3, 1), (2, 2)]:
-        # the first three are the bipartite points `battery_reduction_exact` runs
+        # at n=2, ell=2 the first three are the points `battery_reduction_exact` runs
         for label, q, gamma in [
             ("er", 0.01, 0.5),
             ("all", 0.01, 0.5),
