@@ -9,7 +9,8 @@ sampler's random stream.  The dense-matrix restart scan is the reference
 for the sparse heuristic scan's swaps and tie rules, and the per-line
 edge-list reader is the reference for every file the array parse reads.
 The per-mask reduced law is the reference for the exact reduction oracles'
-floats, and the count-cube negative-association check for the battery's.
+floats, the per-mask planted law for the exact planted laws', and the
+count-cube negative-association check for the battery's.
 """
 
 from __future__ import annotations
@@ -271,6 +272,43 @@ def per_mask_reduced_law(params, has_edge, bipartite: bool) -> np.ndarray:
                     bits, [slot_of[u][v] for u, v in pairs], table.law(route, slots)
                 )
         law += factor
+    return law
+
+
+def _per_mask_planted_given_set(masks, pairs, subset, p, q):
+    inside = np.array([u in subset and v in subset for u, v in pairs])
+    present = np.stack([(masks >> i) & 1 for i in range(len(pairs))], axis=1).astype(bool)
+    probs = np.where(
+        inside[None, :],
+        np.where(present, p, 1.0 - p),
+        np.where(present, q, 1.0 - q),
+    )
+    return probs.prod(axis=1)
+
+
+def per_mask_planted_law(N: int, size: int, p: float, q: float, fixed: bool) -> np.ndarray:
+    """The exact planted laws as first written, over per-mask bit planes:
+    with `fixed`, the law given a uniform size-`size` planted set; without,
+    the law with independent Bernoulli(size/N) memberships.
+
+    Reference for `theorychecks.pds_fixed_law_exact` and `pds_law_exact`,
+    which must give the same floats, byte for byte.  The enumeration cap
+    and the domain checks are left out.  It needs N >= 2: with no pair to
+    stack, the bit planes cannot be built.
+    """
+    pairs = list(combinations(range(N), 2))
+    masks = np.arange(1 << len(pairs), dtype=np.int64)
+    law = np.zeros(masks.size)
+    if fixed:
+        subsets = list(combinations(range(N), size))
+        for subset in subsets:
+            law += _per_mask_planted_given_set(masks, pairs, set(subset), p, q)
+        return law / len(subsets)
+    rho = size / N
+    for bits in range(1 << N):
+        subset = {v for v in range(N) if bits >> v & 1}
+        weight = rho ** len(subset) * (1.0 - rho) ** (N - len(subset))
+        law += weight * _per_mask_planted_given_set(masks, pairs, subset, p, q)
     return law
 
 

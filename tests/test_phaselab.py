@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -331,3 +332,42 @@ class TestCli:
         code, out = run_cli("verify", "kernel", "--out", str(report))
         assert code == 0
         assert report.read_text(encoding="utf-8") == out
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+class TestFrozenOutputs:
+    # blake2b-128 digests of `test` stdout and of sweep CSV and SVG; a change
+    # here changes a decision, a statistic or a stream
+    TEST_DIGESTS = {
+        ("lin", "exact"): "ccab5689bfa5b01f8304a6773993c220",
+        ("lin", "heuristic"): "ccab5689bfa5b01f8304a6773993c220",
+        ("scan", "exact"): "af2e138b0334531f166244f867ff7e34",
+        ("scan", "heuristic"): "83c940e2b2ad90652ac6e6912d541307",
+        ("combined", "exact"): "e579af0bbae538cd2364c1af65037194",
+        ("combined", "heuristic"): "2f6d80699d8c658eb5753a9464c3fefd",
+    }
+    SWEEP_DIGESTS = {
+        "exact": ("d78a79f4100f93430e14d7cb8363dd68", "111d8d92a6fb3b912c81481c9259e72c"),
+        "heuristic": ("91878c458e5919c56006a2266543fa98", "111d8d92a6fb3b912c81481c9259e72c"),
+    }
+
+    def test_test_stdout(self, tmp_path):
+        graph = str(tmp_path / "pc.txt")
+        run_cli("generate", "pc", "--n", "60", "--k", "10", "--gamma", "0.5", "--seed", "3", "--out", graph)
+        for (test, mode), digest in self.TEST_DIGESTS.items():
+            code, out = run_cli("test", graph, "--test", test, "--scan-mode", mode,
+                                "--K", "4", "--p", "0.9", "--q", "0.5", "--seed", "4")
+            assert code == 0
+            assert _digest(out.encode("utf-8")) == digest, (test, mode)
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_sweep_outputs(self, tmp_path, mode):
+        path, _ = small_config(tmp_path, alpha_grid=[0.5, 1.0], beta_grid=[0.4, 0.5], N=40,
+                               trials=2, test="combined", scan_mode=mode, master_seed=9)
+        assert run_cli("sweep", path)[0] == 0
+        csv_digest, svg_digest = self.SWEEP_DIGESTS[mode]
+        assert _digest((tmp_path / "sweep.csv").read_bytes()) == csv_digest
+        assert _digest((tmp_path / "sweep.svg").read_bytes()) == svg_digest

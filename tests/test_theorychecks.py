@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import count_cube_negative_association, per_mask_reduced_law
+from conftest import count_cube_negative_association, per_mask_planted_law, per_mask_reduced_law
 from pdslab import theorychecks
 from pdslab.errors import (
     InvalidParameterError,
@@ -32,6 +32,7 @@ from pdslab.theorychecks import (
     er_law_exact,
     hyper_mgf,
     pds_fixed_law_exact,
+    pds_law_exact,
     reduced_law_exact,
     reduction_alt_tv_bipartite_exact,
     reduction_alt_tv_exact,
@@ -346,6 +347,15 @@ class TestOraclePin:
                         largest = max(largest, N * N if bipartite else N * (N - 1) // 2)
         assert largest == 25  # a 5 x 5 bipartite graph at n = 1
         assert largest < 32
+
+    @pytest.mark.parametrize("p,q", [(0.25, 0.25), (0.5, 0.25), (0.9, 0.1), (0.002, 0.001), (1 / 3, 0.1)])
+    def test_planted_laws_match_per_mask_reference(self, p, q):
+        for N in range(2, 6):
+            for size in range(N + 1):
+                for fixed, oracle in ((True, pds_fixed_law_exact), (False, pds_law_exact)):
+                    got = oracle(N, size, p, q)
+                    want = per_mask_planted_law(N, size, p, q, fixed)
+                    assert got.tobytes() == want.tobytes(), (N, size, p, q, fixed)
 
 
 class TestBatteries:
