@@ -49,6 +49,7 @@ __all__ = [
     "tau_lin",
     "t_scan_exact",
     "t_scan_heuristic",
+    "scan_statistic",
     "tau_scan",
     "combined_test",
     "prop2_bound_lin",
@@ -258,6 +259,17 @@ def t_scan_heuristic(g: Graph, K: int, restarts: int, seed):
     return best_count, best_set
 
 
+def scan_statistic(g: Graph, K: int, scan_mode: str, restarts: int, seed,
+                   budget: int = DEFAULT_SCAN_BUDGET):
+    """The scan statistic and its set, by `t_scan_exact` (scan_mode
+    "exact", within `budget`) or `t_scan_heuristic` ("heuristic")."""
+    if scan_mode == "exact":
+        return t_scan_exact(g, K, budget=budget)
+    if scan_mode == "heuristic":
+        return t_scan_heuristic(g, K, restarts, seed)
+    raise InvalidParameterError(f"unknown scan_mode {scan_mode!r}")
+
+
 def combined_test(
     g: Graph,
     params: PdsParams,
@@ -270,12 +282,7 @@ def combined_test(
     threshold.  The outcome statistic is the larger threshold margin."""
     lin = t_lin(g)
     t1 = tau_lin(params)
-    if scan_mode == "exact":
-        scan, _ = t_scan_exact(g, params.K, budget=budget)
-    elif scan_mode == "heuristic":
-        scan, _ = t_scan_heuristic(g, params.K, restarts, Seed(0) if seed is None else seed)
-    else:
-        raise InvalidParameterError(f"unknown scan_mode {scan_mode!r}")
+    scan, _ = scan_statistic(g, params.K, scan_mode, restarts, Seed(0) if seed is None else seed, budget)
     t2 = tau_scan(params.K, params.p, params.q)
     margin = max(lin - t1, scan - t2)
     decision = H1 if margin > 0.0 else H0

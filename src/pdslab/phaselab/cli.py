@@ -20,9 +20,8 @@ from ..detectors import (
     H0,
     H1,
     combined_test,
+    scan_statistic,
     t_lin,
-    t_scan_exact,
-    t_scan_heuristic,
     tau_lin,
     tau_scan,
     DEFAULT_SCAN_BUDGET,
@@ -145,10 +144,7 @@ def cmd_test(args) -> int:
         stat, thresh = float(t_lin(g)), tau_lin(params)
         payload = {"test": "lin", "statistic": stat, "threshold": thresh}
     elif args.test == "scan":
-        if args.scan_mode == "exact":
-            value, argmax = t_scan_exact(g, params.K, budget=args.budget)
-        else:
-            value, argmax = t_scan_heuristic(g, params.K, args.restarts, seed)
+        value, argmax = scan_statistic(g, params.K, args.scan_mode, args.restarts, seed, args.budget)
         stat, thresh = float(value), tau_scan(params.K, params.p, params.q)
         payload = {
             "test": "scan",

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 from ..errors import ConfigError
-from ..graphmodels import PdsParams
+from ..graphmodels import _MAX_VERTEX_COUNT, PdsParams
 
 _TESTS = ("lin", "scan", "combined")
 _SCAN_MODES = ("exact", "heuristic")
@@ -24,8 +25,9 @@ def _is_int(x) -> bool:
 
 
 def _is_number(x) -> bool:
-    # Python's json also loads NaN and Infinity, which JSON has no number for
-    return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
+    # Python's json also loads NaN, Infinity and integers past the float
+    # range, none of which a float holds
+    return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
 
 
 def _is_number_array(x) -> bool:
@@ -59,8 +61,8 @@ class SweepConfig:
     def __post_init__(self):
         if not self.alpha_grid or not self.beta_grid:
             raise ConfigError("alpha_grid and beta_grid must be nonempty")
-        if self.N < 2:
-            raise ConfigError("need N >= 2")
+        if not (2 <= self.N <= _MAX_VERTEX_COUNT):
+            raise ConfigError(f"need 2 <= N <= {_MAX_VERTEX_COUNT}, got N={self.N}")
         if self.trials < 1:
             raise ConfigError("need trials >= 1")
         if self.test not in _TESTS:
@@ -71,6 +73,11 @@ class SweepConfig:
             raise ConfigError("need c > 1")
         if self.workers < 1 or self.restarts < 1:
             raise ConfigError("workers and restarts must be >= 1")
+        # the phase diagram's domain, in which every row is classified; there
+        # q = N^-alpha and N^beta cannot overflow, and K lies in [1, N]
+        for name, grid, top in (("alpha_grid", self.alpha_grid, 2), ("beta_grid", self.beta_grid, 1)):
+            if not all(0.0 <= x <= top for x in grid):
+                raise ConfigError(f"{name} values must lie in [0, {top}], got {list(grid)}")
         for alpha in self.alpha_grid:
             for beta in self.beta_grid:
                 self.point_params(alpha, beta)  # fail loudly, never clip
@@ -85,8 +92,6 @@ class SweepConfig:
                 "shrink c or move the grid"
             )
         k = int(math.floor(float(self.N) ** beta + 0.5))
-        if not (1 <= k <= self.N):
-            raise ConfigError(f"grid point beta={beta} gives K = {k} outside [1, N]")
         return PdsParams(N=self.N, K=k, p=p, q=q)
 
     @property
@@ -114,24 +119,19 @@ def load_config(path) -> SweepConfig:
     for key, ok, kind in _TYPED_KEYS:
         if key in raw and not ok(raw[key]):
             raise ConfigError(f"{key} must be {kind}, got {json.dumps(raw[key])}")
-    try:
-        # exact enumeration is infeasible past small N, so it must be opted
-        # into explicitly there
-        scan_mode = raw.get("scan_mode", "exact" if raw["N"] <= 60 else "heuristic")
-        return SweepConfig(
-            alpha_grid=tuple(float(a) for a in raw["alpha_grid"]),
-            beta_grid=tuple(float(b) for b in raw["beta_grid"]),
-            N=raw["N"],
-            trials=raw["trials"],
-            test=raw["test"],
-            scan_mode=scan_mode,
-            master_seed=raw["master_seed"],
-            output_path=raw["output_path"],
-            c=float(raw.get("c", 2.0)),
-            restarts=raw.get("restarts", 16),
-            workers=raw.get("workers", 1),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"malformed config value: {exc}") from exc
+    # exact enumeration is infeasible past small N, so it must be opted into
+    # explicitly there
+    scan_mode = raw.get("scan_mode", "exact" if raw["N"] <= 60 else "heuristic")
+    return SweepConfig(
+        alpha_grid=tuple(float(a) for a in raw["alpha_grid"]),
+        beta_grid=tuple(float(b) for b in raw["beta_grid"]),
+        N=raw["N"],
+        trials=raw["trials"],
+        test=raw["test"],
+        scan_mode=scan_mode,
+        master_seed=raw["master_seed"],
+        output_path=raw["output_path"],
+        c=float(raw.get("c", 2.0)),
+        restarts=raw.get("restarts", 16),
+        workers=raw.get("workers", 1),
+    )

@@ -15,9 +15,8 @@ from ..detectors import (
     H0,
     H1,
     estimate_errors,
+    scan_statistic,
     t_lin,
-    t_scan_exact,
-    t_scan_heuristic,
     tau_lin,
     tau_scan,
 )
@@ -44,9 +43,8 @@ def make_point_test(config: SweepConfig, params: PdsParams, point_seed: Seed):
     scan_seed_root = point_seed.child(_HEURISTIC_STREAM)
 
     def scan_value(g):
-        if config.scan_mode == "exact":
-            return t_scan_exact(g, params.K)[0]
-        return t_scan_heuristic(g, params.K, config.restarts, scan_seed_root.child(g.fingerprint()))[0]
+        seed = scan_seed_root.child(g.fingerprint())
+        return scan_statistic(g, params.K, config.scan_mode, config.restarts, seed)[0]
 
     if config.test == "lin":
         return lambda g: H1 if t_lin(g) > t1 else H0

@@ -88,10 +88,10 @@ def m0_of(gamma) -> int:
     Every float is a dyadic rational, so converting through Fraction makes
     the boundary cases (gamma = 2^-m exactly) unambiguous.
     """
-    g = Fraction(gamma)
-    if not (0 < g <= Fraction(1, 2)):
+    # NaN and the infinities fail here, before Fraction could raise on them
+    if not (0 < gamma <= 0.5):
         raise InvalidGammaError(f"gamma must lie in (0, 1/2], got {gamma!r}")
-    inv = 1 / g
+    inv = 1 / Fraction(gamma)
     m = 1
     while Fraction(2) ** (m + 1) <= inv:
         m += 1

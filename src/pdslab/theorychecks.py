@@ -214,37 +214,30 @@ def pds_fixed_law_exact(N: int, Kp: int, p: float, q: float) -> np.ndarray:
     """Planted law conditional on a uniform size-Kp planted set."""
     if not (0 <= Kp <= N):
         raise InvalidParameterError(f"need 0 <= Kp <= N, got Kp={Kp}, N={N}")
-    pairs, n_pairs = _graph_space(N)
-    masks = np.arange(1 << n_pairs, dtype=np.int64)
-    law = np.zeros(masks.size)
-    subsets = list(combinations(range(N), Kp))
-    for subset in subsets:
-        law += _planted_given_set(masks, pairs, set(subset), p, q)
-    return law / len(subsets)
+    sets = ((1.0, set(subset)) for subset in combinations(range(N), Kp))
+    return _planted_law(N, p, q, sets) / math.comb(N, Kp)
 
 
 def pds_law_exact(N: int, K: int, p: float, q: float) -> np.ndarray:
     """Planted law with independent Bernoulli(K/N) memberships."""
-    pairs, n_pairs = _graph_space(N)
-    masks = np.arange(1 << n_pairs, dtype=np.int64)
-    law = np.zeros(masks.size)
     rho = K / N
-    for bits in range(1 << N):
-        subset = {v for v in range(N) if bits >> v & 1}
-        weight = rho ** len(subset) * (1.0 - rho) ** (N - len(subset))
-        law += weight * _planted_given_set(masks, pairs, subset, p, q)
-    return law
+    subsets = ({v for v in range(N) if bits >> v & 1} for bits in range(1 << N))
+    return _planted_law(N, p, q, ((rho ** len(s) * (1.0 - rho) ** (N - len(s)), s) for s in subsets))
 
 
-def _planted_given_set(masks, pairs, subset, p, q):
-    inside = np.array([u in subset and v in subset for u, v in pairs])
-    present = np.stack([(masks >> i) & 1 for i in range(len(pairs))], axis=1).astype(bool)
-    probs = np.where(
-        inside[None, :],
-        np.where(present, p, 1.0 - p),
-        np.where(present, q, 1.0 - q),
-    )
-    return probs.prod(axis=1)
+def _planted_law(N: int, p: float, q: float, weighted_sets) -> np.ndarray:
+    """Sum over (weight, set) of weight times the law given the set: a
+    chain of factors [1-r, r] in pair order, pair i on axis n_pairs-1-i and
+    r = p on pairs inside the set, q elsewhere."""
+    pairs, n_pairs = _graph_space(N)
+    law = np.zeros((2,) * n_pairs)
+    for weight, subset in weighted_sets:
+        given = 1.0
+        for i, (u, v) in enumerate(pairs):
+            r = p if u in subset and v in subset else q
+            given = given * _slot_tensor(n_pairs, [i], np.array([1.0 - r, r]))
+        law += weight * given
+    return law.reshape(-1)
 
 
 def chi2_bruteforce(N: int, Kp: int, p: float, q: float) -> float:
@@ -367,18 +360,24 @@ def hyper_mgf(pop: int, m: int, lam: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _block_factor(n_slots: int, slot_ids: list, dist: Pmf) -> np.ndarray:
-    """Probability factor of one block as a tensor that broadcasts against
-    the law: the block's count law divided by the number of uniform
-    placements.  Slot i is axis n_slots-1-i; the tensor has length 2 on the
-    block's slot axes and 1 on every other.  The factor depends on the
-    block's bits through their sum alone, so the order of its axes is free."""
-    k = len(slot_ids)
-    weights = np.array([dist[c] / math.comb(k, c) for c in range(k + 1)])
+def _slot_tensor(n_slots: int, slot_ids: list, values: np.ndarray) -> np.ndarray:
+    """`values` over the given slots' bits as a tensor that broadcasts
+    against a law: slot i is axis n_slots-1-i, of length 2 for the given
+    slots and 1 for every other."""
     shape = [1] * n_slots
     for slot in slot_ids:
         shape[n_slots - 1 - slot] = 2
-    return weights[_popcount(k)].reshape(shape)
+    return values.reshape(shape)
+
+
+def _block_factor(n_slots: int, slot_ids: list, dist: Pmf) -> np.ndarray:
+    """Probability factor of one block as a slot tensor: the block's count
+    law divided by the number of uniform placements.  The factor depends on
+    the block's bits through their sum alone, so the order of its axes is
+    free."""
+    k = len(slot_ids)
+    weights = np.array([dist[c] / math.comb(k, c) for c in range(k + 1)])
+    return _slot_tensor(n_slots, slot_ids, weights[_popcount(k)])
 
 
 def _reduced_law(params: ReductionParams, has_edge, bipartite: bool) -> np.ndarray:
@@ -436,10 +435,9 @@ def _reduced_law(params: ReductionParams, has_edge, bipartite: bool) -> np.ndarr
     return law.reshape(-1)
 
 
-def _bipartite_tv(law: np.ndarray, N: int, rate: float) -> float:
-    """TV between a bipartite law over N x N edge masks and the product
-    Bernoulli(rate) law."""
-    return 0.5 * float(np.abs(law - _product_law(N * N, rate)).sum())
+def _tv(law: np.ndarray, target: np.ndarray) -> float:
+    """Total variation distance between two laws over the same edge masks."""
+    return 0.5 * float(np.abs(law - target).sum())
 
 
 def reduced_law_exact(g_in: Graph, params: ReductionParams) -> np.ndarray:
@@ -459,9 +457,7 @@ def reduction_null_tv_exact(params: ReductionParams) -> float:
     distinct input edge, so mixing over the input replaces each block law
     by (1-gamma) Q' + gamma P' analytically; no input enumeration needed.
     """
-    law = _reduced_law(params, None, bipartite=False)
-    target = er_law_exact(params.N, params.q)
-    return 0.5 * float(np.abs(law - target).sum())
+    return _tv(_reduced_law(params, None, bipartite=False), er_law_exact(params.N, params.q))
 
 
 def reduction_alt_tv_exact(params: ReductionParams) -> float:
@@ -478,15 +474,14 @@ def reduction_alt_tv_exact(params: ReductionParams) -> float:
     n = params.n
     complete = Graph(n, list(combinations(range(n), 2)))
     law = reduced_law_exact(complete, params)
-    target = pds_law_exact(params.N, params.K, params.p, params.q)
-    return 0.5 * float(np.abs(law - target).sum())
+    return _tv(law, pds_law_exact(params.N, params.K, params.p, params.q))
 
 
 def reduction_null_tv_bipartite_exact(params: ReductionParams) -> float:
     """Bipartite analogue of the null exactness oracle (same analytic
     mixing over input edges; every block is off-diagonal)."""
     law = _reduced_law(params, None, bipartite=True)
-    return _bipartite_tv(law, params.N, params.q)
+    return _tv(law, _product_law(params.N**2, params.q))
 
 
 def reduction_alt_tv_bipartite_exact(params: ReductionParams) -> float:
@@ -497,7 +492,7 @@ def reduction_alt_tv_bipartite_exact(params: ReductionParams) -> float:
     if params.k != params.n:
         raise InvalidParameterError("the exact bipartite alternative oracle needs k = n")
     law = _reduced_law(params, lambda s, t: True, bipartite=True)
-    return _bipartite_tv(law, params.N, params.p)
+    return _tv(law, _product_law(params.N**2, params.p))
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +545,9 @@ def battery_reduction_exact() -> list:
     )
     # the reduced alternative law tightens as q shrinks; the O(q^2) kernel
     # scaling is only isolated in the bipartite variant (no diagonal blocks)
+    params_lo = ReductionParams(n=2, k=2, gamma=0.5, ell=2, q=0.001)
     tv_hi = reduction_alt_tv_exact(params)
-    tv_lo = reduction_alt_tv_exact(ReductionParams(n=2, k=2, gamma=0.5, ell=2, q=0.001))
+    tv_lo = reduction_alt_tv_exact(params_lo)
     reports.append(
         CheckReport(
             name="reduction-alt-tv-decreasing",
@@ -561,7 +557,7 @@ def battery_reduction_exact() -> list:
         )
     )
     bip_hi = reduction_alt_tv_bipartite_exact(params)
-    bip_lo = reduction_alt_tv_bipartite_exact(ReductionParams(n=2, k=2, gamma=0.5, ell=2, q=0.001))
+    bip_lo = reduction_alt_tv_bipartite_exact(params_lo)
     ratio = bip_hi / bip_lo
     reports.append(
         CheckReport(

@@ -19,6 +19,7 @@ from pdslab.detectors import (
     prop2_bound_lin,
     recovery_detector,
     recovery_threshold,
+    scan_statistic,
     t_lin,
     t_scan_exact,
     t_scan_heuristic,
@@ -219,6 +220,19 @@ class TestScanHeuristic:
             hits += value == 45
         assert hits == 100
         assert hits / 100 >= 0.9
+
+
+class TestScanStatistic:
+    def test_dispatches_on_scan_mode(self):
+        g = gen_er(30, 0.3, Seed(8))
+        assert scan_statistic(g, 5, "exact", 4, Seed(9)) == t_scan_exact(g, 5)
+        assert scan_statistic(g, 5, "heuristic", 4, Seed(9)) == t_scan_heuristic(g, 5, 4, Seed(9))
+        with pytest.raises(BudgetExceededError):
+            scan_statistic(g, 5, "exact", 4, Seed(9), budget=10)
+
+    def test_unknown_scan_mode(self):
+        with pytest.raises(InvalidParameterError):
+            scan_statistic(K4, 2, "greedy", 4, Seed(9))
 
 
 class TestCombined:

@@ -26,7 +26,9 @@ def run_cli(*argv):
 
 # values load_config must reject: a bad enum; integer fields given as a
 # float, a boolean or a string; grids that are not arrays of finite numbers; a c
-# that is not a number; and string fields given as another type
+# that is not a number; string fields given as another type; numbers a float
+# cannot hold or that overflow one at a grid point; and grid points off the
+# phase diagram, though K still rounds into [1, N]
 BAD_VALUES = [
     {"test": "median"},
     {"N": 50.9},
@@ -44,6 +46,14 @@ BAD_VALUES = [
     {"output_path": 7},
     {"test": ["lin"]},
     {"scan_mode": 1},
+    {"N": 10**400},
+    {"alpha_grid": [10**400]},
+    {"beta_grid": [400]},
+    {"alpha_grid": [-400]},
+    {"c": -(10**400)},
+    {"alpha_grid": [2.5]},
+    {"N": 50, "beta_grid": [-0.1]},
+    {"N": 50, "beta_grid": [1.001]},
 ]
 
 
@@ -261,6 +271,12 @@ class TestCli:
             "--strict", "--seed", "11", "--out", str(tmp_path / "red2.txt"),
         )
         assert code == 4
+        for gamma in ("nan", "inf", "0.6"):
+            code, _ = run_cli(
+                "reduce", src, "--k", "2", "--gamma", gamma, "--ell", "2", "--q", "0.01",
+                "--seed", "11", "--out", str(tmp_path / "red3.txt"),
+            )
+            assert code == 2
 
     def test_sweep_command(self, tmp_path):
         path, cfg = small_config(tmp_path)

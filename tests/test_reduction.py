@@ -1,6 +1,7 @@
 import math
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ class TestM0:
                 assert m0_of(Fraction(1, 2**m + 1)) == m
 
     def test_range_errors(self):
-        for bad in (0.0, -0.1, 0.6, 1.0):
+        for bad in (0.0, -0.1, 0.6, 1.0, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(InvalidGammaError):
                 m0_of(bad)
 
@@ -212,6 +213,19 @@ class TestSampleEdgeCount:
         assert chi2 < stats.chi2.ppf(1 - 1e-3, int(keep.sum()))
 
 
+class _ScriptedRng:
+    """Stands in for a Generator: each `integers(0, high)` call takes the
+    next (high, value) of a script, checks the high and returns the value."""
+
+    def __init__(self, bounds, path):
+        self.calls = list(zip(bounds, path))
+
+    def integers(self, low, high):
+        want_high, value = self.calls.pop(0)
+        assert (low, high) == (0, want_high)
+        return value
+
+
 class TestPlacement:
     def test_colex_inversion(self):
         seen = [_colex_pair(idx) for idx in range(15)]
@@ -219,17 +233,18 @@ class TestPlacement:
         assert seen == [(i, j) for i, j in want]
 
     def test_floyd_uniformity(self):
-        from scipy import stats
-
-        rng = Seed(42).rng()
-        categories = {c: i for i, c in enumerate(combinations(range(6), 3))}
-        counts = np.zeros(len(categories))
-        n_draws = 1_000_000
-        for _ in range(n_draws):
-            counts[categories[tuple(_floyd_sample(6, 3, rng))]] += 1
-        expected = n_draws / len(categories)
-        chi2 = ((counts - expected) ** 2 / expected).sum()
-        assert chi2 < stats.chi2.ppf(1 - 1e-3, len(categories) - 1)
+        # exact, not statistical: replay every sequence of draws Floyd's
+        # algorithm can make; each m-subset must come out on equally many
+        for n_slots in range(1, 9):
+            for m in range(n_slots + 1):
+                bounds = [i + 1 for i in range(n_slots - m, n_slots)]
+                counts = Counter()
+                for path in product(*map(range, bounds)):
+                    rng = _ScriptedRng(bounds, path)
+                    counts[tuple(_floyd_sample(n_slots, m, rng))] += 1
+                    assert not rng.calls
+                assert sorted(counts) == list(combinations(range(n_slots), m))
+                assert set(counts.values()) == {math.prod(bounds) // math.comb(n_slots, m)}
 
     def test_floyd_sizes(self):
         rng = Seed(1).rng()

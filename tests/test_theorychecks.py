@@ -348,6 +348,12 @@ class TestOraclePin:
         assert largest == 25  # a 5 x 5 bipartite graph at n = 1
         assert largest < 32
 
+    def test_planted_laws_on_one_vertex(self):
+        # no pair: the one empty graph has probability one
+        for law in (pds_law_exact(1, 0, 0.5, 0.2), pds_law_exact(1, 1, 0.5, 0.2),
+                    pds_fixed_law_exact(1, 0, 0.5, 0.2), pds_fixed_law_exact(1, 1, 0.5, 0.2)):
+            assert law.tolist() == [1.0]
+
     @pytest.mark.parametrize("p,q", [(0.25, 0.25), (0.5, 0.25), (0.9, 0.1), (0.002, 0.001), (1 / 3, 0.1)])
     def test_planted_laws_match_per_mask_reference(self, p, q):
         for N in range(2, 6):
