@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pdslab
-from pdslab.errors import ConfigError
+from pdslab.errors import ConfigError, EdgeListParseError, PdsLabError
 from pdslab.phaselab.cli import main
 from pdslab.phaselab.config import SweepConfig, load_config
 from pdslab.phaselab.sweep import CSV_HEADER, rows_to_csv, run_sweep, write_outputs
@@ -387,3 +387,122 @@ class TestFrozenOutputs:
         csv_digest, svg_digest = self.SWEEP_DIGESTS[mode]
         assert _digest((tmp_path / "sweep.csv").read_bytes()) == csv_digest
         assert _digest((tmp_path / "sweep.svg").read_bytes()) == svg_digest
+
+    # (argv after the model, edge-list digest, sidecar digest) per model;
+    # the er row also gives a flag its model does not need, which the
+    # sidecar's params record
+    GENERATE_DIGESTS = {
+        "er": (("--n", "12", "--q", "0.3", "--gamma", "0.25"),
+            "10de24a7f7715729528969887d78ced2", "ab96751f52724af5180f79a28d55c828"),
+        "pds": (("--n", "12", "--k", "4", "--p", "0.8", "--q", "0.2"),
+            "0bcd2676e85da8eea4e2e1557aef7ab4", "804f2bb33e4bd51249c6cbf0f79dcaa2"),
+        "pds-fixed": (("--n", "12", "--k", "4", "--p", "0.8", "--q", "0.2"),
+            "6d71498d983f6da4357e8f1ca487f94e", "a4e575ad0c98724c065f234079cae30e"),
+        "pc": (("--n", "12", "--k", "4", "--gamma", "0.5"),
+            "b49136f99dcefc748e1e60df6419a995", "ada3dc864992ec880607e85703a65b55"),
+        "ber": (("--n", "6", "--q", "0.3"),
+            "adce6a3081540bd8180896d2ab5b0468", "15c0982832c8a9ef425c079401235135"),
+        "bpds": (("--n", "6", "--k", "3", "--p", "0.8", "--q", "0.2"),
+            "fb93a1f4c1f3b9fcd7b3a86c25d37b91", "76a7c12585add1d16d713951cbff96c8"),
+        "bpc": (("--n", "6", "--k", "3", "--gamma", "0.5"),
+            "85a7ea7f829eb1b232425dad3625378f", "29c3357a0c52643c37f665204241fd35"),
+    }
+    # (input model and argv, edge-list digest, sidecar digest); every input
+    # breaks k >= 6e*ell, which reduce warns of
+    REDUCE_DIGESTS = {
+        "unipartite": (("pc", "--n", "6", "--k", "3", "--gamma", "0.5"),
+            "60ab0a041cc27b662c61f2c45a499dea", "c25c672d75c0ca90fde0219a97de770b"),
+        "bipartite": (("bpc", "--n", "3", "--k", "2", "--gamma", "0.5"),
+            "0c6756d8a71786d402cf56f0d82f182a", "ed754da8ec431bd17b14928fd43df8b3"),
+    }
+
+    @pytest.mark.parametrize("model", sorted(GENERATE_DIGESTS))
+    def test_generate_outputs(self, tmp_path, model):
+        flags, graph_digest, sidecar_digest = self.GENERATE_DIGESTS[model]
+        out = str(tmp_path / "g.txt")
+        assert run_cli("generate", model, *flags, "--seed", "5", "--out", out) == (0, out + "\n")
+        assert _digest(Path(out).read_bytes()) == graph_digest
+        assert _digest(Path(out + ".json").read_bytes()) == sidecar_digest
+
+    @pytest.mark.parametrize("kind", sorted(REDUCE_DIGESTS))
+    def test_reduce_outputs(self, tmp_path, capsys, kind):
+        source, graph_digest, sidecar_digest = self.REDUCE_DIGESTS[kind]
+        src = str(tmp_path / "in.txt")
+        assert run_cli("generate", *source, "--seed", "3", "--out", src)[0] == 0
+        capsys.readouterr()
+        out = str(tmp_path / "red.txt")
+        assert run_cli("reduce", src, "--k", "2", "--gamma", "0.5", "--ell", "2", "--q", "0.01",
+                       "--seed", "11", "--out", out) == (0, out + "\n")
+        assert _digest(Path(out).read_bytes()) == graph_digest
+        assert _digest(Path(out + ".json").read_bytes()) == sidecar_digest
+        assert capsys.readouterr().err == "warning: k = 2 < 6e*ell = 32.6194\n"
+
+
+def _concrete_errors(cls=PdsLabError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _concrete_errors(sub)
+
+
+class TestExitCodes:
+    # main's exit code for every PdsLabError subclass raised inside a command
+    ERROR_EXITS = {
+        "AbsoluteContinuityError": 2,
+        "BudgetExceededError": 4,
+        "ConfigError": 3,
+        "ContractViolationError": 2,
+        "EdgeListParseError": 3,
+        "InvalidGammaError": 2,
+        "InvalidParameterError": 2,
+        "InvalidPmfError": 2,
+        "InvalidProbabilityError": 2,
+        "PreconditionViolationError": 4,
+        "TooLargeError": 2,
+        "ValidityViolationError": 4,
+        "VertexCountMismatchError": 4,
+    }
+    # the usage error of each model given none of its flags
+    MISSING_FLAGS = {
+        "er": "model 'er' needs --n, --q",
+        "pds": "model 'pds' needs --n, --k, --p, --q",
+        "pds-fixed": "model 'pds-fixed' needs --n, --k, --p, --q",
+        "pc": "model 'pc' needs --n, --k, --gamma",
+        "ber": "model 'ber' needs --n, --q",
+        "bpds": "model 'bpds' needs --n, --k, --p, --q",
+        "bpc": "model 'bpc' needs --n, --k, --gamma",
+    }
+
+    def test_error_table(self, monkeypatch, capsys):
+        import pdslab.phaselab.cli as cli
+
+        assert {cls.__name__ for cls in _concrete_errors()} == set(self.ERROR_EXITS)
+        for cls in _concrete_errors():
+            exc = cls("boom", 7) if cls is EdgeListParseError else cls("boom")
+
+            def battery(exc=exc):
+                raise exc
+
+            monkeypatch.setitem(cli._BATTERIES, "kernel", (battery,))
+            assert run_cli("verify", "kernel") == (self.ERROR_EXITS[cls.__name__], "")
+            message = "line 7: boom" if cls is EdgeListParseError else "boom"
+            assert capsys.readouterr().err == f"error: {message}\n", cls
+        monkeypatch.setitem(cli._BATTERIES, "kernel", (lambda: open(os.devnull + "/x"),))
+        assert run_cli("verify", "kernel") == (2, "")
+        assert capsys.readouterr().err.startswith("error: [Errno")
+
+    @pytest.mark.parametrize("model", sorted(MISSING_FLAGS))
+    def test_missing_flags(self, tmp_path, capsys, model):
+        out = tmp_path / "x"
+        assert run_cli("generate", model, "--seed", "1", "--out", str(out)) == (2, "")
+        assert capsys.readouterr().err == f"error: {self.MISSING_FLAGS[model]}\n"
+        assert not out.exists()
+
+    def test_missing_some_flags(self, tmp_path, capsys):
+        assert run_cli("generate", "pc", "--n", "10", "--k", "3", "--seed", "1",
+                       "--out", str(tmp_path / "x"))[0] == 2
+        assert capsys.readouterr().err == "error: model 'pc' needs --gamma\n"
+
+    def test_sweep_workers_override_is_checked(self, tmp_path):
+        path, _ = small_config(tmp_path)
+        assert run_cli("sweep", path, "--workers", "0")[0] == 3
+        assert not (tmp_path / "sweep.csv").exists()
