@@ -1,8 +1,11 @@
 """Exception hierarchy shared across the package.
 
-Every error raised by pdslab derives from :class:`PdsLabError` so callers
-(notably the CLI) can map failures onto exit codes without matching on
-message text.
+Every error raised by pdslab derives from :class:`PdsLabError`, and each
+class carries the CLI's exit code for it, so this module is the one table
+from failures to exit codes: 2 usage error (the default), 3 parse error
+(graph or config files), 4 precondition violation (strict reduction
+conditions, enumeration budgets).  No caller matches on message
+text.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 
 class PdsLabError(Exception):
     """Base class for all pdslab errors."""
+
+    exit_code = 2
 
 
 class InvalidParameterError(PdsLabError, ValueError):
@@ -36,9 +41,13 @@ class ValidityViolationError(PdsLabError, ValueError):
     """A surgically modified PMF came out negative: the caller broke the
     validity conditions of the kernel construction."""
 
+    exit_code = 4
+
 
 class BudgetExceededError(PdsLabError, RuntimeError):
     """Exhaustive enumeration would visit more subsets than the budget."""
+
+    exit_code = 4
 
 
 class TooLargeError(PdsLabError, ValueError):
@@ -48,6 +57,8 @@ class TooLargeError(PdsLabError, ValueError):
 class PreconditionViolationError(PdsLabError, ValueError):
     """An operation's stated precondition does not hold."""
 
+    exit_code = 4
+
 
 class ContractViolationError(PdsLabError, RuntimeError):
     """A user-supplied callable violated its interface contract."""
@@ -56,9 +67,13 @@ class ContractViolationError(PdsLabError, RuntimeError):
 class VertexCountMismatchError(PdsLabError, ValueError):
     """An input graph has a different vertex count than the parameters."""
 
+    exit_code = 4
+
 
 class EdgeListParseError(PdsLabError, ValueError):
     """Malformed edge-list file; carries the 1-based offending line."""
+
+    exit_code = 3
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
@@ -67,3 +82,5 @@ class EdgeListParseError(PdsLabError, ValueError):
 
 class ConfigError(PdsLabError, ValueError):
     """A sweep configuration file failed validation."""
+
+    exit_code = 3

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: generate, test, reduce, sweep, verify.  Exit codes are part
-of the interface: 0 ok, 1 verification failure, 2 usage error, 3 parse
-error (graph or config files), 4 precondition violation (strict reduction
-conditions, enumeration budgets).
+of the interface: 0 ok, 1 verification failure, and for an error the
+``exit_code`` its class carries in ``pdslab.errors``, the one exit-code
+table (2 usage error, 3 parse error, 4 precondition violation); an
+``OSError`` is a usage error.
 
 Every command is deterministic given its flags: rerunning with the same
 seed produces byte-identical files and stdout, regardless of worker count.
@@ -12,6 +13,7 @@ seed produces byte-identical files and stdout, regardless of worker count.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -26,20 +28,12 @@ from ..detectors import (
     tau_scan,
     DEFAULT_SCAN_BUDGET,
 )
-from ..errors import (
-    BudgetExceededError,
-    ConfigError,
-    EdgeListParseError,
-    InvalidParameterError,
-    PdsLabError,
-    PreconditionViolationError,
-    ValidityViolationError,
-    VertexCountMismatchError,
-)
+from ..errors import InvalidParameterError, PdsLabError
 from ..graphmodels import (
     BipartiteGraph,
     Graph,
     PdsParams,
+    PlantedInstance,
     gen_bipartite_er,
     gen_bipartite_pc,
     gen_bipartite_pds,
@@ -58,80 +52,68 @@ from .sweep import run_sweep, write_outputs
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
-EXIT_PARSE = 3
-EXIT_PRECONDITION = 4
 
-_MODELS = ("er", "pds", "pds-fixed", "pc", "ber", "bpds", "bpc")
+
+def _pds(args) -> PdsParams:
+    return PdsParams(N=args.n, K=args.k, p=args.p, q=args.q)
+
+
+# model: (the flags it needs, its sampler of (args, seed)), which returns a
+# graph or a PlantedInstance
+_MODELS = {
+    "er": (("n", "q"), lambda a, seed: gen_er(a.n, a.q, seed)),
+    "pds": (("n", "k", "p", "q"), lambda a, seed: gen_pds_random_size(_pds(a), seed)),
+    "pds-fixed": (("n", "k", "p", "q"), lambda a, seed: gen_pds_fixed_size(_pds(a), seed)),
+    "pc": (("n", "k", "gamma"), lambda a, seed: gen_planted_clique(a.n, a.k, a.gamma, seed)),
+    "ber": (("n", "q"), lambda a, seed: gen_bipartite_er(a.n, a.q, seed)),
+    "bpds": (("n", "k", "p", "q"), lambda a, seed: gen_bipartite_pds(_pds(a), seed)),
+    "bpc": (("n", "k", "gamma"), lambda a, seed: gen_bipartite_pc(a.n, a.k, a.gamma, seed)),
+}
 _BATTERIES = {
     "kernel": (theorychecks.battery_kernel,),
     "lemmas": (theorychecks.battery_lemmas,),
     "reduction-exact": (theorychecks.battery_reduction_exact,),
-    "all": (
-        theorychecks.battery_kernel,
-        theorychecks.battery_lemmas,
-        theorychecks.battery_reduction_exact,
-    ),
 }
+_BATTERIES["all"] = sum(_BATTERIES.values(), ())
 
 
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _require(args, names):
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
+def _write_graph(g, out: str, sidecar: dict) -> int:
+    """Write the edge list to ``out``, its sidecar to ``out.json`` and the
+    path to stdout."""
+    write_edge_list(g, out)
+    with open(out + ".json", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(_dump_json({"format": "pdslab-sidecar-v1", **sidecar}))
+    print(out)
+    return EXIT_OK
+
+
+def cmd_generate(args) -> int:
+    needs, sample = _MODELS[args.model]
+    missing = [flag for flag in needs if getattr(args, flag) is None]
     if missing:
         raise InvalidParameterError(
             f"model {args.model!r} needs --" + ", --".join(missing)
         )
-
-
-def cmd_generate(args) -> int:
-    seed = Seed(args.seed)
+    g = sample(args, Seed(args.seed))
     planted = None
-    if args.model == "er":
-        _require(args, ["n", "q"])
-        g = gen_er(args.n, args.q, seed)
-    elif args.model in ("pds", "pds-fixed"):
-        _require(args, ["n", "k", "p", "q"])
-        params = PdsParams(N=args.n, K=args.k, p=args.p, q=args.q)
-        gen = gen_pds_fixed_size if args.model == "pds-fixed" else gen_pds_random_size
-        inst = gen(params, seed)
-        g, planted = inst.graph, list(inst.planted)
-    elif args.model == "pc":
-        _require(args, ["n", "k", "gamma"])
-        inst = gen_planted_clique(args.n, args.k, args.gamma, seed)
-        g, planted = inst.graph, list(inst.planted)
-    elif args.model == "ber":
-        _require(args, ["n", "q"])
-        g = gen_bipartite_er(args.n, args.q, seed)
-    elif args.model == "bpds":
-        _require(args, ["n", "k", "p", "q"])
-        params = PdsParams(N=args.n, K=args.k, p=args.p, q=args.q)
-        inst = gen_bipartite_pds(params, seed)
-        g = inst.graph
-        planted = {"top": list(inst.planted[0]), "bottom": list(inst.planted[1])}
-    else:  # bpc
-        _require(args, ["n", "k", "gamma"])
-        inst = gen_bipartite_pc(args.n, args.k, args.gamma, seed)
-        g = inst.graph
-        planted = {"top": list(inst.planted[0]), "bottom": list(inst.planted[1])}
-    write_edge_list(g, args.out)
-    sidecar = {
-        "format": "pdslab-sidecar-v1",
+    if isinstance(g, PlantedInstance):
+        g, planted = g.graph, g.planted
+        if isinstance(g, BipartiteGraph):
+            planted = {"top": planted[0], "bottom": planted[1]}
+    return _write_graph(g, args.out, {
         "model": args.model,
         "params": {
-            key: getattr(args, key)
-            for key in ("n", "k", "p", "q", "gamma")
-            if getattr(args, key) is not None
+            flag: getattr(args, flag)
+            for flag in ("n", "k", "p", "q", "gamma")
+            if getattr(args, flag) is not None
         },
         "seed": args.seed,
         "planted": planted,
-    }
-    with open(args.out + ".json", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_dump_json(sidecar))
-    print(args.out)
-    return EXIT_OK
+    })
 
 
 def cmd_test(args) -> int:
@@ -141,16 +123,13 @@ def cmd_test(args) -> int:
     params = PdsParams(N=g.num_vertices, K=args.K, p=args.p, q=args.q)
     seed = Seed(args.seed)
     if args.test == "lin":
-        stat, thresh = float(t_lin(g)), tau_lin(params)
-        payload = {"test": "lin", "statistic": stat, "threshold": thresh}
+        payload = {"statistic": float(t_lin(g)), "threshold": tau_lin(params)}
     elif args.test == "scan":
         value, argmax = scan_statistic(g, params.K, args.scan_mode, args.restarts, seed, args.budget)
-        stat, thresh = float(value), tau_scan(params.K, params.p, params.q)
         payload = {
-            "test": "scan",
             "scan_mode": args.scan_mode,
-            "statistic": stat,
-            "threshold": thresh,
+            "statistic": float(value),
+            "threshold": tau_scan(params.K, params.p, params.q),
             "argmax": list(argmax),
         }
     else:
@@ -158,80 +137,46 @@ def cmd_test(args) -> int:
             g, params, scan_mode=args.scan_mode, restarts=args.restarts,
             seed=seed, budget=args.budget,
         )
-        payload = {
-            "test": "combined",
-            "statistic": outcome.statistic,
-            "threshold": outcome.threshold,
-            "decision": outcome.decision,
-            "parts": outcome.parts,
-        }
-        sys.stdout.write(_dump_json(payload))
-        return EXIT_OK
-    payload["decision"] = H1 if stat > thresh else H0
-    sys.stdout.write(_dump_json(payload))
+        payload = {"statistic": outcome.statistic, "threshold": outcome.threshold,
+                   "parts": outcome.parts}
+    # H1 exactly when the statistic clears its threshold, as for TestOutcome
+    payload["decision"] = H1 if payload["statistic"] > payload["threshold"] else H0
+    sys.stdout.write(_dump_json({"test": args.test, **payload}))
     return EXIT_OK
 
 
 def cmd_reduce(args) -> int:
     g = read_edge_list(args.graph)
-    if isinstance(g, BipartiteGraph):
-        if g.num_top != g.num_bottom:
-            raise InvalidParameterError("bipartite reduction needs equal side sizes")
-        n = g.num_top
-    else:
-        n = g.num_vertices
+    bipartite = isinstance(g, BipartiteGraph)
+    if bipartite and g.num_top != g.num_bottom:
+        raise InvalidParameterError("bipartite reduction needs equal side sizes")
+    n = g.num_top if bipartite else g.num_vertices
     params = ReductionParams(n=n, k=args.k, gamma=args.gamma, ell=args.ell, q=args.q)
-    warnings = params.validate(strict=args.strict)
-    for w in warnings:
+    for w in params.validate(strict=args.strict):
         print(f"warning: {w}", file=sys.stderr)
-    seed = Seed(args.seed)
-    reduced = (
-        reduce_bipartite(g, params, seed)
-        if isinstance(g, BipartiteGraph)
-        else reduce_graph(g, params, seed)
-    )
-    write_edge_list(reduced, args.out)
-    sidecar = {
-        "format": "pdslab-sidecar-v1",
+    reduced = (reduce_bipartite if bipartite else reduce_graph)(g, params, Seed(args.seed))
+    fields = ("n", "k", "gamma", "ell", "q", "m0", "N", "K", "p", "kernel_condition",
+              "size_condition")
+    return _write_graph(reduced, args.out, {
         "reduction": {
-            "n": params.n,
-            "k": params.k,
-            "gamma": params.gamma,
-            "ell": params.ell,
-            "q": params.q,
-            "m0": params.m0,
-            "N": params.N,
-            "K": params.K,
-            "p": params.p,
-            "kernel_condition": params.kernel_condition,
-            "size_condition": params.size_condition,
+            **{key: getattr(params, key) for key in fields},
             "strict": bool(args.strict),
         },
         "seed": args.seed,
-    }
-    with open(args.out + ".json", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_dump_json(sidecar))
-    print(args.out)
-    return EXIT_OK
+    })
 
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
     if args.workers is not None:
-        config = type(config)(**{**config.__dict__, "workers": args.workers})
-    rows = run_sweep(config)
-    csv_path, svg_path = write_outputs(config, rows)
-    print(csv_path)
-    print(svg_path)
+        config = dataclasses.replace(config, workers=args.workers)
+    print(*write_outputs(config, run_sweep(config)), sep="\n")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    reports = []
-    for battery in _BATTERIES[args.battery]:
-        reports.extend(battery())
-    lines = [r.to_json_line() for r in reports]
-    text = "\n".join(lines) + "\n"
+    reports = [r for battery in _BATTERIES[args.battery] for r in battery()]
+    text = "\n".join(r.to_json_line() for r in reports) + "\n"
     sys.stdout.write(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -302,20 +247,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (EdgeListParseError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (
-        PreconditionViolationError,
-        BudgetExceededError,
-        ValidityViolationError,
-        VertexCountMismatchError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except (PdsLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return getattr(exc, "exit_code", EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from ..errors import ConfigError
 from ..graphmodels import _MAX_VERTEX_COUNT, PdsParams
@@ -51,14 +51,22 @@ class SweepConfig:
     N: int
     trials: int
     test: str
-    scan_mode: str
     master_seed: int
     output_path: str
     c: float = 2.0
     restarts: int = 16
     workers: int = 1
+    scan_mode: str = None  # exact for N <= 60, else heuristic
 
     def __post_init__(self):
+        # JSON numbers become float grids and a float c; exact enumeration
+        # is infeasible past small N, so it must be opted into there
+        setattr_ = object.__setattr__
+        setattr_(self, "alpha_grid", tuple(map(float, self.alpha_grid)))
+        setattr_(self, "beta_grid", tuple(map(float, self.beta_grid)))
+        setattr_(self, "c", float(self.c))
+        if self.scan_mode is None:
+            setattr_(self, "scan_mode", "exact" if self.N <= 60 else "heuristic")
         if not self.alpha_grid or not self.beta_grid:
             raise ConfigError("alpha_grid and beta_grid must be nonempty")
         if not (2 <= self.N <= _MAX_VERTEX_COUNT):
@@ -78,9 +86,8 @@ class SweepConfig:
         for name, grid, top in (("alpha_grid", self.alpha_grid, 2), ("beta_grid", self.beta_grid, 1)):
             if not all(0.0 <= x <= top for x in grid):
                 raise ConfigError(f"{name} values must lie in [0, {top}], got {list(grid)}")
-        for alpha in self.alpha_grid:
-            for beta in self.beta_grid:
-                self.point_params(alpha, beta)  # fail loudly, never clip
+        for alpha, beta in self.points:
+            self.point_params(alpha, beta)  # fail loudly, never clip
 
     def point_params(self, alpha: float, beta: float) -> PdsParams:
         """Derived (N, K, p, q) at one grid point; p > 1 is an error."""
@@ -108,30 +115,14 @@ def load_config(path) -> SweepConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    required = ["alpha_grid", "beta_grid", "N", "trials", "test", "master_seed", "output_path"]
+    required = [f.name for f in fields(SweepConfig) if f.default is MISSING]
     missing = [key for key in required if key not in raw]
     if missing:
         raise ConfigError(f"config is missing keys: {', '.join(missing)}")
-    allowed = set(required) | {"c", "restarts", "workers", "scan_mode"}
-    unknown = sorted(set(raw) - allowed)
+    unknown = sorted(set(raw) - {f.name for f in fields(SweepConfig)})
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     for key, ok, kind in _TYPED_KEYS:
         if key in raw and not ok(raw[key]):
             raise ConfigError(f"{key} must be {kind}, got {json.dumps(raw[key])}")
-    # exact enumeration is infeasible past small N, so it must be opted into
-    # explicitly there
-    scan_mode = raw.get("scan_mode", "exact" if raw["N"] <= 60 else "heuristic")
-    return SweepConfig(
-        alpha_grid=tuple(float(a) for a in raw["alpha_grid"]),
-        beta_grid=tuple(float(b) for b in raw["beta_grid"]),
-        N=raw["N"],
-        trials=raw["trials"],
-        test=raw["test"],
-        scan_mode=scan_mode,
-        master_seed=raw["master_seed"],
-        output_path=raw["output_path"],
-        c=float(raw.get("c", 2.0)),
-        restarts=raw.get("restarts", 16),
-        workers=raw.get("workers", 1),
-    )
+    return SweepConfig(**raw)

@@ -34,7 +34,7 @@ bipartite), inverted through the block's count law; when the count is
 nonzero, the block's Floyd placement draws follow at once.  The sampler
 skips each run of zero-count blocks with one vectorised draw and keeps
 this layout, so its output for a seed is that of a per-block loop and the
-reduce sidecar format stays pdslab-sidecar-v1.
+reduce sidecar format is unchanged.
 """
 
 from __future__ import annotations
