@@ -12,6 +12,7 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, fields
 
+from ..detectors import DEFAULT_SCAN_BUDGET
 from ..errors import ConfigError
 from ..graphmodels import _MAX_VERTEX_COUNT, PdsParams
 
@@ -86,8 +87,18 @@ class SweepConfig:
         for name, grid, top in (("alpha_grid", self.alpha_grid, 2), ("beta_grid", self.beta_grid, 1)):
             if not all(0.0 <= x <= top for x in grid):
                 raise ConfigError(f"{name} values must lie in [0, {top}], got {list(grid)}")
-        for alpha, beta in self.points:
-            self.point_params(alpha, beta)  # fail loudly, never clip
+        params = [self.point_params(a, b) for a, b in self.points]  # fail loudly, never clip
+        if self.test != "lin" and self.scan_mode == "exact":
+            for (alpha, beta), point in zip(self.points, params):
+                # C(N, K) = C(N, m) with m = min(K, N - K) grows with m and
+                # tops C(61, 30) > 10^17 past m = 30, so the cap keeps the
+                # integer small and the verdict unchanged
+                if math.comb(self.N, min(point.K, self.N - point.K, 30)) > DEFAULT_SCAN_BUDGET:
+                    raise ConfigError(
+                        f"grid point alpha={alpha}, beta={beta} gives C(N, K) = "
+                        f"C({self.N}, {point.K}) > {DEFAULT_SCAN_BUDGET}, the exact scan's "
+                        "budget; use scan_mode heuristic or move the grid"
+                    )
 
     def point_params(self, alpha: float, beta: float) -> PdsParams:
         """Derived (N, K, p, q) at one grid point; p > 1 is an error."""

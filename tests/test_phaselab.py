@@ -27,8 +27,9 @@ def run_cli(*argv):
 # values load_config must reject: a bad enum; integer fields given as a
 # float, a boolean or a string; grids that are not arrays of finite numbers; a c
 # that is not a number; string fields given as another type; numbers a float
-# cannot hold or that overflow one at a grid point; and grid points off the
-# phase diagram, though K still rounds into [1, N]
+# cannot hold or that overflow one at a grid point; grid points off the
+# phase diagram, though K still rounds into [1, N]; and an exact scan past
+# its budget, C(60, 40) > 10^7 at the second point
 BAD_VALUES = [
     {"test": "median"},
     {"N": 50.9},
@@ -54,6 +55,7 @@ BAD_VALUES = [
     {"alpha_grid": [2.5]},
     {"N": 50, "beta_grid": [-0.1]},
     {"N": 50, "beta_grid": [1.001]},
+    {"alpha_grid": [0.5], "beta_grid": [0.4, 0.9], "trials": 3, "test": "scan"},
 ]
 
 
@@ -105,6 +107,24 @@ class TestConfig:
     def test_k_out_of_range(self, tmp_path):
         path, _ = small_config(tmp_path, beta_grid=[0.0001], N=2)
         with pytest.raises(ConfigError):
+            load_config(path)
+
+    def test_exact_scan_budget(self, tmp_path):
+        grid = {"alpha_grid": [0.5], "beta_grid": [0.4, 0.9], "trials": 3}
+        for test in ("scan", "combined"):
+            path, _ = small_config(tmp_path, test=test, **grid)
+            with pytest.raises(ConfigError, match=r"alpha=0\.5, beta=0\.9 .* C\(60, 40\)"):
+                load_config(path)
+        for overrides in ({"test": "lin"}, {"test": "scan", "scan_mode": "heuristic"}):
+            path, _ = small_config(tmp_path, **{**grid, **overrides})
+            assert load_config(path).points == [(0.5, 0.4), (0.5, 0.9)]
+        # at the largest N the check stays quick: one subset loads, many do not
+        path, _ = small_config(tmp_path, test="scan", N=3037000499, alpha_grid=[2.0],
+                               beta_grid=[1.0])
+        assert load_config(path).point_params(2.0, 1.0).K == 3037000499
+        path, _ = small_config(tmp_path, test="scan", N=3037000499, alpha_grid=[2.0],
+                               beta_grid=[0.5])
+        with pytest.raises(ConfigError, match=r"C\(3037000499, 55109\)"):
             load_config(path)
 
     def test_bad_enum(self, tmp_path):
