@@ -4,8 +4,8 @@ Every error raised by pdslab derives from :class:`PdsLabError`, and each
 class carries the CLI's exit code for it, so this module is the one table
 from failures to exit codes: 2 usage error (the default), 3 parse error
 (graph or config files), 4 precondition violation (strict reduction
-conditions, enumeration budgets).  No caller matches on message
-text.
+conditions, enumeration budgets and caps).  No caller matches on
+message text.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ class BudgetExceededError(PdsLabError, RuntimeError):
 
 class TooLargeError(PdsLabError, ValueError):
     """An exhaustive check was requested above its hard size cap."""
+
+    exit_code = 4
 
 
 class PreconditionViolationError(PdsLabError, ValueError):

@@ -477,7 +477,7 @@ class TestExitCodes:
         "InvalidPmfError": 2,
         "InvalidProbabilityError": 2,
         "PreconditionViolationError": 4,
-        "TooLargeError": 2,
+        "TooLargeError": 4,
         "ValidityViolationError": 4,
         "VertexCountMismatchError": 4,
     }
