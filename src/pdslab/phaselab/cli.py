@@ -2,9 +2,9 @@
 
 Subcommands: generate, test, reduce, sweep, verify.  Exit codes are part
 of the interface: 0 ok, 1 verification failure, and for an error the
-``exit_code`` its class carries in ``pdslab.errors``, the one exit-code
-table (2 usage error, 3 parse error, 4 precondition violation); an
-``OSError`` is a usage error.
+``exit_code`` its class carries in ``errors.py``, the one exit-code table
+(2 usage error, 3 parse error, 4 precondition violation); an ``OSError``
+is a usage error.
 
 Every command is deterministic given its flags: rerunning with the same
 seed produces byte-identical files and stdout, regardless of worker count.
@@ -155,11 +155,11 @@ def cmd_reduce(args) -> int:
     for w in params.validate(strict=args.strict):
         print(f"warning: {w}", file=sys.stderr)
     reduced = (reduce_bipartite if bipartite else reduce_graph)(g, params, Seed(args.seed))
-    fields = ("n", "k", "gamma", "ell", "q", "m0", "N", "K", "p", "kernel_condition",
-              "size_condition")
+    keys = ("n", "k", "gamma", "ell", "q", "m0", "N", "K", "p", "kernel_condition",
+            "size_condition")
     return _write_graph(reduced, args.out, {
         "reduction": {
-            **{key: getattr(params, key) for key in fields},
+            **{key: getattr(params, key) for key in keys},
             "strict": bool(args.strict),
         },
         "seed": args.seed,
@@ -170,7 +170,9 @@ def cmd_sweep(args) -> int:
     config = load_config(args.config)
     if args.workers is not None:
         config = dataclasses.replace(config, workers=args.workers)
-    print(*write_outputs(config, run_sweep(config)), sep="\n")
+    csv_path, svg_path = write_outputs(config, run_sweep(config))
+    print(csv_path)
+    print(svg_path)
     return EXIT_OK
 
 
