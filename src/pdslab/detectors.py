@@ -45,6 +45,7 @@ __all__ = [
     "TestOutcome",
     "ErrorEstimate",
     "DEFAULT_SCAN_BUDGET",
+    "scan_subset_count",
     "t_lin",
     "tau_lin",
     "t_scan_exact",
@@ -63,6 +64,7 @@ H0 = "H0"
 H1 = "H1"
 
 DEFAULT_SCAN_BUDGET = 10_000_000
+_COUNT_CAP = 30
 
 
 def _comb2(x: float) -> float:
@@ -127,6 +129,21 @@ def tau_scan(K: int, p: float, q: float) -> float:
     return _comb2(K) * (p + q) / 2.0
 
 
+def scan_subset_count(N: int, K: int, budget: int) -> int:
+    """C(N, K) when it is at most `budget`, else a count in (budget, C(N, K)].
+
+    C(N, K) = C(N, m) with m = min(K, N - K) grows with m, so past m = 30
+    the capped count C(N, 30) >= C(62, 30) > 10^17 is a lower bound that
+    tops any budget short of it, found without building an integer of
+    thousands of digits; only a larger budget pays for C(N, K) in full.
+    """
+    m = min(K, N - K)
+    count = math.comb(N, min(m, _COUNT_CAP))
+    if m > _COUNT_CAP and count <= budget:
+        count = math.comb(N, m)
+    return count
+
+
 def t_scan_exact(g: Graph, K: int, budget: int = DEFAULT_SCAN_BUDGET):
     """Maximum edge count over all K-subsets, plus the first argmax.
 
@@ -140,10 +157,11 @@ def t_scan_exact(g: Graph, K: int, budget: int = DEFAULT_SCAN_BUDGET):
         raise InvalidParameterError(f"need 0 <= K <= N, got K={K}, N={N}")
     if K <= 1:
         return 0, tuple(range(K))
-    total = math.comb(N, K)
+    total = scan_subset_count(N, K, budget)
     if total > budget:
+        relation = "=" if min(K, N - K) <= _COUNT_CAP else ">="
         raise BudgetExceededError(
-            f"C({N},{K}) = {total} subsets exceeds the budget of {budget}"
+            f"C({N},{K}) {relation} {total} subsets exceeds the budget of {budget}"
         )
     A = g.adjacency_matrix().astype(np.int64)
     best, best_set = -1, None

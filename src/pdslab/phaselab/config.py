@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, fields
 
-from ..detectors import DEFAULT_SCAN_BUDGET
+from ..detectors import DEFAULT_SCAN_BUDGET, scan_subset_count
 from ..errors import ConfigError
 from ..graphmodels import _MAX_VERTEX_COUNT, PdsParams
 
@@ -35,14 +35,13 @@ def _is_number_array(x) -> bool:
     return isinstance(x, list) and all(map(_is_number, x))
 
 
-# (key, check, what the check wants) for every typed key
-_TYPED_KEYS = (
-    *((key, _is_int, "a JSON integer") for key in ("N", "trials", "master_seed", "restarts", "workers")),
-    ("alpha_grid", _is_number_array, "a JSON array of numbers"),
-    ("beta_grid", _is_number_array, "a JSON array of numbers"),
-    ("c", _is_number, "a JSON number"),
-    *((key, lambda x: isinstance(x, str), "a JSON string") for key in ("test", "scan_mode", "output_path")),
-)
+# a SweepConfig field's annotation -> (its JSON check, what the check wants)
+_JSON_TYPES = {
+    "int": (_is_int, "a JSON integer"),
+    "float": (_is_number, "a JSON number"),
+    "str": (lambda x: isinstance(x, str), "a JSON string"),
+    "tuple": (_is_number_array, "a JSON array of numbers"),
+}
 
 
 @dataclass(frozen=True)
@@ -90,10 +89,7 @@ class SweepConfig:
         params = [self.point_params(a, b) for a, b in self.points]  # fail loudly, never clip
         if self.test != "lin" and self.scan_mode == "exact":
             for (alpha, beta), point in zip(self.points, params):
-                # C(N, K) = C(N, m) with m = min(K, N - K) grows with m and
-                # tops C(61, 30) > 10^17 past m = 30, so the cap keeps the
-                # integer small and the verdict unchanged
-                if math.comb(self.N, min(point.K, self.N - point.K, 30)) > DEFAULT_SCAN_BUDGET:
+                if scan_subset_count(self.N, point.K, DEFAULT_SCAN_BUDGET) > DEFAULT_SCAN_BUDGET:
                     raise ConfigError(
                         f"grid point alpha={alpha}, beta={beta} gives C(N, K) = "
                         f"C({self.N}, {point.K}) > {DEFAULT_SCAN_BUDGET}, the exact scan's "
@@ -133,7 +129,8 @@ def load_config(path) -> SweepConfig:
     unknown = sorted(set(raw) - {f.name for f in fields(SweepConfig)})
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    for key, ok, kind in _TYPED_KEYS:
-        if key in raw and not ok(raw[key]):
-            raise ConfigError(f"{key} must be {kind}, got {json.dumps(raw[key])}")
+    for f in fields(SweepConfig):
+        ok, kind = _JSON_TYPES[f.type]
+        if f.name in raw and not ok(raw[f.name]):
+            raise ConfigError(f"{f.name} must be {kind}, got {json.dumps(raw[f.name])}")
     return SweepConfig(**raw)

@@ -10,6 +10,9 @@ PMFs are dense float vectors over {0, ..., n}.  Supports in this package
 are at most a few thousand long, so simplicity beats memory.  Binomial and
 hypergeometric weights are computed in log-space (log-gamma) and
 exponentiated, with compensated summation for the final normalization.
+``scipy.special`` supplies the log-gamma ufuncs; ``binom_pmf`` and
+``_log_comb`` import it on their first call, so a process that builds no
+such PMF never loads scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 from .errors import (
     AbsoluteContinuityError,
@@ -158,6 +160,8 @@ def binom_pmf(n: int, p: float) -> Pmf:
         raise InvalidParameterError(f"binomial needs n >= 0, got {n}")
     if not (0.0 <= p <= 1.0):
         raise InvalidProbabilityError(f"success probability {p!r} outside [0, 1]")
+    from scipy.special import gammaln, xlog1py, xlogy
+
     m = np.arange(n + 1)
     log_coeff = gammaln(n + 1) - gammaln(m + 1) - gammaln(n - m + 1)
     logpmf = log_coeff + xlogy(m, p) + xlog1py(n - m, -p)
@@ -189,6 +193,8 @@ def hyper_pmf(pop: int, successes: int, draws: int) -> Pmf:
 
 
 def _log_comb(n, k):
+    from scipy.special import gammaln
+
     return gammaln(n + 1) - gammaln(k + 1) - gammaln(np.asarray(n) - k + 1)
 
 

@@ -20,6 +20,7 @@ from pdslab.detectors import (
     recovery_detector,
     recovery_threshold,
     scan_statistic,
+    scan_subset_count,
     t_lin,
     t_scan_exact,
     t_scan_heuristic,
@@ -93,6 +94,28 @@ class TestScanExact:
         assert t_scan_exact(g, 5, budget=total) == recursive_scan_max(g, 5)
         with pytest.raises(BudgetExceededError):
             t_scan_exact(g, 5, budget=total - 1)
+
+    def test_budget_checked_before_the_matrix(self, monkeypatch):
+        # past min(K, N - K) = 30 the check uses the capped count C(N, 30):
+        # no N x N matrix and no C(10^6, 5 * 10^5) of 300,000 digits
+        def no_matrix(self):
+            raise AssertionError("adjacency_matrix reached")
+
+        monkeypatch.setattr(Graph, "adjacency_matrix", no_matrix)
+        g = Graph(10**6, [])
+        with pytest.raises(BudgetExceededError, match=r"^C\(1000000,500000\) >= \d+ subsets exceeds"):
+            t_scan_exact(g, 500_000)
+        with pytest.raises(BudgetExceededError, match=r"^C\(30,10\) = 30045015 subsets exceeds "
+                                                      r"the budget of 100000$"):
+            t_scan_exact(Graph(30, []), 10, budget=100_000)
+
+    def test_scan_subset_count(self):
+        # exact up to the budget, and past min(K, N - K) = 30 only where the
+        # capped count C(N, 30) fits within the budget
+        assert scan_subset_count(40, 6, 10) == math.comb(40, 6)
+        assert scan_subset_count(40, 34, 10) == math.comb(40, 6)
+        assert scan_subset_count(62, 31, 10**7) == math.comb(62, 30)
+        assert scan_subset_count(62, 31, 10**18) == math.comb(62, 31)
 
     def test_matches_recursive_enumerator(self):
         # independent oracle at every K <= min(N, 8), N <= 16: random

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -125,6 +126,18 @@ class TestConfig:
         path, _ = small_config(tmp_path, test="scan", N=3037000499, alpha_grid=[2.0],
                                beta_grid=[0.5])
         with pytest.raises(ConfigError, match=r"C\(3037000499, 55109\)"):
+            load_config(path)
+
+    def test_every_field_is_type_checked(self, tmp_path):
+        # each field's check comes from its annotation, so a JSON object,
+        # which no field takes, fails at load under the field's own name
+        for f in dataclasses.fields(SweepConfig):
+            path, _ = small_config(tmp_path, **{f.name: {}})
+            with pytest.raises(ConfigError, match=rf"^{f.name} must be a JSON "):
+                load_config(path)
+        # several bad keys: the first in field order is reported
+        path, _ = small_config(tmp_path, c="2", N="60")
+        with pytest.raises(ConfigError, match=r"^N must be a JSON integer, got \"60\"$"):
             load_config(path)
 
     def test_bad_enum(self, tmp_path):
@@ -363,6 +376,50 @@ class TestCli:
         assert proc.returncode == 0
         assert proc.stderr == ""
 
+    def test_scipy_loads_only_for_reduce_and_verify(self, tmp_path):
+        # one fresh interpreter: importing the CLI and running generate,
+        # test and a heuristic sweep leave scipy.special unloaded; the
+        # first reduce loads it for the binomial PMFs
+        config, _ = small_config(tmp_path, N=30, trials=2, test="combined", scan_mode="heuristic",
+                                 alpha_grid=[0.5], beta_grid=[0.5])
+        script = """
+import io, json, sys
+from contextlib import redirect_stdout
+from pdslab.phaselab.cli import main
+
+def run(*argv):
+    with redirect_stdout(io.StringIO()):
+        return main(list(argv))
+
+tmp, config = sys.argv[1:]
+seen = {"import": "scipy.special" in sys.modules}
+seen["codes"] = [
+    run("generate", "er", "--n", "40", "--q", "0.2", "--seed", "1", "--out", tmp + "/er.txt"),
+    run("test", tmp + "/er.txt", "--test", "combined", "--K", "5", "--p", "0.6", "--q", "0.2",
+        "--scan-mode", "heuristic"),
+    run("sweep", config),
+    run("generate", "pc", "--n", "4", "--k", "2", "--gamma", "0.5", "--seed", "3",
+        "--out", tmp + "/pc.txt"),
+]
+seen["commands"] = "scipy.special" in sys.modules
+seen["reduce"] = run("reduce", tmp + "/pc.txt", "--k", "2", "--gamma", "0.5", "--ell", "2",
+                     "--q", "0.01", "--seed", "11", "--out", tmp + "/red.txt")
+seen["after_reduce"] = "scipy.special" in sys.modules
+print(json.dumps(seen))
+"""
+        src = os.path.dirname(os.path.dirname(pdslab.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path), config],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "import": False, "codes": [0, 0, 0, 0], "commands": False,
+            "reduce": 0, "after_reduce": True,
+        }
+        assert (tmp_path / "sweep.csv").exists() and (tmp_path / "red.txt").exists()
+
     def test_verify_writes_report(self, tmp_path):
         report = tmp_path / "report.jsonl"
         code, out = run_cli("verify", "kernel", "--out", str(report))
@@ -521,6 +578,18 @@ class TestExitCodes:
         assert run_cli("generate", "pc", "--n", "10", "--k", "3", "--seed", "1",
                        "--out", str(tmp_path / "x"))[0] == 2
         assert capsys.readouterr().err == "error: model 'pc' needs --gamma\n"
+
+    def test_exact_scan_budget_on_a_huge_graph(self, tmp_path, capsys):
+        # C(10^6, 5 * 10^5) is never built: a clean exit 4, not a traceback
+        # after seconds of big-integer arithmetic
+        from pdslab.graphmodels import Graph, write_edge_list
+
+        path = str(tmp_path / "empty.txt")
+        write_edge_list(Graph(10**6, []), path)
+        assert run_cli("test", path, "--test", "scan", "--K", "500000", "--p", "0.5",
+                       "--q", "0.1") == (4, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: C(1000000,500000) >= ") and len(err) < 400
 
     def test_sweep_workers_override_is_checked(self, tmp_path):
         path, _ = small_config(tmp_path)
