@@ -465,6 +465,20 @@ class TestFrozenOutputs:
         assert _digest((tmp_path / "sweep.csv").read_bytes()) == csv_digest
         assert _digest((tmp_path / "sweep.svg").read_bytes()) == svg_digest
 
+    # `verify` stdout per battery; a change here moves a checked float
+    VERIFY_DIGESTS = {
+        "lemmas": "553b5865581e01e77e8b69b113ae891f",
+        "reduction-exact": "f8ed395314776dbe39255326d1c6ebc7",
+    }
+
+    @pytest.mark.parametrize("battery", sorted(VERIFY_DIGESTS))
+    def test_verify_outputs(self, tmp_path, battery):
+        report = tmp_path / "report.jsonl"
+        code, out = run_cli("verify", battery, "--out", str(report))
+        assert code == 0
+        assert _digest(out.encode("utf-8")) == self.VERIFY_DIGESTS[battery]
+        assert report.read_bytes() == out.encode("utf-8")
+
     # (argv after the model, edge-list digest, sidecar digest) per model;
     # the er row also gives a flag its model does not need, which the
     # sidecar's params record
