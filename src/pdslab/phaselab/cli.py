@@ -179,10 +179,12 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     reports = [r for battery in _BATTERIES[args.battery] for r in battery()]
     text = "\n".join(r.to_json_line() for r in reports) + "\n"
-    sys.stdout.write(text)
+    # the file first: a path that cannot be opened fails before any report
+    # reaches stdout
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    sys.stdout.write(text)
     return EXIT_OK if all(r.satisfied for r in reports) else EXIT_CHECK_FAILURE
 
 

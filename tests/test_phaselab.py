@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import pdslab
-from pdslab.errors import ConfigError, EdgeListParseError, PdsLabError
+from pdslab.errors import ConfigError, EdgeListParseError, PdsLabError, TooLargeError
+from pdslab.phaselab import cli
 from pdslab.phaselab.cli import main
 from pdslab.phaselab.config import SweepConfig, load_config
 from pdslab.phaselab.sweep import CSV_HEADER, rows_to_csv, run_sweep, write_outputs
@@ -426,6 +427,22 @@ print(json.dumps(seen))
         assert code == 0
         assert report.read_text(encoding="utf-8") == out
 
+    def test_verify_out_that_cannot_open_prints_no_report(self, tmp_path, capsys):
+        code, out = run_cli("verify", "kernel", "--out", str(tmp_path / "missing" / "report.jsonl"))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_verify_battery_that_raises_keeps_the_old_report(self, tmp_path, monkeypatch):
+        report = tmp_path / "report.jsonl"
+        report.write_text("earlier run\n", encoding="utf-8")
+
+        def raises():
+            raise TooLargeError("enumeration past the cap")
+
+        monkeypatch.setitem(cli._BATTERIES, "kernel", (raises,))
+        assert run_cli("verify", "kernel", "--out", str(report)) == (4, "")
+        assert report.read_text(encoding="utf-8") == "earlier run\n"
+
 
 def _digest(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=16).hexdigest()
@@ -564,8 +581,6 @@ class TestExitCodes:
     }
 
     def test_error_table(self, monkeypatch, capsys):
-        import pdslab.phaselab.cli as cli
-
         assert {cls.__name__ for cls in _concrete_errors()} == set(self.ERROR_EXITS)
         for cls in _concrete_errors():
             exc = cls("boom", 7) if cls is EdgeListParseError else cls("boom")
