@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -210,6 +211,17 @@ class TestNegativeAssociation:
                 want = count_cube_negative_association(k, s)
                 assert (got.lhs, got.params) == (want.lhs, want.params), (k, s)
 
+    def test_largest_case_memory(self):
+        # the 729 x 729 x 9 pair x cell cube alone would take 38 MB in int16
+        # counts and 38 MB per float64 function table
+        tracemalloc.start()
+        try:
+            check_negative_association(3, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 60e6
+
 
 class TestHyperMgf:
     def test_lambda_zero(self):
@@ -323,6 +335,20 @@ class TestOraclePin:
             got = _reduced_law(params, has_edge, bipartite)
             want = per_mask_reduced_law(params, has_edge, bipartite)
             assert got.tobytes() == want.tobytes(), (n, ell, bipartite, label, q, gamma)
+
+    def test_block_memo_lives_for_one_call(self):
+        # the block tensors are kept per call: the battery leaves the
+        # module's globals as they were, and one ReductionParams taken with
+        # two inputs gives each its own law, which needs the route in the key
+        before = {name: id(value) for name, value in vars(theorychecks).items()}
+        battery_reduction_exact()
+        assert {name: id(value) for name, value in vars(theorychecks).items()} == before
+        params = ReductionParams(n=2, k=2, gamma=0.5, ell=2, q=0.01)
+        for label in ("all", "alternate"):
+            has_edge = _has_edge(2, True, label)
+            got = _reduced_law(params, has_edge, True)
+            want = per_mask_reduced_law(params, has_edge, True)
+            assert got.tobytes() == want.tobytes(), label
 
     def test_caps_admit_fewer_than_32_slots(self, monkeypatch):
         # the assignment enumeration starts once the caps have passed
