@@ -212,8 +212,8 @@ class TestNegativeAssociation:
                 assert (got.lhs, got.params) == (want.lhs, want.params), (k, s)
 
     def test_largest_case_memory(self):
-        # the 729 x 729 x 9 pair x cell cube alone would take 38 MB in int16
-        # counts and 38 MB per float64 function table
+        # one float64 pair x cell table at (3, 6) is 38 MB; the count-cube
+        # evaluation peaked near 90 MB
         tracemalloc.start()
         try:
             check_negative_association(3, 6)
