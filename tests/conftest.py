@@ -10,7 +10,9 @@ for the sparse heuristic scan's swaps and tie rules, and the per-line
 edge-list reader is the reference for every file the array parse reads.
 The per-mask reduced law is the reference for the exact reduction oracles'
 floats, the per-mask planted law for the exact planted laws', and the
-count-cube negative-association check for the battery's.
+count-cube negative-association check for the battery's.  The float
+pair-index inversion the samplers used first is the reference for the
+closed-form one at every vertex count where it was exact.
 """
 
 from __future__ import annotations
@@ -128,6 +130,23 @@ def per_block_reduce_edges(g, params, seed) -> list:
                 else:
                     edges.append((vs[k // len(vt)], vt[k % len(vt)]))
     return edges
+
+
+def float_pairs_from_flat(n: int, t: np.ndarray) -> np.ndarray:
+    """Invert lexicographic pair enumeration: flat index -> (i, j), i < j."""
+    t = np.asarray(t, dtype=np.int64)
+    tf = t.astype(np.float64)
+    i = np.floor((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8 * tf)) / 2).astype(np.int64)
+    # float round-off can be off by one either way near block boundaries
+    for _ in range(2):
+        off = i * (2 * n - i - 1) // 2
+        i = np.where(off > t, i - 1, i)
+        off = i * (2 * n - i - 1) // 2
+        too_low = (i + 1) * (2 * n - i - 2) // 2 <= t
+        i = np.where(too_low & (i + 1 < n), i + 1, i)
+    off = i * (2 * n - i - 1) // 2
+    j = t - off + i + 1
+    return np.column_stack([i, j])
 
 
 def dense_scan_heuristic(g: Graph, K: int, restarts: int, seed):

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import line_by_line_read_edge_list
+from conftest import float_pairs_from_flat, line_by_line_read_edge_list
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -176,6 +176,81 @@ class TestBipartite:
         assert len(top) == len(bottom) == 5
         assert inst.graph.num_edges == 25
         assert all(inst.graph.has_edge(u, v) for u in top for v in bottom)
+
+
+def _probe_indices(n: int, count: int = 2000, seed: int = 0) -> np.ndarray:
+    """Tail, row-boundary and random flat pair indices at vertex count n,
+    built without an array of length n."""
+    total = n * (n - 1) // 2
+    rng = np.random.default_rng(seed)
+    ends = np.arange(min(n - 1, count))
+    rows = np.unique(np.concatenate([ends, n - 2 - ends, rng.integers(0, n - 1, count)])).tolist()
+    starts = np.array([i * (2 * n - i - 1) // 2 for i in rows], dtype=np.int64)
+    t = np.concatenate([starts - 1, starts, starts + 1, total - 1 - ends, rng.integers(0, total, count)])
+    return np.unique(t[(t >= 0) & (t < total)])
+
+
+class TestPairIndex:
+    def test_matches_float_inversion(self):
+        # every index at every n <= 299, and probes at n where the float
+        # inversion is exact
+        for n in range(2, 300):
+            t = np.arange(n * (n - 1) // 2)
+            assert np.array_equal(graphmodels._pairs_from_flat(n, t), float_pairs_from_flat(n, t))
+        for n in (10**3, 4471, 10**5, 10**6, 10**7):
+            t = _probe_indices(n)
+            assert np.array_equal(graphmodels._pairs_from_flat(n, t), float_pairs_from_flat(n, t))
+
+
+class TestFrozenSamples:
+    """Every generator's graph fingerprint and planted-set digest at N = 200,
+    with q on both sides of the 0.1 switch between per-pair draws and the
+    geometric skip walk, at random and fixed size, p = q, K = N, and a
+    random-size draw whose planted set is empty (Seed(4), Seed(9))."""
+
+    S = Seed(16)
+    P = PdsParams
+    SAMPLES = {
+        "er-sparse": (gen_er, (200, 0.05, S), "b1f3d9725ac84ef7", "536fd5a56c585c00"),
+        "er-dense": (gen_er, (200, 0.3, S), "366b39f99bf8375c", "536fd5a56c585c00"),
+        "pds-sparse": (gen_pds_random_size, (P(200, 20, 0.12, 0.05), S), "b90f669b7d7e5d90", "15313c356b202859"),
+        "pds-sparse-dense-extras": (gen_pds_random_size, (P(200, 20, 0.5, 0.05), S), "4715f266c6c6a890", "15313c356b202859"),
+        "pds-dense": (gen_pds_random_size, (P(200, 20, 0.8, 0.3), S), "66347658cb08740d", "15313c356b202859"),
+        "pds-p-eq-q": (gen_pds_random_size, (P(200, 20, 0.05, 0.05), S), "b1f3d9725ac84ef7", "15313c356b202859"),
+        "pds-k-eq-n": (gen_pds_random_size, (P(200, 200, 0.5, 0.3), S), "a7de39ef13bd3c37", "60eb1827728842bd"),
+        "pds-empty-plant": (gen_pds_random_size, (P(200, 1, 0.9, 0.05), Seed(4)), "826f49e038e52ca6", "9791547bf874064f"),
+        "pds-fixed-sparse": (gen_pds_fixed_size, (P(200, 20, 0.12, 0.05), S), "176151d14b4146e1", "6aa167784ba97f36"),
+        "pds-fixed-sparse-dense-extras": (gen_pds_fixed_size, (P(200, 20, 0.5, 0.05), S), "bf239033fa70be40", "6aa167784ba97f36"),
+        "pds-fixed-dense": (gen_pds_fixed_size, (P(200, 20, 0.8, 0.3), S), "e91169041fa72a74", "6aa167784ba97f36"),
+        "pds-fixed-p-eq-q": (gen_pds_fixed_size, (P(200, 20, 0.05, 0.05), S), "b1f3d9725ac84ef7", "6aa167784ba97f36"),
+        "pds-fixed-k-eq-n": (gen_pds_fixed_size, (P(200, 200, 0.5, 0.3), S), "a7de39ef13bd3c37", "60eb1827728842bd"),
+        "pc-sparse": (gen_planted_clique, (200, 15, 0.05, S), "bec5320107b2552b", "a5bd68609343e48c"),
+        "pc-dense": (gen_planted_clique, (200, 15, 0.3, S), "ffd94a2a8e4193c3", "a5bd68609343e48c"),
+        "pc-gamma-0": (gen_planted_clique, (200, 15, 0.0, S), "2be853644530fd0b", "a5bd68609343e48c"),
+        "pc-k-eq-n": (gen_planted_clique, (200, 200, 0.3, S), "7fe4ffe6277fc3ce", "60eb1827728842bd"),
+        "ber-sparse": (gen_bipartite_er, (200, 0.05, S), "f9887228de56d29b", "536fd5a56c585c00"),
+        "ber-dense": (gen_bipartite_er, (200, 0.3, S), "ca62f66a6738db75", "536fd5a56c585c00"),
+        "bpds-sparse": (gen_bipartite_pds, (P(200, 20, 0.12, 0.05), S), "ad16917675f5ea74", "342fe1a159b76963"),
+        "bpds-dense": (gen_bipartite_pds, (P(200, 20, 0.8, 0.3), S), "00142c8631737fcf", "342fe1a159b76963"),
+        "bpds-p-eq-q": (gen_bipartite_pds, (P(200, 20, 0.05, 0.05), S), "f9887228de56d29b", "342fe1a159b76963"),
+        "bpds-k-eq-n": (gen_bipartite_pds, (P(200, 200, 0.5, 0.3), S), "5660f88a3ef7295f", "ab79a19e66ff9a93"),
+        "bpds-empty-plant": (gen_bipartite_pds, (P(200, 1, 0.9, 0.05), Seed(9)), "4800c875d1ad1cb0", "bc4e96cf581d764e"),
+        "bpds-fixed-sparse": (gen_bipartite_pds, (P(200, 20, 0.12, 0.05), S, True), "081640f402b8b03e", "62d55ee18b0466cf"),
+        "bpds-fixed-dense": (gen_bipartite_pds, (P(200, 20, 0.8, 0.3), S, True), "dc85bc2e149a1514", "62d55ee18b0466cf"),
+        "bpds-fixed-p-eq-q": (gen_bipartite_pds, (P(200, 20, 0.05, 0.05), S, True), "f9887228de56d29b", "62d55ee18b0466cf"),
+        "bpds-fixed-k-eq-n": (gen_bipartite_pds, (P(200, 200, 0.5, 0.3), S, True), "5660f88a3ef7295f", "ab79a19e66ff9a93"),
+        "bpc-sparse": (gen_bipartite_pc, (200, 15, 0.05, S), "da92a0f78c46d305", "0eb0ab16f5c78926"),
+        "bpc-dense": (gen_bipartite_pc, (200, 15, 0.3, S), "871ec6234c79664a", "0eb0ab16f5c78926"),
+        "bpc-k-eq-n": (gen_bipartite_pc, (200, 200, 0.3, S), "d0db1929b3bbe840", "ab79a19e66ff9a93"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SAMPLES))
+    def test_sample_frozen(self, case):
+        generate, args, fingerprint, planted_digest = self.SAMPLES[case]
+        out = generate(*args)
+        graph, planted = (out, None) if isinstance(out, (Graph, BipartiteGraph)) else (out.graph, out.planted)
+        digest = hashlib.blake2b(repr(planted).encode(), digest_size=8).hexdigest()
+        assert (f"{graph.fingerprint():016x}", digest) == (fingerprint, planted_digest)
 
 
 class TestSubgraphEdgeCount:
