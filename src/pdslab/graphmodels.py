@@ -4,15 +4,19 @@ Graphs are immutable after construction.  Graph and BipartiteGraph share one
 implementation whose one edge form is the sorted int64 flat key u*width + v:
 construction validates, sorts and checks duplicates on keys, lookups
 binary-search them, and the public (M, 2) ``edges`` rows are derived from
-them.  Samplers merge their parts on keys, and the edge-list reader finds
+them.  The sampler merges its parts on keys, and the edge-list reader finds
 duplicates on them.  Instances are safe to share read-only across parallel
 Monte Carlo trials; generation itself is single-threaded per instance.
 
-Samplers take a :class:`~pdslab.randkit.Seed` and split it into a
-*membership* stream (which vertices are planted) and an *edge* stream, so a
-planted set can be held fixed while edges are resampled.  Edge sampling is
-exact under both code paths: per-pair Bernoulli for dense graphs, geometric
-skip-sampling over the flat pair index space for sparse ones (q < 0.1).
+All seven generators are one planted sampler.  G(N, q) is the planted
+model with nothing planted, and the planted clique is the planted model
+with p = 1.  The sampler takes a :class:`~pdslab.randkit.Seed` and splits it
+into a *membership* stream (which vertices are planted) and an *edge*
+stream, so a planted set can be held fixed while edges are resampled.
+Edge sampling is exact for every q: per-pair Bernoulli for dense graphs,
+geometric skip-sampling over the flat pair index space for sparse ones
+(q < 0.1).  The inversion from flat index to pair is exact for every
+vertex count up to the limit.
 """
 
 from __future__ import annotations
@@ -229,27 +233,28 @@ def _pair_count(n: int) -> int:
 
 
 def _pairs_from_flat(n: int, t: np.ndarray) -> np.ndarray:
-    """Invert lexicographic pair enumeration: flat index -> (i, j), i < j."""
-    t = np.asarray(t, dtype=np.int64)
-    tf = t.astype(np.float64)
-    i = np.floor((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8 * tf)) / 2).astype(np.int64)
-    # float round-off can be off by one either way near block boundaries
-    for _ in range(2):
-        off = i * (2 * n - i - 1) // 2
-        i = np.where(off > t, i - 1, i)
-        off = i * (2 * n - i - 1) // 2
-        too_low = (i + 1) * (2 * n - i - 2) // 2 <= t
-        i = np.where(too_low & (i + 1 < n), i + 1, i)
-    off = i * (2 * n - i - 1) // 2
-    j = t - off + i + 1
-    return np.column_stack([i, j])
+    """Invert lexicographic pair enumeration: flat index -> (i, j), i < j.
+
+    Counted from the last pair, k = C(n, 2) - 1 - t lies in row n - 2 - r for
+    the largest r with r(r + 1)/2 <= k.  The float root is off by at most
+    one, and every product here fits int64 up to the vertex limit.
+    """
+    k = _pair_count(n) - 1 - np.asarray(t, dtype=np.int64)
+    r = ((np.sqrt(8.0 * k + 1.0) - 1.0) // 2).astype(np.int64)
+    r += (r + 1) * (r + 2) // 2 <= k
+    r -= r * (r + 1) // 2 > k
+    return np.column_stack([n - 2 - r, n - 1 - k + r * (r + 1) // 2])
 
 
 def _bernoulli_flat(total: int, prob: float, rng: np.random.Generator) -> np.ndarray:
     """Indices of successes among `total` independent Bernoulli(prob) slots.
 
     Dense path draws one uniform per slot (chunked); sparse path walks the
-    index space with exact geometric gaps.  Both sample the same law.
+    index space with exact geometric gaps.  Both sample the same law.  A gap
+    past the end ends the walk, so each is capped at total + 1: however small
+    prob is, the sums up to the first step past the end stay within
+    2 * total, which int64 holds for every total below 2**62 (every
+    unipartite pair count up to the vertex limit).
     """
     if total == 0 or prob == 0.0:
         return np.empty(0, dtype=np.int64)
@@ -268,13 +273,13 @@ def _bernoulli_flat(total: int, prob: float, rng: np.random.Generator) -> np.nda
     while True:
         remaining = total - pos - 1
         batch = max(64, int(1.25 * remaining * prob) + 16)
-        gaps = rng.geometric(prob, size=batch).astype(np.int64)
-        steps = np.cumsum(gaps) + pos
-        out.append(steps[steps < total])
-        if steps[-1] >= total:
-            break
+        steps = np.cumsum(np.minimum(rng.geometric(prob, size=batch), total + 1)) + pos
+        past = steps >= total
+        if past.any():
+            out.append(steps[: past.argmax()])
+            return np.concatenate(out)
+        out.append(steps)
         pos = int(steps[-1])
-    return np.concatenate(out)
 
 
 def _pairs_within(members: np.ndarray, r: float, rng) -> np.ndarray:
@@ -293,105 +298,92 @@ def _pairs_between(top: np.ndarray, bottom: np.ndarray, r: float, rng) -> np.nda
     return np.column_stack([top[flat // bottom.size], bottom[flat % bottom.size]])
 
 
-def _union_edges(width: int, *parts: np.ndarray) -> np.ndarray:
-    """Sorted union of canonical edge rows, merged on their flat keys."""
-    keys = np.sort(np.concatenate([p[:, 0] * width + p[:, 1] for p in parts]), kind="stable")
-    # the first key, then every key that differs from its predecessor
-    keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
-    return np.column_stack(np.divmod(keys, width))
+# ---------------------------------------------------------------------------
+# generators: one planted sampler, seven public laws
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# unipartite generators
-# ---------------------------------------------------------------------------
+def _plant(N: int, K: int, p: float, q: float, seed, sides: int, fixed_size: bool = True):
+    """The planted model on one vertex set (a Graph) or on two (a BipartiteGraph).
+
+    Each side's planted set comes from the membership stream: a uniform
+    K-subset, or each vertex with probability K/N.  K = 0 plants nothing and
+    draws nothing there.  The union of a rate-q background and
+    rate-(p-q)/(1-q) extras inside the planted set(s) is exactly Bernoulli(p)
+    within and Bernoulli(q) elsewhere.  Extras at rate 0 (p = q) or inside
+    an empty set draw nothing from the edge stream, and the background alone
+    is already sorted, so G(N, q) costs no more than its own pairs.
+    """
+    if N < 1:
+        raise InvalidParameterError("need N >= 1")
+    _check_prob(q, "q")
+    s = as_seed(seed)
+    plants = [np.empty(0, dtype=np.int64)] * sides
+    if K:
+        mrng = s.child(_MEMBERSHIP_STREAM).rng()
+        if fixed_size:
+            plants = [np.sort(mrng.permutation(N)[:K]) for _ in plants]
+        else:
+            plants = [np.flatnonzero(mrng.random(N) < K / N) for _ in plants]
+    rng = s.child(_EDGE_STREAM).rng()
+    pairs = _pairs_within if sides == 1 else _pairs_between
+    edges = pairs(*[np.arange(N)] * sides, q, rng)
+    extras = pairs(*plants, 0.0 if p == q else (p - q) / (1.0 - q), rng)
+    if extras.size:
+        keys = np.sort(np.concatenate([e[:, 0] * N + e[:, 1] for e in (edges, extras)]), kind="stable")
+        # the first key, then every key that differs from its predecessor
+        keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
+        edges = np.column_stack(np.divmod(keys, N))
+    graph = (Graph if sides == 1 else BipartiteGraph)(*[N] * sides, edges)
+    planted = tuple(tuple(m.tolist()) for m in plants)
+    return PlantedInstance(graph, planted if sides == 2 else planted[0])
+
+
+def _check_clique(n: int, k: int, gamma: float) -> None:
+    if not (1 <= k <= n):
+        raise InvalidParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
+    _check_prob(gamma, "gamma")
 
 
 def gen_er(N: int, q: float, seed) -> Graph:
     """Erdos-Renyi G(N, q): every pair present independently with prob q."""
-    if N < 1:
-        raise InvalidParameterError("need N >= 1")
-    _check_prob(q, "q")
-    rng = as_seed(seed).child(_EDGE_STREAM).rng()
-    return Graph(N, _pairs_within(np.arange(N), q, rng))
-
-
-def _plant_and_sample(params: PdsParams, members: np.ndarray, s) -> PlantedInstance:
-    # union of a rate-q background and rate-(p-q)/(1-q) extras inside the
-    # sorted planted set gives exactly Bernoulli(p) within and Bernoulli(q) outside
-    N, p, q = params.N, params.p, params.q
-    edge_rng = s.child(_EDGE_STREAM).rng()
-    base = _pairs_within(np.arange(N), q, edge_rng)
-    r = 0.0 if p == q else (p - q) / (1.0 - q)
-    extra = _pairs_within(members, r, edge_rng)
-    return PlantedInstance(Graph(N, _union_edges(N, base, extra)), tuple(members.tolist()))
+    return _plant(N, 0, q, q, seed, 1).graph
 
 
 def gen_pds_random_size(params: PdsParams, seed) -> PlantedInstance:
     """Planted dense subgraph with Bernoulli(K/N) membership per vertex."""
-    s = as_seed(seed)
-    mrng = s.child(_MEMBERSHIP_STREAM).rng()
-    return _plant_and_sample(params, np.nonzero(mrng.random(params.N) < params.K / params.N)[0], s)
+    return _plant(params.N, params.K, params.p, params.q, seed, 1, fixed_size=False)
 
 
 def gen_pds_fixed_size(params: PdsParams, seed) -> PlantedInstance:
     """Planted dense subgraph on a uniform size-K vertex subset."""
-    s = as_seed(seed)
-    mrng = s.child(_MEMBERSHIP_STREAM).rng()
-    return _plant_and_sample(params, np.sort(mrng.permutation(params.N)[: params.K]), s)
+    return _plant(params.N, params.K, params.p, params.q, seed, 1)
 
 
 def gen_planted_clique(n: int, k: int, gamma: float, seed) -> PlantedInstance:
-    """G(n, gamma) with a clique forced onto a uniform k-subset."""
-    if not (1 <= k <= n):
-        raise InvalidParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
-    _check_prob(gamma, "gamma")
-    # the fixed-size planted dense subgraph with p = 1: its extras come at
-    # rate exactly 1, which draws nothing from the edge stream
-    return gen_pds_fixed_size(PdsParams(n, k, 1.0, gamma), seed)
-
-
-# ---------------------------------------------------------------------------
-# bipartite generators
-# ---------------------------------------------------------------------------
+    """G(n, gamma) with a clique forced onto a uniform k-subset: the
+    fixed-size planted dense subgraph with p = 1, whose extras come at rate
+    exactly 1 and draw nothing from the edge stream."""
+    _check_clique(n, k, gamma)
+    return _plant(n, k, 1.0, gamma, seed, 1)
 
 
 def gen_bipartite_er(N: int, q: float, seed) -> BipartiteGraph:
     """Bipartite Erdos-Renyi with N top and N bottom vertices."""
-    if N < 1:
-        raise InvalidParameterError("need N >= 1")
-    _check_prob(q, "q")
-    rng = as_seed(seed).child(_EDGE_STREAM).rng()
-    return BipartiteGraph(N, N, _pairs_between(np.arange(N), np.arange(N), q, rng))
+    return _plant(N, 0, q, q, seed, 2).graph
 
 
 def gen_bipartite_pds(params: PdsParams, seed, fixed_size: bool = False) -> PlantedInstance:
     """Bipartite planted dense subgraph; the two sides are sampled
     independently (Bernoulli(K/N) per vertex, or uniform K-subsets)."""
-    s = as_seed(seed)
-    mrng = s.child(_MEMBERSHIP_STREAM).rng()
-    if fixed_size:
-        top = np.sort(mrng.permutation(params.N)[: params.K])
-        bottom = np.sort(mrng.permutation(params.N)[: params.K])
-    else:
-        top = np.nonzero(mrng.random(params.N) < params.K / params.N)[0]
-        bottom = np.nonzero(mrng.random(params.N) < params.K / params.N)[0]
-    erng = s.child(_EDGE_STREAM).rng()
-    everyone = np.arange(params.N)
-    base = _pairs_between(everyone, everyone, params.q, erng)
-    r = 0.0 if params.p == params.q else (params.p - params.q) / (1.0 - params.q)
-    extra = _pairs_between(top, bottom, r, erng)
-    g = BipartiteGraph(params.N, params.N, _union_edges(params.N, base, extra))
-    return PlantedInstance(graph=g, planted=(tuple(top.tolist()), tuple(bottom.tolist())))
+    return _plant(params.N, params.K, params.p, params.q, seed, 2, fixed_size)
 
 
 def gen_bipartite_pc(n: int, k: int, gamma: float, seed) -> PlantedInstance:
-    """Bipartite G(n, gamma) with a forced k x k bi-clique."""
-    if not (1 <= k <= n):
-        raise InvalidParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
-    _check_prob(gamma, "gamma")
-    # the fixed-size bipartite planted dense subgraph with p = 1 (see
-    # gen_planted_clique)
-    return gen_bipartite_pds(PdsParams(n, k, 1.0, gamma), seed, fixed_size=True)
+    """Bipartite G(n, gamma) with a forced k x k bi-clique (see
+    gen_planted_clique)."""
+    _check_clique(n, k, gamma)
+    return _plant(n, k, 1.0, gamma, seed, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,17 @@ def _probe_indices(n: int, count: int = 2000, seed: int = 0) -> np.ndarray:
     return np.unique(t[(t >= 0) & (t < total)])
 
 
+def _exact_pair(n: int, t: int) -> tuple:
+    """(i, j) of flat pair index t, in Python integers from the first row:
+    row i starts at i(2n - i - 1)/2."""
+    i = (2 * n - 1 - math.isqrt((2 * n - 1) ** 2 - 8 * t)) // 2
+    while i * (2 * n - i - 1) // 2 > t:
+        i -= 1
+    while (i + 1) * (2 * n - i - 2) // 2 <= t:
+        i += 1
+    return i, t - i * (2 * n - i - 1) // 2 + i + 1
+
+
 class TestPairIndex:
     def test_matches_float_inversion(self):
         # every index at every n <= 299, and probes at n where the float
@@ -200,6 +211,18 @@ class TestPairIndex:
         for n in (10**3, 4471, 10**5, 10**6, 10**7):
             t = _probe_indices(n)
             assert np.array_equal(graphmodels._pairs_from_flat(n, t), float_pairs_from_flat(n, t))
+
+
+    def test_exact_up_to_the_vertex_limit(self):
+        # the float inversion's two fixed correction rounds fell short here:
+        # at n = 10**9 it mapped this index to (999999997, 999999993)
+        assert graphmodels._pairs_from_flat(10**9, [499_999_999_499_999_992]).tolist() == [
+            [999_999_995, 999_999_998]
+        ]
+        for n in (10**9, 3 * 10**9, graphmodels._MAX_VERTEX_COUNT):
+            t = _probe_indices(n)
+            expected = [_exact_pair(n, x) for x in t.tolist()]
+            assert graphmodels._pairs_from_flat(n, t).tolist() == [list(p) for p in expected]
 
 
 class TestFrozenSamples:

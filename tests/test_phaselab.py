@@ -421,6 +421,38 @@ print(json.dumps(seen))
         }
         assert (tmp_path / "sweep.csv").exists() and (tmp_path / "red.txt").exists()
 
+    def test_tiny_rates_sample_no_edges(self, tmp_path):
+        # at q = 1e-18 the geometric gaps once summed past 2**63 and wrapped
+        # to negative indices, and at 5e-324 the walk never ended: a child
+        # process with a timeout turns a hang into a failure
+        script = """
+import io, json, sys
+from contextlib import redirect_stdout
+from pdslab.phaselab.cli import main
+
+tmp = sys.argv[1]
+runs = []
+for q in (1e-18, 1e-300, 5e-324):
+    for model, flags in (("er", []), ("ber", []), ("pds", ["--k", "30", "--p", repr(2 * q)])):
+        for seed in range(1, 6):
+            out = f"{tmp}/{model}.txt"
+            argv = ["generate", model, "--n", "1000", "--q", repr(q), *flags, "--seed", str(seed), "--out", out]
+            with redirect_stdout(io.StringIO()):
+                code = main(argv)
+            with open(out, encoding="utf-8") as fh:
+                runs.append((model, code, fh.readline().split()[-1]))
+print(json.dumps(runs))
+"""
+        src = os.path.dirname(os.path.dirname(pdslab.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs = json.loads(proc.stdout)
+        assert len(runs) == 45 and {(code, edges) for _, code, edges in runs} == {(0, "0")}
+
     def test_verify_writes_report(self, tmp_path):
         report = tmp_path / "report.jsonl"
         code, out = run_cli("verify", "kernel", "--out", str(report))
