@@ -212,7 +212,6 @@ class TestPairIndex:
             t = _probe_indices(n)
             assert np.array_equal(graphmodels._pairs_from_flat(n, t), float_pairs_from_flat(n, t))
 
-
     def test_exact_up_to_the_vertex_limit(self):
         # the float inversion's two fixed correction rounds fell short here:
         # at n = 10**9 it mapped this index to (999999997, 999999993)
