@@ -7,6 +7,7 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -175,8 +176,27 @@ class TestSweep:
         csv_path, svg_path = write_outputs(config, run_sweep(config))
         svg = Path(svg_path).read_text(encoding="utf-8")
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
-        assert "polygon" in svg and "polyline" in svg
         assert Path(csv_path).read_text(encoding="utf-8").startswith(CSV_HEADER)
+
+    def test_svg_is_well_formed(self, tmp_path):
+        path, _ = small_config(tmp_path)
+        config = load_config(path)
+        rows = run_sweep(config)
+        _, svg_path = write_outputs(config, rows)
+        root = ElementTree.fromstring(Path(svg_path).read_text(encoding="utf-8"))
+        ns = "{http://www.w3.org/2000/svg}"
+        assert root.tag == ns + "svg"
+        counts = {tag: len(root.findall(ns + tag)) for tag in ("polygon", "polyline", "line", "rect")}
+        # the background, one overlay cell per row and three legend swatches
+        assert counts == {"polygon": 3, "polyline": 2, "line": 2, "rect": 1 + len(rows) + 3}
+        texts = root.findall(ns + "text")
+        assert [t.text for t in texts] == [
+            "0", "0.667", "1", "2", "0", "0.5", "1",
+            "alpha (sparsity: q = N^-alpha)", "beta (size: K = N^beta)",
+            "simple", "hard", "impossible",
+            "solid: detection limit", "dashed: poly-time limit", "cells: dark = errors",
+        ]
+        assert [t.get("transform") is not None for t in texts].count(True) == 1
 
     def test_error_rates_ordered_in_alpha(self, tmp_path):
         # stochastic ordering along a fixed beta row: harder (sparser)
@@ -511,6 +531,31 @@ class TestFrozenOutputs:
                                trials=2, test="combined", scan_mode=mode, master_seed=9)
         assert run_cli("sweep", path)[0] == 0
         csv_digest, svg_digest = self.SWEEP_DIGESTS[mode]
+        assert _digest((tmp_path / "sweep.csv").read_bytes()) == csv_digest
+        assert _digest((tmp_path / "sweep.svg").read_bytes()) == svg_digest
+
+    # (config overrides, CSV digest, SVG digest) over the renderer's branches:
+    # one point takes the 0.08 cell width; the 5 x 6 grid's cells and the
+    # repeated grid's close alphas take the 14 px floor; beta = 1 gives K = N;
+    # the repeated grid's cells reach type1 + type2 = 5/3, clipped at 1
+    SWEEP_CONFIG_DIGESTS = {
+        "one-point": (dict(alpha_grid=[0.5], beta_grid=[0.5], N=20, trials=5, test="lin"),
+            "387161c4e3c8ff325b051c020bdf5e04", "e7ed883456f502a529511d0dba18b172"),
+        "grid-5x6": (dict(alpha_grid=[0.3, 0.6, 0.9, 1.2, 1.5], beta_grid=[0.1, 0.3, 0.5, 0.6, 0.8, 1.0],
+                          N=30, trials=2, test="combined", scan_mode="heuristic"),
+            "2c0d6184afedd3066acf6587c71ad648", "e5757d70b53a4f73c030624914dec8ca"),
+        "k-equals-n": (dict(alpha_grid=[2.0, 0.7], beta_grid=[1.0], N=12, trials=3, test="scan"),
+            "43603f88d3d0e62c136c6d61e4401b59", "ffab985f3cc1aa26162ab1069be8b268"),
+        "repeated": (dict(alpha_grid=[0.3, 0.35, 0.3], beta_grid=[0.0, 0.6, 0.0], N=25, c=1.5,
+                          trials=3, test="lin"),
+            "11db723220a2127a0e15c60b81c3333d", "73d41861abfc175b4aa1b411763449c0"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_CONFIG_DIGESTS))
+    def test_sweep_config_outputs(self, tmp_path, name):
+        overrides, csv_digest, svg_digest = self.SWEEP_CONFIG_DIGESTS[name]
+        path, _ = small_config(tmp_path, master_seed=9, **overrides)
+        assert run_cli("sweep", path)[0] == 0
         assert _digest((tmp_path / "sweep.csv").read_bytes()) == csv_digest
         assert _digest((tmp_path / "sweep.svg").read_bytes()) == svg_digest
 

@@ -1,7 +1,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, count, product
 
 import numpy as np
 import pytest
@@ -228,9 +228,18 @@ class _ScriptedRng:
 
 class TestPlacement:
     def test_colex_inversion(self):
-        seen = [_colex_pair(idx) for idx in range(15)]
-        want = sorted(combinations(range(6), 2), key=lambda ij: (ij[1], ij[0]))
-        assert seen == [(i, j) for i, j in want]
+        # every index below 2e6, against the pairs walked in colex order
+        want = ((i, j) for j in count(1) for i in range(j))
+        assert all(_colex_pair(idx) == pair for idx, pair in zip(range(2_000_000), want))
+        # the row boundaries C(j, 2) - 1, C(j, 2), C(j, 2) + 1 up to j = 3e9,
+        # where idx passes 4.5e18
+        rng = np.random.default_rng(0)
+        ends = {int(3e9 ** (t / 500)) for t in range(501)} | set(rng.integers(2, 3 * 10**9, 500).tolist())
+        for j in sorted(ends - {1}):
+            base = j * (j - 1) // 2
+            assert _colex_pair(base - 1) == (j - 2, j - 1)
+            assert _colex_pair(base) == (0, j)
+            assert _colex_pair(base + 1) == (1, j)
 
     def test_floyd_uniformity(self):
         # exact, not statistical: replay every sequence of draws Floyd's
