@@ -16,9 +16,16 @@ _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 70, 170, 30, 50
 _ALPHA_MAX = 2.0
 
-_GREEN = "#7fca7f"
-_RED = "#e06666"
-_GRAY = "#b3b3b3"
+# each analytic regime's fill, legend label and corners in (alpha, beta);
+# the legend lists them in this order, and the SVG draws them last to first
+_REGIMES = (
+    ("#7fca7f", "simple", [(0, 0.5), (2, 1), (0, 1)]),
+    ("#e06666", "hard", [(0, 0), (2 / 3, 2 / 3), (0, 0.5)]),
+    ("#b3b3b3", "impossible", [(0, 0), (2, 0), (2, 1), (2 / 3, 2 / 3)]),
+)
+# the legend's notes under the swatches: (y offset, text)
+_NOTES = ((11, "solid: detection limit"), (27, "dashed: poly-time limit"),
+          (47, "cells: dark = errors"))
 
 
 def _x(alpha: float) -> float:
@@ -33,9 +40,18 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def _poly(points, fill: str) -> str:
-    coords = " ".join(f"{_fmt(_x(a))},{_fmt(_y(b))}" for a, b in points)
-    return f'<polygon points="{coords}" fill="{fill}" stroke="none"/>'
+def _coords(points) -> str:
+    return " ".join(f"{_fmt(_x(a))},{_fmt(_y(b))}" for a, b in points)
+
+
+def _text(x, y, body: str, size: int = 11, anchor: str = "", rotate: bool = False) -> str:
+    """One monospace label at (x, y), given as the SVG shows them; rotate turns it -90 there."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    turn = f' transform="rotate(-90 {x} {y})"' if rotate else ""
+    return (
+        f'<text x="{x}" y="{y}" font-size="{size}"{anchor} '
+        f'font-family="monospace"{turn}>{body}</text>'
+    )
 
 
 def render_sweep_svg(rows, alpha_grid, beta_grid) -> str:
@@ -45,16 +61,13 @@ def render_sweep_svg(rows, alpha_grid, beta_grid) -> str:
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="#ffffff"/>',
         "<!-- analytic regimes -->",
-        _poly([(0, 0), (2, 0), (2, 1), (2 / 3, 2 / 3)], _GRAY),
-        _poly([(0, 0), (2 / 3, 2 / 3), (0, 0.5)], _RED),
-        _poly([(0, 0.5), (2, 1), (0, 1)], _GREEN),
     ]
+    for fill, _, corners in reversed(_REGIMES):
+        parts.append(f'<polygon points="{_coords(corners)}" fill="{fill}" stroke="none"/>')
 
     # empirical overlay: one translucent cell per grid point
-    cell_w = (_W - _ML - _MR) / max(len(alpha_grid), 1) * (
-        (max(alpha_grid) - min(alpha_grid)) / _ALPHA_MAX if len(alpha_grid) > 1 else 0.08
-    )
-    cell_w = max(cell_w, 14.0)
+    spread = (max(alpha_grid) - min(alpha_grid)) / _ALPHA_MAX if len(alpha_grid) > 1 else 0.08
+    cell_w = max((_W - _ML - _MR) / max(len(alpha_grid), 1) * spread, 14.0)
     cell_h = max((_H - _MT - _MB) / max(len(beta_grid), 1) * 0.12, 14.0)
     parts.append("<!-- empirical type1+type2 overlay -->")
     for row in rows:
@@ -70,68 +83,33 @@ def render_sweep_svg(rows, alpha_grid, beta_grid) -> str:
 
     # boundary curves on a dense alpha mesh
     mesh = [i * _ALPHA_MAX / 400 for i in range(401)]
-    star = " ".join(f"{_fmt(_x(a))},{_fmt(_y(beta_star(a)))}" for a in mesh)
-    sharp = " ".join(f"{_fmt(_x(a))},{_fmt(_y(beta_sharp(a)))}" for a in mesh)
-    parts.append(f'<polyline points="{star}" fill="none" stroke="#000000" stroke-width="2"/>')
-    parts.append(
-        f'<polyline points="{sharp}" fill="none" stroke="#1f4e99" '
-        f'stroke-width="2" stroke-dasharray="6,4"/>'
-    )
+    for curve, style in (
+        (beta_star, 'stroke="#000000" stroke-width="2"'),
+        (beta_sharp, 'stroke="#1f4e99" stroke-width="2" stroke-dasharray="6,4"'),
+    ):
+        points = _coords((a, curve(a)) for a in mesh)
+        parts.append(f'<polyline points="{points}" fill="none" {style}/>')
 
     # axes and labels
-    parts.append(
-        f'<line x1="{_fmt(_x(0))}" y1="{_fmt(_y(0))}" x2="{_fmt(_x(2))}" y2="{_fmt(_y(0))}" '
-        f'stroke="#000000" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{_fmt(_x(0))}" y1="{_fmt(_y(0))}" x2="{_fmt(_x(0))}" y2="{_fmt(_y(1))}" '
-        f'stroke="#000000" stroke-width="1"/>'
-    )
+    for a, b in ((2, 0), (0, 1)):
+        parts.append(
+            f'<line x1="{_fmt(_x(0))}" y1="{_fmt(_y(0))}" x2="{_fmt(_x(a))}" y2="{_fmt(_y(b))}" '
+            f'stroke="#000000" stroke-width="1"/>'
+        )
     for a in (0.0, 2 / 3, 1.0, 2.0):
-        parts.append(
-            f'<text x="{_fmt(_x(a))}" y="{_fmt(_y(0) + 18)}" font-size="11" '
-            f'text-anchor="middle" font-family="monospace">{a:.3g}</text>'
-        )
+        parts.append(_text(_fmt(_x(a)), _fmt(_y(0) + 18), f"{a:.3g}", anchor="middle"))
     for b in (0.0, 0.5, 1.0):
-        parts.append(
-            f'<text x="{_fmt(_x(0) - 8)}" y="{_fmt(_y(b) + 4)}" font-size="11" '
-            f'text-anchor="end" font-family="monospace">{b:.2g}</text>'
-        )
-    parts.append(
-        f'<text x="{_fmt(_x(1.0))}" y="{_fmt(_H - 8)}" font-size="12" text-anchor="middle" '
-        f'font-family="monospace">alpha (sparsity: q = N^-alpha)</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_fmt(_y(0.5))}" font-size="12" text-anchor="middle" '
-        f'font-family="monospace" transform="rotate(-90 16 {_fmt(_y(0.5))})">'
-        f"beta (size: K = N^beta)</text>"
-    )
+        parts.append(_text(_fmt(_x(0) - 8), _fmt(_y(b) + 4), f"{b:.2g}", anchor="end"))
+    parts.append(_text(_fmt(_x(1.0)), _fmt(_H - 8), "alpha (sparsity: q = N^-alpha)", 12, "middle"))
+    parts.append(_text(16, _fmt(_y(0.5)), "beta (size: K = N^beta)", 12, "middle", rotate=True))
 
     legend_x = _W - _MR + 12
-    legend = [
-        (_GREEN, "simple"),
-        (_RED, "hard"),
-        (_GRAY, "impossible"),
-    ]
-    for i, (color, label) in enumerate(legend):
+    for i, (fill, label, _) in enumerate(_REGIMES):
         ly = _MT + 12 + 20 * i
-        parts.append(f'<rect x="{legend_x}" y="{ly}" width="14" height="14" fill="{color}"/>')
-        parts.append(
-            f'<text x="{legend_x + 20}" y="{ly + 11}" font-size="11" '
-            f'font-family="monospace">{label}</text>'
-        )
-    ly = _MT + 12 + 20 * len(legend)
-    parts.append(
-        f'<text x="{legend_x}" y="{ly + 11}" font-size="11" font-family="monospace">'
-        f"solid: detection limit</text>"
-    )
-    parts.append(
-        f'<text x="{legend_x}" y="{ly + 27}" font-size="11" font-family="monospace">'
-        f"dashed: poly-time limit</text>"
-    )
-    parts.append(
-        f'<text x="{legend_x}" y="{ly + 47}" font-size="11" font-family="monospace">'
-        f"cells: dark = errors</text>"
-    )
+        parts.append(f'<rect x="{legend_x}" y="{ly}" width="14" height="14" fill="{fill}"/>')
+        parts.append(_text(legend_x + 20, ly + 11, label))
+    ly = _MT + 12 + 20 * len(_REGIMES)
+    for dy, note in _NOTES:
+        parts.append(_text(legend_x, ly + dy, note))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

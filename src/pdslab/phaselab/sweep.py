@@ -87,22 +87,19 @@ def run_sweep(config: SweepConfig) -> list:
 
 
 def rows_to_csv(rows) -> str:
+    """The header, then each row's cells in header order: floats by repr, the rest by str."""
+    columns = CSV_HEADER.split(",")
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            f'{r["alpha"]!r},{r["beta"]!r},{r["N"]},{r["K"]},{r["q"]!r},{r["p"]!r},'
-            f'{r["test"]},{r["scan_mode"]},{r["type1"]!r},{r["type2"]!r},'
-            f'{r["trials"]},{r["seed"]},{r["regime"]}'
-        )
+        cells = (r[c] for c in columns)
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in cells))
     return "\n".join(lines) + "\n"
 
 
 def write_outputs(config: SweepConfig, rows) -> tuple:
-    csv_path = config.output_path + ".csv"
-    svg_path = config.output_path + ".svg"
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(rows_to_csv(rows))
     svg = render_sweep_svg(rows, sorted(set(config.alpha_grid)), sorted(set(config.beta_grid)))
-    with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)
-    return csv_path, svg_path
+    paths = (config.output_path + ".csv", config.output_path + ".svg")
+    for path, text in zip(paths, (rows_to_csv(rows), svg)):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    return paths
