@@ -282,12 +282,12 @@ def _floyd_sample(n_slots: int, m: int, rng: np.random.Generator) -> list:
 
 
 def _colex_pair(idx: int) -> tuple:
-    """Invert colex enumeration of pairs i < j: index = C(j,2) + i."""
+    """Invert colex enumeration of pairs i < j: index = C(j,2) + i.
+
+    j is the largest with C(j, 2) <= idx, that is (2j - 1)^2 <= 8 idx + 1;
+    isqrt is exact, so that is 2j - 1 <= isqrt(8 idx + 1).
+    """
     j = int((1 + math.isqrt(1 + 8 * idx)) // 2)
-    while j * (j - 1) // 2 > idx:
-        j -= 1
-    while (j + 1) * j // 2 <= idx:
-        j += 1
     return idx - j * (j - 1) // 2, j
 
 
