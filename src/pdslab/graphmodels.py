@@ -22,6 +22,7 @@ vertex count up to the limit.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -64,13 +65,21 @@ def _check_prob(x, name="probability"):
         raise InvalidProbabilityError(f"{name} {x!r} outside [0, 1]")
 
 
+def _integer(n, name: str) -> int:
+    """n as a Python int; a float, string or other non-integer is refused, not truncated."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be an integer, got {n!r}") from None
+
+
 # Largest vertex count W with W*W - 1 <= 2**63 - 1: every flat key u*width + v
 # then fits int64, so no key or lookup query can wrap onto another edge.
 _MAX_VERTEX_COUNT = 3_037_000_499
 
 
 def _vertex_count(n) -> int:
-    n = int(n)
+    n = _integer(n, "vertex count")
     if n < 0:
         raise InvalidParameterError("vertex count must be nonnegative")
     if n > _MAX_VERTEX_COUNT:
@@ -103,9 +112,13 @@ class _SortedKeyGraph:
 
     def _store(self, edges) -> None:
         """Validate the edge rows, then keep them as sorted flat keys."""
-        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
+        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
         if arr.size == 0:
             arr = np.empty((0, 2), dtype=np.int64)
+        if arr.dtype.kind not in "iu":
+            # casting a float, string or object array would truncate, parse or overflow
+            raise InvalidParameterError(f"edge endpoints must be integers, got dtype {arr.dtype}")
+        arr = arr.astype(np.int64, copy=False)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise InvalidParameterError("edges must be pairs")
         if self._UNORDERED and (arr[:, 0] == arr[:, 1]).any():
@@ -215,6 +228,8 @@ class PdsParams:
     q: float
 
     def __post_init__(self):
+        for name in ("N", "K"):
+            _integer(getattr(self, name), name)
         if not (1 <= self.K <= self.N):
             raise InvalidParameterError(f"need 1 <= K <= N, got K={self.K}, N={self.N}")
         _check_prob(self.p, "p")

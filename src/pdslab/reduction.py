@@ -54,7 +54,7 @@ from .errors import (
     ValidityViolationError,
     VertexCountMismatchError,
 )
-from .graphmodels import BipartiteGraph, Graph
+from .graphmodels import BipartiteGraph, Graph, _integer
 from .randkit import Pmf, as_seed, binom_pmf, sample_pmf
 
 __all__ = [
@@ -116,6 +116,8 @@ class ReductionParams:
     q: float
 
     def __post_init__(self):
+        for name in ("n", "k", "ell"):
+            _integer(getattr(self, name), name)
         if self.n < 1 or self.ell < 1:
             raise InvalidParameterError("need n >= 1 and ell >= 1")
         if not (1 <= self.k <= self.n):

@@ -76,6 +76,33 @@ class TestGraphContainers:
         b = BipartiteGraph(3_037_000_499, 3_037_000_499, [(0, 1)])
         assert b.has_edge(0, 1) and not b.has_edge(1880594865473421322, 3)
 
+    NON_INTEGER_INPUT = {
+        "float-end": (Graph, 3, [(0, 1.5)]),
+        "float-array": (Graph, 3, np.array([[0.0, 2.9]])),
+        "string-ends": (Graph, 3, [("0", "1")]),
+        "huge-end": (Graph, 3, [(0, 2**70)]),
+        "bool-array": (Graph, 3, np.array([[True, False]])),
+        "float-count": (Graph, 3.7, [(0, 1)]),
+        "string-count": (Graph, "3"),
+        "bipartite-float-count": (BipartiteGraph, 2, 3.0),
+        "bipartite-float-array": (BipartiteGraph, 2, 3, np.array([[1.0, 2.0]])),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NON_INTEGER_INPUT))
+    def test_rejects_non_integer_input(self, case):
+        # each was once truncated, parsed or left to overflow
+        cls, *args = self.NON_INTEGER_INPUT[case]
+        with pytest.raises(InvalidParameterError, match="integer"):
+            cls(*args)
+
+    def test_accepts_numpy_integers_and_empty_input(self):
+        g = Graph(np.int64(3), np.array([[0, 1]], np.int32))
+        assert g.num_vertices == 3 and type(g.num_vertices) is int
+        assert g.edges.dtype == np.int64 and g.edges.tolist() == [[0, 1]]
+        assert BipartiteGraph(np.int32(2), 3, np.array([[1, 2]], np.uint8)).num_edges == 1
+        for empty in ((), [], np.empty((0, 2)), np.array([])):
+            assert Graph(3, empty).num_edges == 0
+
 
 class TestErdosRenyi:
     def test_extremes(self):
@@ -142,6 +169,11 @@ class TestPlantedModels:
             PdsParams(5, 0, 0.5, 0.2)
         with pytest.raises(InvalidParameterError):
             PdsParams(5, 2, 0.2, 0.5)
+        # sizes must be integers; K = 3.5 once failed later, in the sampler
+        for bad in ((10.5, 3), (10, 3.5), (10, "3")):
+            with pytest.raises(InvalidParameterError, match="must be an integer"):
+                PdsParams(*bad, 0.9, 0.1)
+        assert PdsParams(np.int64(10), np.int32(3), 0.9, 0.1).K == 3
 
 
 class TestPlantedClique:
