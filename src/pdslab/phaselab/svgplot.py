@@ -23,7 +23,7 @@ _REGIMES = (
     ("#e06666", "hard", [(0, 0), (2 / 3, 2 / 3), (0, 0.5)]),
     ("#b3b3b3", "impossible", [(0, 0), (2, 0), (2, 1), (2 / 3, 2 / 3)]),
 )
-# the legend's notes under the swatches: (y offset, text)
+# the legend's notes: (y offset from the row after the swatches, text)
 _NOTES = ((11, "solid: detection limit"), (27, "dashed: poly-time limit"),
           (47, "cells: dark = errors"))
 
