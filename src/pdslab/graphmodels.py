@@ -66,11 +66,13 @@ def _check_prob(x, name="probability"):
 
 
 def _integer(n, name: str) -> int:
-    """n as a Python int; a float, string or other non-integer is refused, not truncated."""
-    try:
-        return operator.index(n)
-    except TypeError:
-        raise InvalidParameterError(f"{name} must be an integer, got {n!r}") from None
+    """n as a Python int; a bool, float, string or other non-integer is refused, not truncated."""
+    if not isinstance(n, (bool, np.bool_)):
+        try:
+            return operator.index(n)
+        except TypeError:
+            pass
+    raise InvalidParameterError(f"{name} must be an integer, got {n!r}")
 
 
 # Largest vertex count W with W*W - 1 <= 2**63 - 1: every flat key u*width + v

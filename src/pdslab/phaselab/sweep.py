@@ -4,9 +4,7 @@ Each grid point gets its own derived seed, so a row is a pure function of
 (config, point index).  Points run serially in grid order: a thread pool
 over points was slower under the GIL, so the ``workers`` setting is
 accepted for compatibility and changes neither the run nor its output.
-The CSV schema is fixed and versioned by its header line:
-
-    alpha,beta,N,K,q,p,test,scan_mode,type1,type2,trials,seed,regime
+The CSV schema is fixed and versioned by its header line, ``CSV_HEADER``.
 """
 
 from __future__ import annotations
@@ -87,19 +85,18 @@ def run_sweep(config: SweepConfig) -> list:
 
 
 def rows_to_csv(rows) -> str:
-    """The header, then each row's cells in header order: floats by repr, the rest by str."""
+    """The header, then each row's cells in header order."""
     columns = CSV_HEADER.split(",")
-    lines = [CSV_HEADER]
-    for r in rows:
-        cells = (r[c] for c in columns)
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in cells))
+    lines = [CSV_HEADER] + [",".join(str(r[c]) for c in columns) for r in rows]
     return "\n".join(lines) + "\n"
 
 
 def write_outputs(config: SweepConfig, rows) -> tuple:
+    csv_path = config.output_path + ".csv"
+    svg_path = config.output_path + ".svg"
+    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(rows_to_csv(rows))
     svg = render_sweep_svg(rows, sorted(set(config.alpha_grid)), sorted(set(config.beta_grid)))
-    paths = (config.output_path + ".csv", config.output_path + ".svg")
-    for path, text in zip(paths, (rows_to_csv(rows), svg)):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    return paths
+    with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(svg)
+    return csv_path, svg_path

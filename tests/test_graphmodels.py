@@ -84,6 +84,8 @@ class TestGraphContainers:
         "bool-array": (Graph, 3, np.array([[True, False]])),
         "float-count": (Graph, 3.7, [(0, 1)]),
         "string-count": (Graph, "3"),
+        "bool-count": (Graph, True, []),
+        "numpy-bool-count": (Graph, np.True_, []),
         "bipartite-float-count": (BipartiteGraph, 2, 3.0),
         "bipartite-float-array": (BipartiteGraph, 2, 3, np.array([[1.0, 2.0]])),
     }
@@ -170,7 +172,7 @@ class TestPlantedModels:
         with pytest.raises(InvalidParameterError):
             PdsParams(5, 2, 0.2, 0.5)
         # sizes must be integers; K = 3.5 once failed later, in the sampler
-        for bad in ((10.5, 3), (10, 3.5), (10, "3")):
+        for bad in ((10.5, 3), (10, 3.5), (10, "3"), (True, True)):
             with pytest.raises(InvalidParameterError, match="must be an integer"):
                 PdsParams(*bad, 0.9, 0.1)
         assert PdsParams(np.int64(10), np.int32(3), 0.9, 0.1).K == 3

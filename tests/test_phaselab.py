@@ -173,17 +173,14 @@ class TestSweep:
     def test_outputs_written(self, tmp_path):
         path, _ = small_config(tmp_path)
         config = load_config(path)
-        csv_path, svg_path = write_outputs(config, run_sweep(config))
+        rows = run_sweep(config)
+        csv_path, svg_path = write_outputs(config, rows)
         svg = Path(svg_path).read_text(encoding="utf-8")
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+        assert "polygon" in svg and "polyline" in svg
         assert Path(csv_path).read_text(encoding="utf-8").startswith(CSV_HEADER)
-
-    def test_svg_is_well_formed(self, tmp_path):
-        path, _ = small_config(tmp_path)
-        config = load_config(path)
-        rows = run_sweep(config)
-        _, svg_path = write_outputs(config, rows)
-        root = ElementTree.fromstring(Path(svg_path).read_text(encoding="utf-8"))
+        # the SVG parses, with the expected elements and labels
+        root = ElementTree.fromstring(svg)
         ns = "{http://www.w3.org/2000/svg}"
         assert root.tag == ns + "svg"
         counts = {tag: len(root.findall(ns + tag)) for tag in ("polygon", "polyline", "line", "rect")}

@@ -134,7 +134,7 @@ class TestReductionParams:
         with pytest.raises(InvalidParameterError):
             ReductionParams(n=2, k=2, gamma=0.5, ell=2, q=0.6)  # p = 2q > 1
         # n = 2.5 once gave N = 5.0, and ell = 2.0 failed later, in reduce_graph
-        for bad in ({"n": 2.5}, {"k": 2.0}, {"ell": 2.0}, {"ell": "2"}):
+        for bad in ({"n": 2.5}, {"k": 2.0}, {"ell": 2.0}, {"ell": "2"}, {"ell": True}):
             with pytest.raises(InvalidParameterError, match="must be an integer"):
                 ReductionParams(**{"n": 4, "k": 2, "gamma": 0.5, "ell": 2, "q": 0.01, **bad})
         assert ReductionParams(n=np.int64(4), k=2, gamma=0.5, ell=np.int32(2), q=0.01).N == 8
