@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import dense_scan_heuristic, recursive_scan_max
+from conftest import dense_scan_heuristic, recursive_scan_max, sequential_scan_heuristic
 from pdslab.detectors import (
     H0,
     H1,
@@ -203,6 +203,39 @@ class TestScanHeuristic:
                 restarts = int(rng.integers(1, 5))
                 seed = Seed(27).child(i).child(k)
                 assert t_scan_heuristic(g, k, restarts, seed) == dense_scan_heuristic(g, k, restarts, seed)
+
+    def test_matches_sequential_reference(self):
+        # same (value, set) as the one-restart-at-a-time scan: empty, complete
+        # and cycle graphs; G(N <= 60, q) over the whole density range;
+        # planted cliques; null and planted graphs at all 16 `sweeps` points
+        # at their own K; G(2000, 0.001); 1-20 restarts
+        rng = Seed(30).rng()
+        cases = []
+        for n in (2, 3, 7, 20, 60):
+            cases += [(Graph(n, []), None), (Graph(n, list(combinations(range(n), 2))), None)]
+            if n >= 3:
+                cases.append((Graph(n, [(i, (i + 1) % n) for i in range(n)]), None))
+        for i in range(36):
+            q = (0.01, 0.05, 0.2, 0.5, 0.9, 0.99)[i % 6]
+            cases.append((gen_er(int(rng.integers(2, 61)), q, Seed(31).child(i)), None))
+        for i in range(8):
+            n = int(rng.integers(8, 61))
+            cases.append((gen_planted_clique(n, int(rng.integers(3, 9)), 0.25, Seed(32).child(i)).graph, None))
+        for alpha in (0.2, 0.6, 1.0, 1.4):
+            for k in (5, 14, 41, 118):
+                cases += [_frozen_scan_input(alpha, k, arm) for arm in (0, 1)]
+        cases.append(_frozen_scan_input(None, None, 0))
+        for i, (g, point_k) in enumerate(cases):
+            n = g.num_vertices
+            if point_k is None:
+                ks = {2, round(n ** 0.5), round(n ** 0.9), n - 1, n, int(rng.integers(1, n + 1))}
+            else:
+                ks = {point_k}
+            for k in sorted(ks & set(range(1, n + 1))):
+                restarts = int(rng.integers(1, 21))
+                seed = Seed(33).child(i).child(k)
+                want = sequential_scan_heuristic(g, k, restarts, seed)
+                assert t_scan_heuristic(g, k, restarts, seed) == want, (i, k, restarts)
 
     # (alpha, K, arm, value, blake2b-64 of the set): null (arm 0) and planted
     # (arm 1) graphs at the `sweeps` heuristic config's four alpha rows, N=200,
