@@ -331,6 +331,7 @@ def _plant(N: int, K: int, p: float, q: float, seed, sides: int, fixed_size: boo
     an empty set draw nothing from the edge stream, and the background alone
     is already sorted, so G(N, q) costs no more than its own pairs.
     """
+    N, K = _integer(N, "N"), _integer(K, "K")
     if N < 1:
         raise InvalidParameterError("need N >= 1")
     _check_prob(q, "q")
@@ -357,7 +358,7 @@ def _plant(N: int, K: int, p: float, q: float, seed, sides: int, fixed_size: boo
 
 
 def _check_clique(n: int, k: int, gamma: float) -> None:
-    if not (1 <= k <= n):
+    if not (1 <= _integer(k, "k") <= _integer(n, "n")):
         raise InvalidParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     _check_prob(gamma, "gamma")
 

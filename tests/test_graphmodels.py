@@ -106,6 +106,31 @@ class TestGraphContainers:
             assert Graph(3, empty).num_edges == 0
 
 
+class TestGeneratorSizes:
+    # each once ended in a numpy AxisError, a TypeError from N < 1, or
+    # "slice indices must be integers"; a bool size was taken as 1
+    NON_INTEGER_SIZES = [
+        (gen_planted_clique, (10.5, 3, 0.5)),
+        (gen_planted_clique, (10, 3.0, 0.5)),
+        (gen_planted_clique, (10, True, 0.5)),
+        (gen_er, ("10", 0.3)),
+        (gen_er, (10.0, 0.3)),
+        (gen_er, (True, 0.3)),
+        (gen_bipartite_er, (np.float64(10), 0.3)),
+        (gen_bipartite_pc, (10, 2.5, 0.5)),
+        (gen_bipartite_pc, (False, 1, 0.5)),
+    ]
+
+    @pytest.mark.parametrize("gen,args", NON_INTEGER_SIZES)
+    def test_generators_reject_non_integer_sizes(self, gen, args):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            gen(*args, Seed(0))
+
+    def test_generators_accept_numpy_integer_sizes(self):
+        assert gen_er(np.int64(10), 0.3, Seed(0)) == gen_er(10, 0.3, Seed(0))
+        assert gen_planted_clique(np.int32(10), np.int64(3), 0.5, Seed(0)) == gen_planted_clique(10, 3, 0.5, Seed(0))
+
+
 class TestErdosRenyi:
     def test_extremes(self):
         assert gen_er(10, 0.0, Seed(0)).num_edges == 0
