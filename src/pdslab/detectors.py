@@ -36,7 +36,7 @@ from .errors import (
     TooLargeError,
     VertexCountMismatchError,
 )
-from .graphmodels import Graph, PdsParams, subgraph_edge_count
+from .graphmodels import Graph, PdsParams, _integer, subgraph_edge_count
 from .randkit import Seed, as_seed
 
 __all__ = [
@@ -65,6 +65,8 @@ H1 = "H1"
 
 DEFAULT_SCAN_BUDGET = 10_000_000
 _COUNT_CAP = 30
+# entries per block of lockstep heuristic restarts (8 MB of int64 keys)
+_BLOCK = 2**20
 
 
 def _comb2(x: float) -> float:
@@ -153,6 +155,7 @@ def t_scan_exact(g: Graph, K: int, budget: int = DEFAULT_SCAN_BUDGET):
     C(N, K) exceeds the budget, which caps subsets, not search nodes.
     """
     N = g.num_vertices
+    K = _integer(K, "K")
     if not (0 <= K <= N):
         raise InvalidParameterError(f"need 0 <= K <= N, got K={K}, N={N}")
     if K <= 1:
@@ -194,12 +197,14 @@ def t_scan_exact(g: Graph, K: int, budget: int = DEFAULT_SCAN_BUDGET):
     return best, best_set
 
 
-def _rows(ptr: np.ndarray, nbrs: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """The CSR rows of the vertices `vs`, concatenated."""
+def _gather(ptr: np.ndarray, nbrs: np.ndarray, vs: np.ndarray, offsets=None) -> np.ndarray:
+    """The CSR rows of the vertices `vs`, concatenated; given `offsets`, one
+    per vertex, each entry plus its own vertex's offset."""
     starts = ptr[vs]
     lens = ptr[vs + 1] - starts
-    ends = lens.cumsum()
-    return nbrs[np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens)]
+    index = (starts - lens.cumsum() + lens).repeat(lens)
+    index += np.arange(index.size)
+    return nbrs[index] if offsets is None else nbrs[index] + offsets.repeat(lens)
 
 
 def t_scan_heuristic(g: Graph, K: int, restarts: int, seed):
@@ -216,10 +221,18 @@ def t_scan_heuristic(g: Graph, K: int, restarts: int, seed):
     and T the outside vertices at D, member u's best gain is D - d_u, less 1
     when u is adjacent to every vertex of T, and its partner is the first
     outside v that maximises d_v - A_uv.  The graph is held as CSR
-    adjacency and a swap updates d on N(u) and N(v) only, so memory is
-    O(N + M): no N x N or K x (N - K) array is built.
+    adjacency and a swap updates d on N(u) and N(v) only.
+
+    The restarts run in lockstep: each iteration makes one swap in every
+    live restart, on a restarts x N matrix of degrees, and a restart leaves
+    the matrix when it stops.  They run in blocks of at most _BLOCK // max(N,
+    2M) restarts, so that the matrix and every gather of neighbour lists
+    stay within _BLOCK entries, and memory is O(block + N + M) for any
+    number of restarts: no N x N or K x (N - K) array is built.
     """
     N = g.num_vertices
+    K = _integer(K, "K")
+    restarts = _integer(restarts, "restarts")
     if not (1 <= K <= N):
         raise InvalidParameterError(f"need 1 <= K <= N, got K={K}, N={N}")
     if restarts < 1:
@@ -237,43 +250,69 @@ def t_scan_heuristic(g: Graph, K: int, restarts: int, seed):
     root = as_seed(seed)
     best_count = -1
     best_set = None
-    for r in range(restarts):
-        start = root.child(r).rng().permutation(N)[:K]
-        key = np.bincount(_rows(ptr, nbrs, start), minlength=N)
-        count = int(key[start].sum()) // 2
-        key[start] -= off
-        while True:
-            D = key.max()
-            u = key.argmin()  # the first member of least degree
+    per_block = max(1, _BLOCK // max(N, nbrs.size))
+    for first in range(0, restarts, per_block):
+        block = range(first, min(first + per_block, restarts))
+        keys = np.empty((len(block), N), dtype=np.int64)
+        counts = np.empty(len(block), dtype=np.int64)
+        for i, r in enumerate(block):
+            start = root.child(r).rng().permutation(N)[:K]
+            key = np.bincount(_gather(ptr, nbrs, start), minlength=N)
+            counts[i] = key[start].sum() // 2
+            key[start] -= off
+            keys[i] = key
+        base = np.arange(len(block)) * N  # each row's offset in `flat`
+        flat = keys.reshape(-1)
+        while len(keys):
+            D = keys.max(axis=1)
+            u = keys.argmin(axis=1)  # the first member of least degree
             # no swap gains more than D - d_u; with K = N, D is a member's key
             # and this is negative
-            gain = int(D - off - key[u])
-            if gain <= 0:
-                break
-            top = key == D
-            n_top = np.count_nonzero(top)
-            if np.count_nonzero(top[nbrs[ptr[u]:ptr[u + 1]]]) == n_top:
-                # u sees all of T, so its gain is one less and a later member
-                # may reach more: take the first member of largest row maximum
-                members = (key < 0).nonzero()[0]
-                sees_top = np.bincount(_rows(ptr, nbrs, top.nonzero()[0]), minlength=N) == n_top
-                row_max = (D - off) - key[members] - sees_top[members]
-                i = row_max.argmax()
-                gain = int(row_max[i])
-                if gain <= 0:
-                    break
-                u = members[i]
-            # with u's edges taken off, the first argmax of key is the first
-            # outside v maximising d_v - A_uv, since members stay below -1
-            key[nbrs[ptr[u]:ptr[u + 1]]] -= 1
-            v = key.argmax()
-            key[nbrs[ptr[v]:ptr[v + 1]]] += 1
-            key[u] += off
-            key[v] -= off
-            count += gain
-        cand = tuple((key < 0).nonzero()[0].tolist())
-        if count > best_count or (count == best_count and cand < best_set):
-            best_count, best_set = count, cand
+            gain = D - off - flat[base + u]
+            # take u's edges off: within a row the neighbours are distinct, so
+            # each flat index occurs once and a fancy -= is exact.  The first
+            # argmax of a row is then the first outside v maximising
+            # d_v - A_uv, since members stay below -1
+            at = _gather(ptr, nbrs, u, base)
+            flat[at] -= 1
+            v = keys.argmax(axis=1)
+            # every vertex of T lost one: u sees all of T, so its gain is one
+            # less and a later member may reach more
+            sees = (flat[base + v] < D) & (gain > 0)
+            if sees.any():
+                flat[at[sees[at // N]]] += 1
+                s = sees.nonzero()[0]
+                ks = keys[s]
+                top = ks == D[s, None]
+                t_row, t = top.nonzero()
+                # x sees all of T when all of T is among x's neighbours
+                sees_top = np.bincount(_gather(ptr, nbrs, t, t_row * N), minlength=top.size)
+                sees_top = sees_top.reshape(top.shape) == np.count_nonzero(top, axis=1)[:, None]
+                # the first member of largest row maximum; outside vertices at
+                # -off, below every member's D - d_x - 1
+                row_max = np.where(ks < 0, (D[s] - off)[:, None] - ks - sees_top, -off)
+                u[s] = row_max.argmax(axis=1)
+                gain[s] = row_max.max(axis=1)
+                s = s[gain[s] > 0]
+                if s.size:
+                    flat[_gather(ptr, nbrs, u[s], base[s])] -= 1
+                    v[s] = keys[s].argmax(axis=1)
+            # a restart stops at its first gain <= 0; its members are still
+            # the keys below -1
+            done = gain <= 0
+            if done.any():
+                for i in done.nonzero()[0]:
+                    cand = tuple((keys[i] < -1).nonzero()[0].tolist())
+                    if counts[i] > best_count or (counts[i] == best_count and cand < best_set):
+                        best_count, best_set = int(counts[i]), cand
+                keep = ~done
+                keys, counts, u, v, gain = keys[keep], counts[keep], u[keep], v[keep], gain[keep]
+                base = base[:len(keys)]
+                flat = keys.reshape(-1)
+            flat[_gather(ptr, nbrs, v, base)] += 1
+            flat[base + u] += off
+            flat[base + v] -= off
+            counts += gain
     return best_count, best_set
 
 

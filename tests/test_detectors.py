@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_scan_heuristic, recursive_scan_max, sequential_scan_heuristic
+from pdslab import detectors
 from pdslab.detectors import (
     H0,
     H1,
@@ -163,6 +164,49 @@ class TestScanHeuristic:
         for k, restarts in ((0, 1), (6, 1), (1, 0), (2, 0), (5, -1)):
             with pytest.raises(InvalidParameterError):
                 t_scan_heuristic(Graph(5, [(0, 1)]), k, restarts, Seed(0))
+
+    def test_rejects_non_integer_sizes(self):
+        # a bool K or restart count was once taken as 1 (or K = True as a
+        # scan of value 0), and a float one ended in a raw TypeError
+        g = gen_er(20, 0.3, Seed(1))
+        for k, restarts in ((5, True), (True, 3), (5.0, 3), (5, 3.0), ("5", 3), (np.float64(5), 3)):
+            with pytest.raises(InvalidParameterError, match="must be an integer"):
+                t_scan_heuristic(g, k, restarts, Seed(0))
+        for k in (True, False, 5.0, "5"):
+            with pytest.raises(InvalidParameterError, match="must be an integer"):
+                t_scan_exact(g, k)
+        assert t_scan_heuristic(g, np.int64(5), np.int32(3), Seed(0)) == t_scan_heuristic(g, 5, 3, Seed(0))
+        assert t_scan_exact(g, np.int64(3)) == t_scan_exact(g, 3)
+
+    def test_blocks_of_restarts_match_one_block(self, monkeypatch):
+        # a block holds _BLOCK // max(N, 2M) restarts; restarts are
+        # independent, so cutting 7 of them into blocks of 1 or of 2 (the
+        # last one partial) changes nothing
+        cases = [(gen_er(60, 0.2, Seed(34)), 9), (gen_planted_clique(40, 8, 0.3, Seed(35)).graph, 8),
+                 (Graph(12, []), 4), (K4, 3)]
+        whole = [t_scan_heuristic(g, k, 7, Seed(36)) for g, k in cases]
+        for blocks in (1, 2):
+            for (g, k), want in zip(cases, whole):
+                monkeypatch.setattr(detectors, "_BLOCK", blocks * max(g.num_vertices, 2 * len(g.edges)))
+                assert t_scan_heuristic(g, k, 7, Seed(36)) == want
+                assert want == sequential_scan_heuristic(g, k, 7, Seed(36))
+
+    def test_memory_does_not_grow_with_restarts(self, monkeypatch):
+        # blocks of 3 restarts at N = 5000, 2M = 10,154 (0.12 MB of keys):
+        # the peak with 7 and 14 blocks' worth of restarts stays within 1 MB
+        # of the peak with 2, since a block leaves only its best (count, set)
+        # behind; in one block, 21 restarts alone add 1.5 MB
+        monkeypatch.setattr(detectors, "_BLOCK", 2**15)
+        g = gen_er(5000, 4e-4, Seed(3))
+        peaks = []
+        for restarts in (2, 21, 42):
+            tracemalloc.start()
+            try:
+                t_scan_heuristic(g, 50, restarts, Seed(4))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks[1:]) <= peaks[0] + 2**20
 
     def test_memory_is_linear_in_vertices_and_edges(self):
         # CSR adjacency and degree vectors only: the dense matrix of
