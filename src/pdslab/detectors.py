@@ -65,7 +65,8 @@ H1 = "H1"
 
 DEFAULT_SCAN_BUDGET = 10_000_000
 _COUNT_CAP = 30
-# entries per block of lockstep heuristic restarts (8 MB of int64 keys)
+# entries in the key matrix of a block of lockstep heuristic restarts, and
+# in each neighbour gather over the block (8 MB as int64)
 _BLOCK = 2**20
 
 
@@ -225,10 +226,11 @@ def t_scan_heuristic(g: Graph, K: int, restarts: int, seed):
 
     The restarts run in lockstep: each iteration makes one swap in every
     live restart, on a restarts x N matrix of degrees, and a restart leaves
-    the matrix when it stops.  They run in blocks of at most _BLOCK // max(N,
-    2M) restarts, so that the matrix and every gather of neighbour lists
-    stay within _BLOCK entries, and memory is O(block + N + M) for any
-    number of restarts: no N x N or K x (N - K) array is built.
+    the matrix when it stops.  They run in blocks of _BLOCK // N restarts,
+    and at most _BLOCK // max(N, 2M) rows of a block gather T's neighbour
+    lists at once, so the matrix and every gather stay within _BLOCK
+    entries, and memory is O(block + N + M) for any number of restarts: no
+    N x N or K x (N - K) array is built.
     """
     N = g.num_vertices
     K = _integer(K, "K")
@@ -250,7 +252,8 @@ def t_scan_heuristic(g: Graph, K: int, restarts: int, seed):
     root = as_seed(seed)
     best_count = -1
     best_set = None
-    per_block = max(1, _BLOCK // max(N, nbrs.size))
+    per_block = max(1, _BLOCK // N)
+    per_gather = max(1, _BLOCK // max(N, nbrs.size))
     for first in range(0, restarts, per_block):
         block = range(first, min(first + per_block, restarts))
         keys = np.empty((len(block), N), dtype=np.int64)
@@ -281,22 +284,26 @@ def t_scan_heuristic(g: Graph, K: int, restarts: int, seed):
             sees = (flat[base + v] < D) & (gain > 0)
             if sees.any():
                 flat[at[sees[at // N]]] += 1
-                s = sees.nonzero()[0]
-                ks = keys[s]
-                top = ks == D[s, None]
-                t_row, t = top.nonzero()
-                # x sees all of T when all of T is among x's neighbours
-                sees_top = np.bincount(_gather(ptr, nbrs, t, t_row * N), minlength=top.size)
-                sees_top = sees_top.reshape(top.shape) == np.count_nonzero(top, axis=1)[:, None]
-                # the first member of largest row maximum; outside vertices at
-                # -off, below every member's D - d_x - 1
-                row_max = np.where(ks < 0, (D[s] - off)[:, None] - ks - sees_top, -off)
-                u[s] = row_max.argmax(axis=1)
-                gain[s] = row_max.max(axis=1)
-                s = s[gain[s] > 0]
-                if s.size:
-                    flat[_gather(ptr, nbrs, u[s], base[s])] -= 1
-                    v[s] = keys[s].argmax(axis=1)
+                # T's neighbour lists reach 2M entries a row, so at most
+                # per_gather rows gather them at once
+                rows = sees.nonzero()[0]
+                for first_row in range(0, rows.size, per_gather):
+                    s = rows[first_row:first_row + per_gather]
+                    ks = keys[s]
+                    top = ks == D[s, None]
+                    t_row, t = top.nonzero()
+                    # x sees all of T when all of T is among x's neighbours
+                    sees_top = np.bincount(_gather(ptr, nbrs, t, t_row * N), minlength=top.size)
+                    sees_top = sees_top.reshape(top.shape) == np.count_nonzero(top, axis=1)[:, None]
+                    # the first member of largest row maximum; outside vertices at
+                    # -off, below every member's D - d_x - 1
+                    row_max = np.where(ks < 0, (D[s] - off)[:, None] - ks - sees_top, -off)
+                    u[s] = row_max.argmax(axis=1)
+                    gain[s] = row_max.max(axis=1)
+                    s = s[gain[s] > 0]
+                    if s.size:
+                        flat[_gather(ptr, nbrs, u[s], base[s])] -= 1
+                        v[s] = keys[s].argmax(axis=1)
             # a restart stops at its first gain <= 0; its members are still
             # the keys below -1
             done = gain <= 0

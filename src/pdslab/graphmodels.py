@@ -358,7 +358,8 @@ def _plant(N: int, K: int, p: float, q: float, seed, sides: int, fixed_size: boo
 
 
 def _check_clique(n: int, k: int, gamma: float) -> None:
-    if not (1 <= _integer(k, "k") <= _integer(n, "n")):
+    n, k = _integer(n, "n"), _integer(k, "k")
+    if not (1 <= k <= n):
         raise InvalidParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     _check_prob(gamma, "gamma")
 

@@ -179,34 +179,38 @@ class TestScanHeuristic:
         assert t_scan_exact(g, np.int64(3)) == t_scan_exact(g, 3)
 
     def test_blocks_of_restarts_match_one_block(self, monkeypatch):
-        # a block holds _BLOCK // max(N, 2M) restarts; restarts are
+        # a block holds _BLOCK // N restarts, and at most _BLOCK // max(N, 2M)
+        # of its rows gather T's neighbour lists at once; restarts are
         # independent, so cutting 7 of them into blocks of 1 or of 2 (the
-        # last one partial) changes nothing
+        # last one partial), with one row per gather, changes nothing
         cases = [(gen_er(60, 0.2, Seed(34)), 9), (gen_planted_clique(40, 8, 0.3, Seed(35)).graph, 8),
                  (Graph(12, []), 4), (K4, 3)]
         whole = [t_scan_heuristic(g, k, 7, Seed(36)) for g, k in cases]
         for blocks in (1, 2):
             for (g, k), want in zip(cases, whole):
-                monkeypatch.setattr(detectors, "_BLOCK", blocks * max(g.num_vertices, 2 * len(g.edges)))
+                monkeypatch.setattr(detectors, "_BLOCK", blocks * g.num_vertices)
                 assert t_scan_heuristic(g, k, 7, Seed(36)) == want
                 assert want == sequential_scan_heuristic(g, k, 7, Seed(36))
 
     def test_memory_does_not_grow_with_restarts(self, monkeypatch):
-        # blocks of 3 restarts at N = 5000, 2M = 10,154 (0.12 MB of keys):
-        # the peak with 7 and 14 blocks' worth of restarts stays within 1 MB
-        # of the peak with 2, since a block leaves only its best (count, set)
-        # behind; in one block, 21 restarts alone add 1.5 MB
+        # _BLOCK = 2**15: at N = 5000 blocks of 6 restarts (0.24 MB of
+        # keys); on the complete graph K_120, where every restart's T is all
+        # 118 outside vertices at its first step, one block whose rows
+        # gather T's 14,042 neighbour entries two at a time.  The peak with
+        # 3.5 and 7 blocks' worth of restarts, or with 60 restarts on K_120,
+        # stays within 1 MB of the peak with 2
         monkeypatch.setattr(detectors, "_BLOCK", 2**15)
-        g = gen_er(5000, 4e-4, Seed(3))
-        peaks = []
-        for restarts in (2, 21, 42):
-            tracemalloc.start()
-            try:
-                t_scan_heuristic(g, 50, restarts, Seed(4))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert max(peaks[1:]) <= peaks[0] + 2**20
+        complete = Graph(120, list(combinations(range(120), 2)))
+        for g, k, many in ((gen_er(5000, 4e-4, Seed(3)), 50, (21, 42)), (complete, 2, (60,))):
+            peaks = []
+            for restarts in (2, *many):
+                tracemalloc.start()
+                try:
+                    t_scan_heuristic(g, k, restarts, Seed(4))
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert max(peaks[1:]) <= peaks[0] + 2**20
 
     def test_memory_is_linear_in_vertices_and_edges(self):
         # CSR adjacency and degree vectors only: the dense matrix of

@@ -128,7 +128,8 @@ class TestGeneratorSizes:
 
     def test_generators_accept_numpy_integer_sizes(self):
         assert gen_er(np.int64(10), 0.3, Seed(0)) == gen_er(10, 0.3, Seed(0))
-        assert gen_planted_clique(np.int32(10), np.int64(3), 0.5, Seed(0)) == gen_planted_clique(10, 3, 0.5, Seed(0))
+        want = gen_planted_clique(10, 3, 0.5, Seed(0))
+        assert gen_planted_clique(np.int32(10), np.int64(3), 0.5, Seed(0)) == want
 
 
 class TestErdosRenyi:
