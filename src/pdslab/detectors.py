@@ -279,8 +279,9 @@ def t_scan_heuristic(g: Graph, K: int, restarts: int, seed):
             at = _gather(ptr, nbrs, u, base)
             flat[at] -= 1
             v = keys.argmax(axis=1)
-            # every vertex of T lost one: u sees all of T, so its gain is one
-            # less and a later member may reach more
+            # a row whose largest key fell below D saw every vertex of T lose
+            # one: u sees all of T, so its gain is one less and a later member
+            # may reach more.  Those rows get u's edges back and choose again
             sees = (flat[base + v] < D) & (gain > 0)
             if sees.any():
                 flat[at[sees[at // N]]] += 1
@@ -304,8 +305,9 @@ def t_scan_heuristic(g: Graph, K: int, restarts: int, seed):
                     if s.size:
                         flat[_gather(ptr, nbrs, u[s], base[s])] -= 1
                         v[s] = keys[s].argmax(axis=1)
-            # a restart stops at its first gain <= 0; its members are still
-            # the keys below -1
+            # a restart stops at its first gain <= 0.  Its members are the keys
+            # below -1 even with u's edges still off: members at -3 or below,
+            # outside vertices at -1 or above
             done = gain <= 0
             if done.any():
                 for i in done.nonzero()[0]:
