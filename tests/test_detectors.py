@@ -85,6 +85,13 @@ class TestScanExact:
         value, argmax = t_scan_exact(PATH4, 3)
         assert value == 2 and argmax == (0, 1, 2)
 
+    def test_rejects_non_integer_k(self):
+        # K = True once ran as K = 1, a scan of value 0
+        for k in (True, False, 5.0, "5"):
+            with pytest.raises(InvalidParameterError, match="must be an integer"):
+                t_scan_exact(PATH4, k)
+        assert t_scan_exact(PATH4, np.int64(3)) == t_scan_exact(PATH4, 3)
+
     def test_budget(self):
         g = gen_er(30, 0.2, Seed(1))
         with pytest.raises(BudgetExceededError):
@@ -160,23 +167,15 @@ class TestScanHeuristic:
             assert heur <= exact
 
     def test_rejects_bad_parameters(self):
-        # K = 1 makes no swap, but its restarts are checked all the same
-        for k, restarts in ((0, 1), (6, 1), (1, 0), (2, 0), (5, -1)):
+        # K = 1 makes no swap, but its restarts are checked all the same; a
+        # bool K or restart count was once taken as 1, and a float one ended
+        # in a raw TypeError
+        g = Graph(5, [(0, 1)])
+        for k, restarts in ((0, 1), (6, 1), (1, 0), (2, 0), (5, -1), (5, True), (True, 3), (5.0, 3),
+                            (5, 3.0), ("5", 3), (np.float64(5), 3)):
             with pytest.raises(InvalidParameterError):
-                t_scan_heuristic(Graph(5, [(0, 1)]), k, restarts, Seed(0))
-
-    def test_rejects_non_integer_sizes(self):
-        # a bool K or restart count was once taken as 1 (or K = True as a
-        # scan of value 0), and a float one ended in a raw TypeError
-        g = gen_er(20, 0.3, Seed(1))
-        for k, restarts in ((5, True), (True, 3), (5.0, 3), (5, 3.0), ("5", 3), (np.float64(5), 3)):
-            with pytest.raises(InvalidParameterError, match="must be an integer"):
                 t_scan_heuristic(g, k, restarts, Seed(0))
-        for k in (True, False, 5.0, "5"):
-            with pytest.raises(InvalidParameterError, match="must be an integer"):
-                t_scan_exact(g, k)
         assert t_scan_heuristic(g, np.int64(5), np.int32(3), Seed(0)) == t_scan_heuristic(g, 5, 3, Seed(0))
-        assert t_scan_exact(g, np.int64(3)) == t_scan_exact(g, 3)
 
     def test_blocks_of_restarts_match_one_block(self, monkeypatch):
         # a block holds _BLOCK // N restarts, and at most _BLOCK // max(N, 2M)
