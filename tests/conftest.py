@@ -13,7 +13,9 @@ The per-mask reduced law is the reference for the exact reduction oracles'
 floats, the per-mask planted law for the exact planted laws', and the
 count-cube negative-association check for the battery's.  The float
 pair-index inversion the samplers used first is the reference for the
-closed-form one at every vertex count where it was exact.
+closed-form one at every vertex count where it was exact.  The sweep point
+that samples and decides one trial graph at a time is the reference for
+`sweep.run_point`'s rows.
 """
 
 from __future__ import annotations
@@ -24,10 +26,18 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from pdslab.detectors import H0, H1, ErrorEstimate, scan_statistic, t_lin, tau_lin, tau_scan
 from pdslab.errors import EdgeListParseError, InvalidParameterError
-from pdslab.graphmodels import BipartiteGraph, Graph, _parse_ints, _vertex_count
-from pdslab.randkit import as_seed, sample_pmf
-from pdslab.reduction import KernelTable, _floyd_sample, block_pairs, block_routes
+from pdslab.graphmodels import (
+    BipartiteGraph,
+    Graph,
+    _parse_ints,
+    _vertex_count,
+    gen_er,
+    gen_pds_random_size,
+)
+from pdslab.randkit import Seed, as_seed, sample_pmf
+from pdslab.reduction import KernelTable, _floyd_sample, block_pairs, block_routes, regime_classify
 from pdslab.theorychecks import CheckReport
 
 
@@ -456,6 +466,52 @@ def count_cube_negative_association(k: int, S_size: int) -> CheckReport:
         lhs=worst,
         rhs=0.0,
     )
+
+
+def per_graph_run_point(config, index: int, alpha: float, beta: float) -> dict:
+    """One sweep row as first written: every trial graph is sampled, then
+    decided by the configured rule before the next one is drawn, and each
+    heuristic scan runs on its own.
+
+    Reference for `sweep.run_point`, which must give the same row.
+    """
+    params = config.point_params(alpha, beta)
+    point_seed = Seed(config.master_seed).child(17).child(index)
+    t1 = tau_lin(params)
+    t2 = tau_scan(params.K, params.p, params.q)
+    scan_seed_root = point_seed.child(23)
+
+    def scan_value(g):
+        seed = scan_seed_root.child(g.fingerprint())
+        return scan_statistic(g, params.K, config.scan_mode, config.restarts, seed)[0]
+
+    if config.test == "lin":
+        test = lambda g: H1 if t_lin(g) > t1 else H0  # noqa: E731
+    elif config.test == "scan":
+        test = lambda g: H1 if scan_value(g) > t2 else H0  # noqa: E731
+    else:
+        test = lambda g: H1 if (t_lin(g) > t1 or scan_value(g) > t2) else H0  # noqa: E731
+    trials = config.trials
+    null_root = point_seed.child(0)
+    alt_root = point_seed.child(1)
+    false_alarms = [test(gen_er(params.N, params.q, null_root.child(i))) == H1 for i in range(trials)]
+    misses = [test(gen_pds_random_size(params, alt_root.child(i)).graph) == H0 for i in range(trials)]
+    estimate = ErrorEstimate.from_rates(sum(false_alarms) / trials, sum(misses) / trials, trials)
+    return {
+        "alpha": alpha,
+        "beta": beta,
+        "N": params.N,
+        "K": params.K,
+        "q": params.q,
+        "p": params.p,
+        "test": config.test,
+        "scan_mode": config.scan_mode,
+        "type1": estimate.type1,
+        "type2": estimate.type2,
+        "trials": config.trials,
+        "seed": point_seed.key(),
+        "regime": regime_classify(alpha, beta),
+    }
 
 
 @pytest.fixture

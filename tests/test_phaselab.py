@@ -12,11 +12,12 @@ from xml.etree import ElementTree
 import pytest
 
 import pdslab
+from conftest import per_graph_run_point
 from pdslab.errors import ConfigError, EdgeListParseError, PdsLabError, TooLargeError
 from pdslab.phaselab import cli
 from pdslab.phaselab.cli import main
 from pdslab.phaselab.config import SweepConfig, load_config
-from pdslab.phaselab.sweep import CSV_HEADER, rows_to_csv, run_sweep, write_outputs
+from pdslab.phaselab.sweep import CSV_HEADER, rows_to_csv, run_point, run_sweep, write_outputs
 from pdslab.reduction import beta_sharp, beta_star, regime_classify
 
 
@@ -169,6 +170,19 @@ class TestSweep:
         rows1 = run_sweep(config)
         config4 = SweepConfig(**{**config.__dict__, "workers": 4})
         assert rows_to_csv(run_sweep(config4)) == rows_to_csv(rows1)
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    @pytest.mark.parametrize("test", ["lin", "scan", "combined"])
+    def test_matches_per_graph_reference(self, tmp_path, test, mode):
+        # the same row as deciding one trial graph at a time, at 1 to 5
+        # trials; alpha = 0.3 puts the edge count past tau_lin on some
+        # graphs and not on others, and beta = 1 gives K = N
+        for trials in range(1, 6):
+            path, _ = small_config(tmp_path, alpha_grid=[0.3, 0.9], beta_grid=[0.3, 0.6, 1.0],
+                                   N=16, trials=trials, test=test, scan_mode=mode, restarts=3)
+            config = load_config(path)
+            for i, (alpha, beta) in enumerate(config.points):
+                assert run_point(config, i, alpha, beta) == per_graph_run_point(config, i, alpha, beta)
 
     def test_outputs_written(self, tmp_path):
         path, _ = small_config(tmp_path)
@@ -546,6 +560,14 @@ class TestFrozenOutputs:
         "repeated": (dict(alpha_grid=[0.3, 0.35, 0.3], beta_grid=[0.0, 0.6, 0.0], N=25, c=1.5,
                           trials=3, test="lin"),
             "11db723220a2127a0e15c60b81c3333d", "73d41861abfc175b4aa1b411763449c0"),
+        # the benchmark's heuristic sweep, and a scan-test one, where every
+        # trial graph goes to the heuristic scan
+        "bench-heuristic": (dict(alpha_grid=[0.2, 0.6, 1.0, 1.4], beta_grid=[0.3, 0.5, 0.7, 0.9],
+                                 N=200, trials=4, test="combined", scan_mode="heuristic", restarts=16),
+            "8589edcb067dcd04c0f2eca441a565d8", "47ec13c6e7a31ac10afdbe742c07c0e9"),
+        "scan-heuristic": (dict(alpha_grid=[0.2, 0.3], beta_grid=[0.7, 0.9], N=80, c=1.5, trials=3,
+                                test="scan", scan_mode="heuristic", restarts=5),
+            "feaf8c63b2ecd4165169507fc57ba2fc", "d44b4fb7f62d1f8384aa1af01d72e502"),
     }
 
     @pytest.mark.parametrize("name", sorted(SWEEP_CONFIG_DIGESTS))
