@@ -167,6 +167,9 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # a bad flag is a usage error, checked before the config is read
+    if args.workers is not None and args.workers < 1:
+        raise InvalidParameterError(f"--workers must be >= 1, got {args.workers}")
     config = load_config(args.config)
     if args.workers is not None:
         config = dataclasses.replace(config, workers=args.workers)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 from xml.etree import ElementTree
@@ -12,6 +13,7 @@ from xml.etree import ElementTree
 import pytest
 
 import pdslab
+from pdslab import detectors
 from conftest import per_graph_run_point
 from pdslab.errors import ConfigError, EdgeListParseError, PdsLabError, TooLargeError
 from pdslab.phaselab import cli
@@ -183,6 +185,26 @@ class TestSweep:
             config = load_config(path)
             for i, (alpha, beta) in enumerate(config.points):
                 assert run_point(config, i, alpha, beta) == per_graph_run_point(config, i, alpha, beta)
+
+    def test_point_memory_does_not_grow_with_trials(self, tmp_path, monkeypatch):
+        # every trial graph goes to the heuristic scan, ~2,400 CSR entries
+        # each; with _BLOCK = 2**14 they run six or so at a time, so the
+        # peak at 32 trials stays within 256 kB of the peak at 8, where one
+        # run of all 64 graphs would add ~2.3 MB
+        monkeypatch.setattr(detectors, "_BLOCK", 2**14)
+        peaks = []
+        for trials in (1, 8, 32):
+            path, _ = small_config(tmp_path, alpha_grid=[0.6], beta_grid=[0.9], N=200, trials=trials,
+                                   test="scan", scan_mode="heuristic", restarts=4)
+            config = load_config(path)
+            tracemalloc.start()
+            try:
+                run_point(config, 0, 0.6, 0.9)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the first point also pays for lazy set-up, so it only warms up
+        assert peaks[2] <= peaks[1] + 2**18, peaks
 
     def test_outputs_written(self, tmp_path):
         path, _ = small_config(tmp_path)
@@ -716,7 +738,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: C(1000000,500000) >= ") and len(err) < 400
 
-    def test_sweep_workers_override_is_checked(self, tmp_path):
+    def test_sweep_workers_override_is_checked(self, tmp_path, capsys):
+        # a bad flag is a usage error, not a config error
         path, _ = small_config(tmp_path)
-        assert run_cli("sweep", path, "--workers", "0")[0] == 3
+        for workers in ("0", "-3"):
+            assert run_cli("sweep", path, "--workers", workers) == (2, "")
+            assert capsys.readouterr().err == f"error: --workers must be >= 1, got {workers}\n"
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_sweep_workers_in_config_is_checked(self, tmp_path, capsys):
+        path, _ = small_config(tmp_path, workers=0)
+        assert run_cli("sweep", path) == (3, "")
+        assert capsys.readouterr().err == "error: workers and restarts must be >= 1\n"
         assert not (tmp_path / "sweep.csv").exists()
