@@ -13,7 +13,10 @@ The exact scan is a depth-first branch-and-bound over the K-subsets.  Its
 budget caps C(N, K), not the search nodes visited or wall time, so whether
 a call runs depends on N and K alone; above budget callers must fall back
 to the restart hill-climbing heuristic, whose value never exceeds the true
-maximum.  Derived detectors wrap user-supplied subgraph finders: one
+maximum.  The heuristic has one engine, `scan_heuristic_batch`: it runs
+the restarts of several graphs with the same N and K in lockstep, each
+graph with its own seed and its own result, and `t_scan_heuristic` hands
+it one graph.  Derived detectors wrap user-supplied subgraph finders: one
 thresholds the density of a densest-K-subgraph approximation, the other
 runs a recovery algorithm over a sequence of progressively resampled graphs
 and scans the recovered sets' edge counts.
@@ -50,6 +53,8 @@ __all__ = [
     "tau_lin",
     "t_scan_exact",
     "t_scan_heuristic",
+    "csr_adjacency",
+    "scan_heuristic_batch",
     "scan_statistic",
     "tau_scan",
     "combined_test",
@@ -57,6 +62,7 @@ __all__ = [
     "dks_detector",
     "recovery_detector",
     "estimate_errors",
+    "trial_seeds",
     "is_monotone",
 ]
 
@@ -113,6 +119,12 @@ class ErrorEstimate:
             return 1.96 * math.sqrt(r * (1.0 - r) / trials)
 
         return ErrorEstimate(type1, type2, trials, (radius(type1), radius(type2)))
+
+    @staticmethod
+    def from_h1_counts(h1: tuple, trials: int) -> "ErrorEstimate":
+        """The rates of `trials` trials per arm, `h1` of them decided H1 in
+        the null arm and in the planted arm."""
+        return ErrorEstimate.from_rates(h1[0] / trials, (trials - h1[1]) / trials, trials)
 
 
 def t_lin(g: Graph) -> int:
@@ -208,6 +220,17 @@ def _gather(ptr: np.ndarray, nbrs: np.ndarray, vs: np.ndarray, offsets=None) -> 
     return nbrs[index] if offsets is None else nbrs[index] + offsets.repeat(lens)
 
 
+def csr_adjacency(g: Graph) -> tuple:
+    """g's adjacency as CSR (ptr, nbrs), both directions of every edge: the
+    neighbours of x are nbrs[ptr[x]:ptr[x + 1]], in increasing order."""
+    N = g.num_vertices
+    lo, hi = g.edges.T
+    heads, nbrs = np.divmod(np.sort(np.concatenate([lo * N + hi, hi * N + lo])), N)
+    ptr = np.zeros(N + 1, dtype=np.int64)
+    np.cumsum(np.bincount(heads, minlength=N), out=ptr[1:])
+    return ptr, nbrs
+
+
 def t_scan_heuristic(g: Graph, K: int, restarts: int, seed):
     """Best-of-restarts steepest-ascent 1-swap search for a dense K-subset.
 
@@ -216,55 +239,84 @@ def t_scan_heuristic(g: Graph, K: int, restarts: int, seed):
     swaps a member u for an outside vertex v while the best gain
     d_v - d_u - A_uv is positive, d being the degree into the set.  Ties go
     to the first member, then to the first outside vertex, in vertex order;
-    across restarts the larger count wins, then the smaller set.
+    across restarts the larger count wins, then the smaller set.  The
+    search itself is `scan_heuristic_batch`'s, on this one graph.
+    """
+    return scan_heuristic_batch([(csr_adjacency(g), seed)], g.num_vertices, K, restarts)[0]
+
+
+def scan_heuristic_batch(graphs, N: int, K: int, restarts: int) -> list:
+    """`t_scan_heuristic`'s (value, set) for each (CSR, seed) in `graphs`,
+    in order: graphs on N vertices as `csr_adjacency` gives them, each with
+    its own restart seed.
 
     The best swap has a closed form.  With D the largest d outside the set
     and T the outside vertices at D, member u's best gain is D - d_u, less 1
     when u is adjacent to every vertex of T, and its partner is the first
-    outside v that maximises d_v - A_uv.  The graph is held as CSR
-    adjacency and a swap updates d on N(u) and N(v) only.
+    outside v that maximises d_v - A_uv.  A swap updates d on N(u) and N(v)
+    only.
 
-    The restarts run in lockstep: each iteration makes one swap in every
-    live restart, on a restarts x N matrix of degrees, and a restart leaves
-    the matrix when it stops.  They run in blocks of _BLOCK // N restarts,
-    and at most _BLOCK // max(N, 2M) rows of a block gather T's neighbour
-    lists at once, so the matrix and every gather stay within _BLOCK
-    entries, and memory is O(block + N + M) for any number of restarts: no
-    N x N or K x (N - K) array is built.
+    Restarts run in lockstep, those of several graphs together: each
+    iteration makes one swap in every live restart, on a matrix of degrees
+    with one row per (graph, restart) pair, and a row leaves the matrix
+    when its restart stops.  `graphs` is read one graph at a time, and
+    graphs join one lockstep run while their N + 2M entries sum to at most
+    _BLOCK, so a lazy iterable of any length keeps memory bounded.  A run's
+    rows go in blocks of _BLOCK // N, and at most _BLOCK // max(N, 2M) rows
+    of a block gather T's neighbour lists at once, M the most edges of a
+    graph in the run, so the matrix and every gather stay within _BLOCK
+    entries: no N x N or K x (N - K) array is built.
     """
-    N = g.num_vertices
     K = _integer(K, "K")
     restarts = _integer(restarts, "restarts")
     if not (1 <= K <= N):
         raise InvalidParameterError(f"need 1 <= K <= N, got K={K}, N={N}")
     if restarts < 1:
         raise InvalidParameterError("need at least one restart")
+    results = []
+    run, size = [], 0
+    for csr, seed in graphs:
+        if csr[0].size != N + 1:
+            raise VertexCountMismatchError(f"a CSR has {csr[0].size - 1} vertices, the batch {N}")
+        if run and size + N + csr[1].size > _BLOCK:
+            results += _lockstep_scan(run, N, K, restarts)
+            run, size = [], 0
+        run.append((csr, as_seed(seed)))
+        size += N + csr[1].size
+    if run:
+        results += _lockstep_scan(run, N, K, restarts)
+    return results
+
+
+def _lockstep_scan(run: list, N: int, K: int, restarts: int) -> list:
+    """The (value, set) of each (CSR, Seed) in `run`, by one lockstep run."""
     if K == 1:
-        return 0, (0,)
-    # both directions of every edge; row x is nbrs[ptr[x]:ptr[x + 1]]
-    lo, hi = g.edges.T
-    heads, nbrs = np.divmod(np.sort(np.concatenate([lo * N + hi, hi * N + lo])), N)
-    ptr = np.zeros(N + 1, dtype=np.int64)
-    np.cumsum(np.bincount(heads, minlength=N), out=ptr[1:])
+        return [(0, (0,))] * len(run)
+    # one CSR over all the graphs: graph j's vertex x is row j*N + x, and
+    # nbrs keeps each graph's own vertex ids
+    ptr = np.zeros(len(run) * N + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([np.diff(p) for (p, _), _ in run]), out=ptr[1:])
+    nbrs = np.concatenate([n for (_, n), _ in run])
     # key[x] is x's degree into the set, less `off` for members: members sit
     # at or below -2 and outside vertices at or above 0
     off = N + 1
-    root = as_seed(seed)
-    best_count = -1
-    best_set = None
+    best_count = [-1] * len(run)
+    best_set = [None] * len(run)
     per_block = max(1, _BLOCK // N)
-    per_gather = max(1, _BLOCK // max(N, nbrs.size))
-    for first in range(0, restarts, per_block):
-        block = range(first, min(first + per_block, restarts))
+    per_gather = max(1, _BLOCK // max(N, *(n.size for (_, n), _ in run)))
+    for first in range(0, len(run) * restarts, per_block):
+        block = range(first, min(first + per_block, len(run) * restarts))
         keys = np.empty((len(block), N), dtype=np.int64)
         counts = np.empty(len(block), dtype=np.int64)
-        for i, r in enumerate(block):
-            start = root.child(r).rng().permutation(N)[:K]
-            key = np.bincount(_gather(ptr, nbrs, start), minlength=N)
+        for i, row in enumerate(block):
+            j, r = divmod(row, restarts)
+            start = run[j][1].child(r).rng().permutation(N)[:K]
+            key = np.bincount(_gather(ptr, nbrs, start + j * N), minlength=N)
             counts[i] = key[start].sum() // 2
             key[start] -= off
             keys[i] = key
         base = np.arange(len(block)) * N  # each row's offset in `flat`
+        vbase = np.arange(block.start, block.stop) // restarts * N  # its graph's in ptr
         flat = keys.reshape(-1)
         while len(keys):
             D = keys.max(axis=1)
@@ -276,7 +328,7 @@ def t_scan_heuristic(g: Graph, K: int, restarts: int, seed):
             # each flat index occurs once and a fancy -= is exact.  The first
             # argmax of a row is then the first outside v maximising
             # d_v - A_uv, since members stay below -1
-            at = _gather(ptr, nbrs, u, base)
+            at = _gather(ptr, nbrs, vbase + u, base)
             flat[at] -= 1
             v = keys.argmax(axis=1)
             # a row whose largest key fell below D saw every vertex of T lose
@@ -294,7 +346,8 @@ def t_scan_heuristic(g: Graph, K: int, restarts: int, seed):
                     top = ks == D[s, None]
                     t_row, t = top.nonzero()
                     # x sees all of T when all of T is among x's neighbours
-                    sees_top = np.bincount(_gather(ptr, nbrs, t, t_row * N), minlength=top.size)
+                    sees_top = np.bincount(_gather(ptr, nbrs, vbase[s][t_row] + t, t_row * N),
+                                           minlength=top.size)
                     sees_top = sees_top.reshape(top.shape) == np.count_nonzero(top, axis=1)[:, None]
                     # the first member of largest row maximum; outside vertices at
                     # -off, below every member's D - d_x - 1
@@ -303,26 +356,29 @@ def t_scan_heuristic(g: Graph, K: int, restarts: int, seed):
                     gain[s] = row_max.max(axis=1)
                     s = s[gain[s] > 0]
                     if s.size:
-                        flat[_gather(ptr, nbrs, u[s], base[s])] -= 1
+                        flat[_gather(ptr, nbrs, vbase[s] + u[s], base[s])] -= 1
                         v[s] = keys[s].argmax(axis=1)
             # a restart stops at its first gain <= 0.  Its members are the keys
             # below -1 even with u's edges still off: members at -3 or below,
-            # outside vertices at -1 or above
+            # outside vertices at -1 or above; its graph's best is the larger
+            # count, then the smaller set
             done = gain <= 0
             if done.any():
                 for i in done.nonzero()[0]:
+                    j = vbase[i] // N
                     cand = tuple((keys[i] < -1).nonzero()[0].tolist())
-                    if counts[i] > best_count or (counts[i] == best_count and cand < best_set):
-                        best_count, best_set = int(counts[i]), cand
+                    if counts[i] > best_count[j] or (counts[i] == best_count[j] and cand < best_set[j]):
+                        best_count[j], best_set[j] = int(counts[i]), cand
                 keep = ~done
                 keys, counts, u, v, gain = keys[keep], counts[keep], u[keep], v[keep], gain[keep]
+                vbase = vbase[keep]
                 base = base[:len(keys)]
                 flat = keys.reshape(-1)
-            flat[_gather(ptr, nbrs, v, base)] += 1
+            flat[_gather(ptr, nbrs, vbase + v, base)] += 1
             flat[base + u] += off
             flat[base + v] -= off
             counts += gain
-    return best_count, best_set
+    return list(zip(best_count, best_set))
 
 
 def scan_statistic(g: Graph, K: int, scan_mode: str, restarts: int, seed,
@@ -492,6 +548,14 @@ def recovery_threshold(q: float, p: float, epsilon: float) -> float:
     return q + (1.0 - epsilon) ** 2 * (p - q) / 2.0
 
 
+def trial_seeds(seed, trials: int) -> list:
+    """(arm, seed) of every trial of a two-arm error estimate: the null arm
+    0, then the planted arm 1, trial i of an arm drawing from
+    root.child(arm).child(i), so no result depends on execution order."""
+    root = as_seed(seed)
+    return [(arm, root.child(arm).child(i)) for arm in (0, 1) for i in range(trials)]
+
+
 def estimate_errors(
     null_gen: Callable[[Seed], Graph],
     alt_gen: Callable[[Seed], Graph],
@@ -501,18 +565,17 @@ def estimate_errors(
 ) -> ErrorEstimate:
     """Empirical Type-I/Type-II rates over independent trials.
 
-    Generators are callables Seed -> Graph.  Trial i of each arm uses its
-    own derived seed, so results do not depend on execution order.
+    Generators are callables Seed -> Graph, and each trial draws from its
+    own `trial_seeds` seed.
     """
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise InvalidParameterError("need at least one trial")
-    root = as_seed(seed)
-    null_root = root.child(0)
-    alt_root = root.child(1)
-
-    false_alarms = [_decision(test(null_gen(null_root.child(i)))) == H1 for i in range(trials)]
-    misses = [_decision(test(alt_gen(alt_root.child(i)))) == H0 for i in range(trials)]
-    return ErrorEstimate.from_rates(sum(false_alarms) / trials, sum(misses) / trials, trials)
+    gens = (null_gen, alt_gen)
+    h1 = [0, 0]
+    for arm, trial_seed in trial_seeds(seed, trials):
+        h1[arm] += _decision(test(gens[arm](trial_seed))) == H1
+    return ErrorEstimate.from_h1_counts(h1, trials)
 
 
 def _decision(result) -> str:

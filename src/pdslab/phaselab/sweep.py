@@ -4,21 +4,29 @@ Each grid point gets its own derived seed, so a row is a pure function of
 (config, point index).  Points run serially in grid order: a thread pool
 over points was slower under the GIL, so the ``workers`` setting is
 accepted for compatibility and changes neither the run nor its output.
+Within a point, every trial graph the edge count decides is decided as it
+is drawn.  In heuristic scan mode the others go to one batch of lockstep
+heuristic scans as CSR adjacency, read as the batch goes; graphs run
+together only while their N + 2M entries sum to at most
+``detectors._BLOCK``, so a point's memory does not grow with ``trials``.
+In exact scan mode each of them gets its own exact scan.
+
 The CSV schema is fixed and versioned by its header line, ``CSV_HEADER``.
 """
 
 from __future__ import annotations
 
 from ..detectors import (
-    H0,
-    H1,
-    estimate_errors,
-    scan_statistic,
+    ErrorEstimate,
+    csr_adjacency,
+    scan_heuristic_batch,
     t_lin,
+    t_scan_exact,
     tau_lin,
     tau_scan,
+    trial_seeds,
 )
-from ..graphmodels import PdsParams, gen_er, gen_pds_random_size
+from ..graphmodels import gen_er, gen_pds_random_size
 from ..randkit import Seed
 from ..reduction import regime_classify
 from .config import SweepConfig
@@ -30,38 +38,44 @@ _POINT_STREAM = 17  # fixed stream tag for per-point seeds
 _HEURISTIC_STREAM = 23
 
 
-def make_point_test(config: SweepConfig, params: PdsParams, point_seed: Seed):
-    """Build the configured decision rule for one grid point.
-
-    The heuristic scan derives its restart seed from the point seed and a
-    digest of the input graph, keeping the rule a pure function.
-    """
-    t1 = tau_lin(params)
-    t2 = tau_scan(params.K, params.p, params.q)
-    scan_seed_root = point_seed.child(_HEURISTIC_STREAM)
-
-    def scan_value(g):
-        seed = scan_seed_root.child(g.fingerprint())
-        return scan_statistic(g, params.K, config.scan_mode, config.restarts, seed)[0]
-
-    if config.test == "lin":
-        return lambda g: H1 if t_lin(g) > t1 else H0
-    if config.test == "scan":
-        return lambda g: H1 if scan_value(g) > t2 else H0
-    return lambda g: H1 if (t_lin(g) > t1 or scan_value(g) > t2) else H0
-
-
 def run_point(config: SweepConfig, index: int, alpha: float, beta: float) -> dict:
+    """One CSV row: the configured test's error rates at one grid point.
+
+    Trial graphs are drawn from `detectors.trial_seeds` of the point seed.
+    A graph is H1 when its edge count clears tau_lin (tests lin and
+    combined) or its scan statistic clears tau_scan (scan and combined);
+    the scan runs only where the edge count leaves the decision open.  The
+    heuristic scan's restart seed derives from the point seed and a digest
+    of the graph, so each decision is a pure function of its graph.
+    """
     params = config.point_params(alpha, beta)
     point_seed = Seed(config.master_seed).child(_POINT_STREAM).child(index)
-    test = make_point_test(config, params, point_seed)
-    estimate = estimate_errors(
-        null_gen=lambda s: gen_er(params.N, params.q, s),
-        alt_gen=lambda s: gen_pds_random_size(params, s).graph,
-        test=test,
-        trials=config.trials,
-        seed=point_seed,
-    )
+    t1 = tau_lin(params)
+    t2 = tau_scan(params.K, params.p, params.q)
+    scan_root = point_seed.child(_HEURISTIC_STREAM)
+    samplers = (lambda s: gen_er(params.N, params.q, s), lambda s: gen_pds_random_size(params, s).graph)
+    h1 = [0, 0]  # H1 decisions in the null and the planted arm
+    scanned = []  # the arm of each graph left to the heuristic scan
+
+    def undecided():
+        # decides every graph it can at once and yields the others' CSR and
+        # scan seed, so that all of them run in one batch of heuristic scans
+        # with no Graph kept; the batch reads them as it goes
+        for arm, seed in trial_seeds(point_seed, config.trials):
+            g = samplers[arm](seed)
+            if config.test != "scan" and t_lin(g) > t1:
+                h1[arm] += 1
+            elif config.test != "lin":
+                if config.scan_mode == "exact":
+                    h1[arm] += t_scan_exact(g, params.K)[0] > t2
+                else:
+                    scanned.append(arm)
+                    yield csr_adjacency(g), scan_root.child(g.fingerprint())
+
+    values = scan_heuristic_batch(undecided(), params.N, params.K, config.restarts)
+    for arm, (value, _) in zip(scanned, values):
+        h1[arm] += value > t2
+    estimate = ErrorEstimate.from_h1_counts(h1, config.trials)
     return {
         "alpha": alpha,
         "beta": beta,

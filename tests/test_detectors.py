@@ -21,7 +21,9 @@ from pdslab.detectors import (
     recovery_detector,
     recovery_threshold,
     scan_statistic,
+    scan_heuristic_batch,
     scan_subset_count,
+    csr_adjacency,
     t_lin,
     t_scan_exact,
     t_scan_heuristic,
@@ -34,6 +36,7 @@ from pdslab.errors import (
     InvalidParameterError,
     PreconditionViolationError,
     TooLargeError,
+    VertexCountMismatchError,
 )
 from pdslab.graphmodels import (
     Graph,
@@ -190,6 +193,53 @@ class TestScanHeuristic:
                 monkeypatch.setattr(detectors, "_BLOCK", blocks * g.num_vertices)
                 assert t_scan_heuristic(g, k, 7, Seed(36)) == want
                 assert want == sequential_scan_heuristic(g, k, 7, Seed(36))
+
+    def test_batch_matches_one_graph_at_a_time(self, monkeypatch):
+        # graphs scanned in one lockstep run each get the (value, set) of
+        # their own scan: empty, complete, G(N, q) at q = 0.05, 0.5 and 0.95
+        # and a planted clique, at K = 2, N - 1, N and one in between.  All
+        # six graphs make one run; with _BLOCK = 4N a block holds 4 of a
+        # graph's 5 restarts, so blocks cut one graph's restarts and hold two
+        # graphs' rows, and a run takes the first sparse graphs together and
+        # each dense one alone
+        whole = detectors._BLOCK
+        runs = []
+        lockstep = detectors._lockstep_scan
+
+        def spy(run, *args):
+            runs.append(len(run))
+            return lockstep(run, *args)
+
+        monkeypatch.setattr(detectors, "_lockstep_scan", spy)
+        for n in (12, 30):
+            graphs = [Graph(n, []), gen_er(n, 0.05, Seed(37).child(n)),
+                      gen_planted_clique(n, 4, 0.05, Seed(38).child(n)).graph,
+                      gen_er(n, 0.5, Seed(39).child(n)), Graph(n, list(combinations(range(n), 2))),
+                      gen_er(n, 0.95, Seed(40).child(n))]
+            seeds = [Seed(41).child(n).child(i) for i in range(len(graphs))]
+            csrs = [csr_adjacency(g) for g in graphs]
+            for k in (2, n // 3, n - 1, n):
+                want = [sequential_scan_heuristic(g, k, 5, s) for g, s in zip(graphs, seeds)]
+                assert [t_scan_heuristic(g, k, 5, s) for g, s in zip(graphs, seeds)] == want
+                for block in (whole, 4 * n):
+                    monkeypatch.setattr(detectors, "_BLOCK", block)
+                    runs.clear()
+                    assert scan_heuristic_batch(zip(csrs, seeds), n, k, 5) == want, (n, k, block)
+                    if block == whole:
+                        assert runs == [6]
+                    else:
+                        assert runs[0] >= 2 and runs[-1] == 1, runs
+
+    def test_batch_checks_its_graphs(self):
+        # every CSR must have the batch's vertex count; an empty batch is
+        # fine, and K and the restarts are checked all the same
+        csr = csr_adjacency(K4)
+        assert scan_heuristic_batch([], 4, 2, 1) == []
+        with pytest.raises(VertexCountMismatchError):
+            scan_heuristic_batch([(csr, Seed(0))], 5, 2, 1)
+        for k, restarts in ((0, 1), (5, 1), (2, 0), (2.0, 1)):
+            with pytest.raises(InvalidParameterError):
+                scan_heuristic_batch([], 4, k, restarts)
 
     def test_memory_does_not_grow_with_restarts(self, monkeypatch):
         # _BLOCK = 2**15: at N = 5000 blocks of 6 restarts (0.24 MB of
@@ -513,6 +563,16 @@ class TestEstimateErrors:
         assert (est.type1, est.type2) == (0.0, 1.0)
         est = estimate_errors(null_gen, null_gen, lambda g: H1, 40, Seed(1))
         assert (est.type1, est.type2) == (1.0, 0.0)
+
+    def test_rejects_bad_trial_counts(self):
+        # a float or string count once ended in a raw TypeError, and True
+        # ran one trial
+        null_gen = lambda s: gen_er(5, 0.5, s)
+        for trials in (2.5, "3", True, np.float64(3), 0, -1):
+            with pytest.raises(InvalidParameterError):
+                estimate_errors(null_gen, null_gen, lambda g: H0, trials, Seed(1))
+        est = estimate_errors(null_gen, null_gen, lambda g: H0, np.int64(3), Seed(1))
+        assert est == ErrorEstimate.from_rates(0.0, 1.0, 3) and type(est.trials) is int
 
     def test_ci_radius(self):
         est = ErrorEstimate.from_rates(0.2, 0.5, 100)
