@@ -267,6 +267,7 @@ def scan_heuristic_batch(graphs, N: int, K: int, restarts: int) -> list:
     graph in the run, so the matrix and every gather stay within _BLOCK
     entries: no N x N or K x (N - K) array is built.
     """
+    N = _integer(N, "N")
     K = _integer(K, "K")
     restarts = _integer(restarts, "restarts")
     if not (1 <= K <= N):
@@ -279,8 +280,8 @@ def scan_heuristic_batch(graphs, N: int, K: int, restarts: int) -> list:
         if csr[0].size != N + 1:
             raise VertexCountMismatchError(f"a CSR has {csr[0].size - 1} vertices, the batch {N}")
         if run and size + N + csr[1].size > _BLOCK:
-            results += _lockstep_scan(run, N, K, restarts)
-            run, size = [], 0
+            results += _lockstep_scan(run, N, K, restarts)  # empties run
+            size = 0
         run.append((csr, as_seed(seed)))
         size += N + csr[1].size
     if run:
@@ -289,28 +290,32 @@ def scan_heuristic_batch(graphs, N: int, K: int, restarts: int) -> list:
 
 
 def _lockstep_scan(run: list, N: int, K: int, restarts: int) -> list:
-    """The (value, set) of each (CSR, Seed) in `run`, by one lockstep run."""
-    if K == 1:
-        return [(0, (0,))] * len(run)
+    """The (value, set) of each (CSR, Seed) in `run`, by one lockstep run;
+    `run` is left empty."""
+    seeds = [seed for _, seed in run]
     # one CSR over all the graphs: graph j's vertex x is row j*N + x, and
-    # nbrs keeps each graph's own vertex ids
+    # nbrs keeps each graph's own vertex ids.  The graphs' own CSRs go
+    # before the scan starts
     ptr = np.zeros(len(run) * N + 1, dtype=np.int64)
     np.cumsum(np.concatenate([np.diff(p) for (p, _), _ in run]), out=ptr[1:])
     nbrs = np.concatenate([n for (_, n), _ in run])
+    per_gather = max(1, _BLOCK // max(N, *(n.size for (_, n), _ in run)))
+    run.clear()
+    if K == 1:
+        return [(0, (0,))] * len(seeds)
     # key[x] is x's degree into the set, less `off` for members: members sit
     # at or below -2 and outside vertices at or above 0
     off = N + 1
-    best_count = [-1] * len(run)
-    best_set = [None] * len(run)
+    best_count = [-1] * len(seeds)
+    best_set = [None] * len(seeds)
     per_block = max(1, _BLOCK // N)
-    per_gather = max(1, _BLOCK // max(N, *(n.size for (_, n), _ in run)))
-    for first in range(0, len(run) * restarts, per_block):
-        block = range(first, min(first + per_block, len(run) * restarts))
+    for first in range(0, len(seeds) * restarts, per_block):
+        block = range(first, min(first + per_block, len(seeds) * restarts))
         keys = np.empty((len(block), N), dtype=np.int64)
         counts = np.empty(len(block), dtype=np.int64)
         for i, row in enumerate(block):
             j, r = divmod(row, restarts)
-            start = run[j][1].child(r).rng().permutation(N)[:K]
+            start = seeds[j].child(r).rng().permutation(N)[:K]
             key = np.bincount(_gather(ptr, nbrs, start + j * N), minlength=N)
             counts[i] = key[start].sum() // 2
             key[start] -= off

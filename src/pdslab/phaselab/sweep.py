@@ -70,7 +70,9 @@ def run_point(config: SweepConfig, index: int, alpha: float, beta: float) -> dic
                     h1[arm] += t_scan_exact(g, params.K)[0] > t2
                 else:
                     scanned.append(arm)
-                    yield csr_adjacency(g), scan_root.child(g.fingerprint())
+                    item = csr_adjacency(g), scan_root.child(g.fingerprint())
+                    del g
+                    yield item
 
     values = scan_heuristic_batch(undecided(), params.N, params.K, config.restarts)
     for arm, (value, _) in zip(scanned, values):

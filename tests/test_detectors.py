@@ -237,9 +237,9 @@ class TestScanHeuristic:
         assert scan_heuristic_batch([], 4, 2, 1) == []
         with pytest.raises(VertexCountMismatchError):
             scan_heuristic_batch([(csr, Seed(0))], 5, 2, 1)
-        for k, restarts in ((0, 1), (5, 1), (2, 0), (2.0, 1)):
+        for n, k, restarts in ((4, 0, 1), (4, 5, 1), (4, 2, 0), (4, 2.0, 1), (4.0, 2, 1)):
             with pytest.raises(InvalidParameterError):
-                scan_heuristic_batch([], 4, k, restarts)
+                scan_heuristic_batch([], n, k, restarts)
 
     def test_memory_does_not_grow_with_restarts(self, monkeypatch):
         # _BLOCK = 2**15: at N = 5000 blocks of 6 restarts (0.24 MB of
