@@ -187,10 +187,10 @@ class TestSweep:
                 assert run_point(config, i, alpha, beta) == per_graph_run_point(config, i, alpha, beta)
 
     def test_point_memory_does_not_grow_with_trials(self, tmp_path, monkeypatch):
-        # every trial graph goes to the heuristic scan, ~2,400 CSR entries
-        # each; with _BLOCK = 2**14 they run six or so at a time, so the
-        # peak at 32 trials stays within 256 kB of the peak at 8, where one
-        # run of all 64 graphs would add ~2.3 MB
+        # every trial graph goes to the heuristic scan, with a few thousand
+        # CSR entries each; with _BLOCK = 2**14 they run several at a time,
+        # so the peak at 32 trials stays within 256 kB of the peak at 8,
+        # where one run of all 64 graphs would add ~2.3 MB
         monkeypatch.setattr(detectors, "_BLOCK", 2**14)
         peaks = []
         for trials in (1, 8, 32):
