@@ -8,7 +8,9 @@ per-block reduction loop is the reference for the vectorised reduction
 sampler's random stream.  The dense-matrix restart scan is the reference
 for the sparse heuristic scan's swaps and tie rules, the one-restart-at-a-
 time sparse scan for the lockstep one's (value, set), and the per-line
-edge-list reader is the reference for every file the array parse reads.
+edge-list reader is the reference for every file the array parse reads,
+and the string-formatting edge-list writer for every byte the array writer
+writes.
 The per-mask reduced law is the reference for the exact reduction oracles'
 floats, the per-mask planted law for the exact planted laws', and the
 count-cube negative-association check for the battery's.  The float
@@ -32,6 +34,7 @@ from pdslab.graphmodels import (
     BipartiteGraph,
     Graph,
     _parse_ints,
+    _SortedKeyGraph,
     _vertex_count,
     gen_er,
     gen_pds_random_size,
@@ -340,6 +343,20 @@ def line_by_line_read_edge_list(path):
     if fault is not None:
         raise fault
     return cls(*dims, rows)
+
+
+def format_write_edge_list(g, path) -> None:
+    """The edge-list writer as one string format, before the array writer.
+
+    Reference for `write_edge_list`: on any graph it must write the same
+    bytes.
+    """
+    if not isinstance(g, _SortedKeyGraph):
+        raise InvalidParameterError(f"cannot serialize {type(g).__name__}")
+    header = " ".join(map(str, (*g._dims, g.num_edges)))
+    body = ("%d %d\n" * g.num_edges) % tuple(g.edges.ravel().tolist())
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{header}\n{body}")
 
 
 def _per_mask_block_factor(bits: np.ndarray, slot_ids: list, dist) -> np.ndarray:

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import float_pairs_from_flat, line_by_line_read_edge_list
+from conftest import float_pairs_from_flat, format_write_edge_list, line_by_line_read_edge_list
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -454,6 +454,25 @@ class TestEdgeListIO:
             path = tmp_path / "g.txt"
             write_edge_list(g, path)
             assert hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest() == digest
+
+    def test_writer_matches_format_reference(self, tmp_path):
+        top = graphmodels._MAX_VERTEX_COUNT
+        graphs = [
+            Graph(0), Graph(3), BipartiteGraph(0, 0), BipartiteGraph(2, 5),
+            Graph(2, [(0, 1)]), BipartiteGraph(1, 1, [(0, 0)]),
+            Graph(top, [(0, top - 1)]),
+            BipartiteGraph(top, 7, [(top - 1, 6)]), BipartiteGraph(7, top, [(6, top - 1)]),
+        ]
+        # ends of every width from 1 to 10 digits, against ends of every other width
+        ends = sorted({0, 1, 9, top - 2, top - 1} | {10**w + d for w in range(1, 10) for d in (-1, 0, 7)})
+        graphs.append(Graph(top, [(u, v) for u in ends for v in ends if u < v]))
+        graphs.append(BipartiteGraph(top, top, [(u, v) for u in ends for v in ends]))
+        for n, q in ((2, 1.0), (9, 0.5), (50, 0.2), (200, 0.05), (200, 0.9), (1000, 0.01), (1200, 0.3)):
+            graphs += [gen_er(n, q, Seed(n)), gen_bipartite_er(n, q, Seed(n))]
+        for g in graphs:
+            write_edge_list(g, tmp_path / "new.txt")
+            format_write_edge_list(g, tmp_path / "old.txt")
+            assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes(), g
 
     @pytest.mark.parametrize("rewrite", [
         lambda t: t.replace("\n", "\r\n"),
