@@ -2,11 +2,15 @@
 
 Graphs are immutable after construction.  Graph and BipartiteGraph share one
 implementation whose one edge form is the sorted int64 flat key u*width + v:
-construction validates, sorts and checks duplicates on keys, lookups
-binary-search them, and the public (M, 2) ``edges`` rows are derived from
-them.  The sampler merges its parts on keys, and the edge-list reader finds
-duplicates on them.  Instances are safe to share read-only across parallel
-Monte Carlo trials; generation itself is single-threaded per instance.
+construction validates the rows and keys them, and the public (M, 2)
+``edges`` rows are kept in key order.  Rows already in strictly increasing
+key order, as the samplers and edge-list files give them, pass one order
+check; any others are sorted and checked for duplicates on their keys.
+Lookups binary-search the keys, or only one row's slice of them.  The
+edge-list writer and the canonical-file reader work on byte and digit
+arrays, with no Python object per edge.  Instances are safe to share
+read-only across parallel Monte Carlo trials; generation itself is
+single-threaded per instance.
 
 All seven generators are one planted sampler.  G(N, q) is the planted
 model with nothing planted, and the planted clique is the planted model
@@ -15,8 +19,11 @@ into a *membership* stream (which vertices are planted) and an *edge*
 stream, so a planted set can be held fixed while edges are resampled.
 Edge sampling is exact for every q: per-pair Bernoulli for dense graphs,
 geometric skip-sampling over the flat pair index space for sparse ones
-(q < 0.1).  The inversion from flat index to pair is exact for every
-vertex count up to the limit.
+(q < 0.1).  Background and planted extras are merged as flat indices and
+turned into rows once; the inversion from flat index to pair is exact for
+every vertex count up to the limit.  A request expecting more than
+_MAX_EXPECTED_EDGES edges is refused with a TooLargeError (exit 4) before
+anything is drawn.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from .errors import (
     EdgeListParseError,
     InvalidParameterError,
     InvalidProbabilityError,
+    TooLargeError,
 )
 from .randkit import as_seed
 
@@ -58,6 +66,11 @@ _MEMBERSHIP_STREAM = 0
 _EDGE_STREAM = 1
 
 _DENSE_Q_THRESHOLD = 0.1
+
+# Largest expected edge count a sampler draws.  A graph holds 24 bytes per
+# edge (its rows and its keys), so 1.2 GB here, and drawing it needs more;
+# the largest graph drawn in the tests and benchmarks has 250k edges.
+_MAX_EXPECTED_EDGES = 50_000_000
 
 
 def _check_prob(x, name="probability"):
@@ -113,7 +126,13 @@ class _SortedKeyGraph:
         return (np.minimum(u, v), np.maximum(u, v)) if self._UNORDERED else (u, v)
 
     def _store(self, edges) -> None:
-        """Validate the edge rows, then keep them as sorted flat keys."""
+        """Validate the edge rows, then keep them as sorted flat keys.
+
+        Rows in strictly increasing key order, as the samplers and
+        edge-list files give them, pass one order check and are kept as
+        given; any other rows are oriented, sorted and checked for
+        duplicates on their keys, and stored in key order.
+        """
         arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
         if arr.size == 0:
             arr = np.empty((0, 2), dtype=np.int64)
@@ -123,21 +142,28 @@ class _SortedKeyGraph:
         arr = arr.astype(np.int64, copy=False)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise InvalidParameterError("edges must be pairs")
-        if self._UNORDERED and (arr[:, 0] == arr[:, 1]).any():
-            raise InvalidParameterError("self-loops are not representable")
-        u, v = self._orient(arr[:, 0], arr[:, 1])
+        u, v = arr[:, 0], arr[:, 1]
+        if self._UNORDERED and not (u < v).all():
+            if (u == v).any():
+                raise InvalidParameterError("self-loops are not representable")
+            u, v = self._orient(u, v)
         height, width = self._dims[0], self._dims[-1]
-        if ((u < 0) | (u >= height) | (v < 0) | (v >= width)).any():
+        if u.size and (u.min() < 0 or u.max() >= height or v.min() < 0 or v.max() >= width):
             raise InvalidParameterError("edge endpoint out of range")
-        # stable is timsort: linear on the sorted rows samplers and files give
-        keys = np.sort(u * width + v, kind="stable")
-        repeat = np.flatnonzero(keys[1:] == keys[:-1])
-        if repeat.size:
-            raise InvalidParameterError("duplicate edge (%d, %d)" % divmod(keys[repeat[0]], width))
-        self.edges = np.column_stack(np.divmod(keys, width))
-        self.edges.flags.writeable = False
         # closed by a sentinel above any key, so a lookup never runs off the end
-        self._keys = np.append(keys, np.iinfo(np.int64).max)
+        self._keys = np.empty(u.size + 1, dtype=np.int64)
+        self._keys[-1] = np.iinfo(np.int64).max
+        keys = np.multiply(u, width, out=self._keys[:-1])
+        keys += v
+        if not (keys[1:] > keys[:-1]).all():
+            # stable is timsort: linear on nearly sorted rows
+            keys.sort(kind="stable")
+            repeat = np.flatnonzero(keys[1:] == keys[:-1])
+            if repeat.size:
+                raise InvalidParameterError("duplicate edge (%d, %d)" % divmod(keys[repeat[0]], width))
+            u, v = np.divmod(keys, width)
+        self.edges = np.column_stack((u, v))
+        self.edges.flags.writeable = False
 
     @property
     def num_edges(self) -> int:
@@ -154,6 +180,20 @@ class _SortedKeyGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.has_edges(u, v))
+
+    def row_has_edges(self, s: int, t: np.ndarray) -> np.ndarray:
+        """has_edges(s, t) for one row end s and column ends t in range,
+        with t >= s in a Graph.
+
+        Those edges are one slice of the sorted keys, so only the slice is
+        searched.  The key after it, from a later row or the sentinel, is
+        above every query and closes the slice.
+        """
+        width = self._dims[-1]
+        lo, hi = self._keys.searchsorted((s * width, (s + 1) * width))
+        row = self._keys[lo : hi + 1]
+        query = t + s * width
+        return row[row.searchsorted(query)] == query
 
     def fingerprint(self) -> int:
         """Stable 64-bit digest of (dimensions, edges); platform independent."""
@@ -249,18 +289,39 @@ def _pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _pairs_from_flat(n: int, t: np.ndarray) -> np.ndarray:
-    """Invert lexicographic pair enumeration: flat index -> (i, j), i < j.
+def _pair_start(n: int, i):
+    """Flat index of row i's first pair (i, i + 1); every product fits int64
+    up to the vertex limit."""
+    return i * (2 * n - i - 1) // 2
 
-    Counted from the last pair, k = C(n, 2) - 1 - t lies in row n - 2 - r for
-    the largest r with r(r + 1)/2 <= k.  The float root is off by at most
-    one, and every product here fits int64 up to the vertex limit.
+
+def _pairs_from_flat(n: int, t: np.ndarray) -> np.ndarray:
+    """Invert lexicographic pair enumeration: ascending flat indices ->
+    rows (i, j), i < j.
+
+    With no more rows than indices, one searchsorted of the n row starts
+    into t splits t into its rows' runs.  Otherwise each index is inverted
+    on its own: counted from the last pair, k = C(n, 2) - 1 - t lies in row
+    n - 2 - r for the largest r with r(r + 1)/2 <= k.  The float root is off
+    by at most one, and every product here fits int64 up to the vertex
+    limit.
     """
-    k = _pair_count(n) - 1 - np.asarray(t, dtype=np.int64)
+    t = np.asarray(t, dtype=np.int64)
+    out = np.empty((t.size, 2), dtype=np.int64)
+    if n <= t.size:
+        rows = np.arange(n)
+        starts = _pair_start(n, rows)
+        runs = np.diff(np.searchsorted(t, starts), append=t.size)
+        out[:, 0] = np.repeat(rows, runs)
+        np.subtract(t, np.repeat(starts - rows - 1, runs), out=out[:, 1])
+        return out
+    k = _pair_count(n) - 1 - t
     r = ((np.sqrt(8.0 * k + 1.0) - 1.0) // 2).astype(np.int64)
     r += (r + 1) * (r + 2) // 2 <= k
     r -= r * (r + 1) // 2 > k
-    return np.column_stack([n - 2 - r, n - 1 - k + r * (r + 1) // 2])
+    out[:, 0] = n - 2 - r
+    out[:, 1] = n - 1 - k + r * (r + 1) // 2
+    return out
 
 
 def _bernoulli_flat(total: int, prob: float, rng: np.random.Generator) -> np.ndarray:
@@ -282,8 +343,9 @@ def _bernoulli_flat(total: int, prob: float, rng: np.random.Generator) -> np.nda
         chunk = 1 << 22
         for start in range(0, total, chunk):
             size = min(chunk, total - start)
-            hits = np.nonzero(rng.random(size) < prob)[0]
-            chunks.append(hits + start)
+            hits = np.flatnonzero(rng.random(size) < prob)
+            hits += start
+            chunks.append(hits)
         return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
     out = []
     pos = -1
@@ -299,20 +361,20 @@ def _bernoulli_flat(total: int, prob: float, rng: np.random.Generator) -> np.nda
         pos = int(steps[-1])
 
 
-def _pairs_within(members: np.ndarray, r: float, rng) -> np.ndarray:
-    """Bernoulli(r) pairs inside a sorted vertex subset, as rows u < v in
-    lexicographic order."""
-    local = _bernoulli_flat(_pair_count(members.size), r, rng)
-    if local.size == 0:  # spares tiny samplers the inversion's fixed cost
-        return np.empty((0, 2), dtype=np.int64)
-    return members[_pairs_from_flat(members.size, local)]
-
-
-def _pairs_between(top: np.ndarray, bottom: np.ndarray, r: float, rng) -> np.ndarray:
-    """Bernoulli(r) (top, bottom) pairs between two sorted vertex sets, in
-    lexicographic order."""
-    flat = _bernoulli_flat(top.size * bottom.size, r, rng)
-    return np.column_stack([top[flat // bottom.size], bottom[flat % bottom.size]])
+def _extras_flat(N: int, plants: list, r: float, rng) -> np.ndarray:
+    """Bernoulli(r) pairs inside the planted set (one side) or between the
+    planted sets (two sides), as ascending flat indices among all N
+    vertices per side: lexicographic pair indices, or top * N + bottom."""
+    if len(plants) == 1:
+        (members,) = plants
+        local = _bernoulli_flat(_pair_count(members.size), r, rng)
+        if local.size == 0:  # spares tiny samplers the inversion's fixed cost
+            return local
+        u, v = members[_pairs_from_flat(members.size, local)].T
+        return _pair_start(N, u) + v - u - 1
+    top, bottom = plants
+    local = _bernoulli_flat(top.size * bottom.size, r, rng)
+    return top[local // bottom.size] * N + bottom[local % bottom.size]
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +385,28 @@ def _pairs_between(top: np.ndarray, bottom: np.ndarray, r: float, rng) -> np.nda
 def _plant(N: int, K: int, p: float, q: float, seed, sides: int, fixed_size: bool = True):
     """The planted model on one vertex set (a Graph) or on two (a BipartiteGraph).
 
-    Each side's planted set comes from the membership stream: a uniform
-    K-subset, or each vertex with probability K/N.  K = 0 plants nothing and
-    draws nothing there.  The union of a rate-q background and
-    rate-(p-q)/(1-q) extras inside the planted set(s) is exactly Bernoulli(p)
-    within and Bernoulli(q) elsewhere.  Extras at rate 0 (p = q) or inside
-    an empty set draw nothing from the edge stream, and the background alone
-    is already sorted, so G(N, q) costs no more than its own pairs.
+    A request whose expected edge count, C(N, 2) q + C(K, 2) (p - q) (two
+    sides: N^2 q + K^2 (p - q)), is above _MAX_EXPECTED_EDGES is refused
+    with a TooLargeError before anything is drawn.  Each side's planted set
+    comes from the membership stream: a uniform K-subset, or each vertex
+    with probability K/N.  K = 0 plants nothing and draws nothing there.
+    The union of a rate-q background and rate-(p-q)/(1-q) extras inside the
+    planted set(s) is exactly Bernoulli(p) within and Bernoulli(q)
+    elsewhere.  Both parts are ascending flat pair indices, merged by
+    inserting the extras the background lacks, then turned into rows once;
+    extras at rate 0 (p = q) or inside an empty set draw nothing from the
+    edge stream, so G(N, q) costs no more than its own pairs.
     """
     N, K = _integer(N, "N"), _integer(K, "K")
     if N < 1:
         raise InvalidParameterError("need N >= 1")
     _check_prob(q, "q")
+    pairs = _pair_count if sides == 1 else lambda n: n * n
+    expected = pairs(N) * q + pairs(K) * (p - q)
+    if expected > _MAX_EXPECTED_EDGES:
+        raise TooLargeError(
+            f"expected {expected:.3g} edges, above the sampler's cap of {_MAX_EXPECTED_EDGES:.3g}"
+        )
     s = as_seed(seed)
     plants = [np.empty(0, dtype=np.int64)] * sides
     if K:
@@ -344,14 +416,16 @@ def _plant(N: int, K: int, p: float, q: float, seed, sides: int, fixed_size: boo
         else:
             plants = [np.flatnonzero(mrng.random(N) < K / N) for _ in plants]
     rng = s.child(_EDGE_STREAM).rng()
-    pairs = _pairs_within if sides == 1 else _pairs_between
-    edges = pairs(*[np.arange(N)] * sides, q, rng)
-    extras = pairs(*plants, 0.0 if p == q else (p - q) / (1.0 - q), rng)
-    if extras.size:
-        keys = np.sort(np.concatenate([e[:, 0] * N + e[:, 1] for e in (edges, extras)]), kind="stable")
-        # the first key, then every key that differs from its predecessor
-        keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
-        edges = np.column_stack(np.divmod(keys, N))
+    flat = _bernoulli_flat(pairs(N), q, rng)
+    extras = _extras_flat(N, plants, 0.0 if p == q else (p - q) / (1.0 - q), rng)
+    if extras.size and flat.size:
+        at = flat.searchsorted(extras)
+        # an extra past the background's end reads its last index, never equal
+        fresh = flat.take(at, mode="clip") != extras
+        flat = np.insert(flat, at[fresh], extras[fresh])
+    elif extras.size:
+        flat = extras
+    edges = _pairs_from_flat(N, flat) if sides == 1 else np.column_stack(np.divmod(flat, N))
     graph = (Graph if sides == 1 else BipartiteGraph)(*[N] * sides, edges)
     planted = tuple(tuple(m.tolist()) for m in plants)
     return PlantedInstance(graph, planted if sides == 2 else planted[0])
@@ -421,13 +495,35 @@ def subgraph_edge_count(g: Graph, S: Iterable[int]) -> int:
 
 
 def write_edge_list(g, path) -> None:
-    """Write the text edge-list format (header line, then one edge per line)."""
+    """Write the text edge-list format (header line, then one edge per line).
+
+    The body is built from the edge array: a cell per endpoint holds its
+    decimal digits right-aligned, then a space or a line end.  A cell's
+    padding left of its first digit is byte 0, and one compress drops it.
+    """
     if not isinstance(g, _SortedKeyGraph):
         raise InvalidParameterError(f"cannot serialize {type(g).__name__}")
     header = " ".join(map(str, (*g._dims, g.num_edges)))
-    body = ("%d %d\n" * g.num_edges) % tuple(g.edges.ravel().tolist())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{header}\n{body}")
+    ends = g.edges.ravel()
+    top = int(ends.max()) if ends.size else 0
+    width = len(str(top))
+    # every end is below the vertex limit, so below 2**32
+    rest = ends.astype(np.min_scalar_type(top))
+    cells = np.empty((ends.size, width + 1), dtype=np.uint8)
+    cells[0::2, width] = ord(" ")
+    cells[1::2, width] = ord("\n")
+    for col in range(width - 1, -1, -1):
+        digit = rest % 10
+        digit += ord("0")
+        if col < width - 1:
+            # a zero quotient has no digit this far left: padding
+            digit *= rest != 0
+        cells[:, col] = digit
+        rest //= 10
+    body = cells.ravel()
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode())
+        fh.write(body[body != 0])
 
 
 def _parse_ints(text: str, line_no: int, expect: int) -> list:
@@ -447,6 +543,8 @@ def _parse_header(text: str):
     if cls is None:
         raise EdgeListParseError("header must be 'N M' or 'Nt Nb M'", 1)
     *dims, m = _parse_ints(text, 1, len(cls._DIM_NAMES) + 1)
+    if m < 0:
+        raise EdgeListParseError(f"negative edge count {m}", 1)
     return cls, dims, m
 
 
@@ -455,7 +553,7 @@ _CANONICAL_DIGITS = 18
 
 
 def _canonical_rows(body: np.ndarray, cls, dims, m: int):
-    """The (m, 2) int64 rows of a canonical body, or None if it is not one.
+    """The (m, 2) unsigned rows of a canonical body, or None if it is not one.
 
     Canonical is what write_edge_list writes: m lines 'u v' of ASCII
     decimals, one space between, each line ended by '\n'.  The rows must
@@ -470,14 +568,26 @@ def _canonical_rows(body: np.ndarray, cls, dims, m: int):
         return np.empty((0, 2), dtype=np.int64)
     if (body[seps[0::2]] != ord(" ")).any() or (body[seps[1::2]] != ord("\n")).any():
         return None
-    lengths = np.diff(seps, prepend=-1) - 1
+    lengths = np.empty_like(seps)
+    np.subtract(seps[1:], seps[:-1], out=lengths[1:])
+    lengths[0] = seps[0] + 1
+    lengths -= 1
     if lengths.min() < 1 or lengths.max() > _CANONICAL_DIGITS:
         return None
-    # Horner over right-aligned digit columns: a token shorter than the
-    # column reads a zero there, and its index, masked, may point anywhere
-    values = np.zeros(seps.size, dtype=np.int64)
-    for k in range(int(lengths.max()) - 1, -1, -1):
-        values = values * 10 + np.where(lengths > k, digits[seps - 1 - k], 0)
+    # Horner over right-aligned digit columns, in the narrowest unsigned
+    # type that holds every value of that many digits: a token shorter
+    # than the column reads a zero there, and its index may point anywhere
+    width = int(lengths.max())
+    lengths = lengths.astype(np.uint8)
+    values = np.zeros(seps.size, dtype=np.uint16 if width <= 4 else np.uint32 if width <= 9 else np.uint64)
+    at = seps  # each token's column, from the widest one's first to its last
+    at -= width
+    for k in range(width - 1, -1, -1):
+        column = digits.take(at, mode="clip")
+        column *= lengths > k
+        values *= 10
+        values += column
+        at += 1
     rows = values.reshape(m, 2)
     if int(rows[:, 0].max()) >= dims[0] or int(rows[:, 1].max()) >= dims[-1]:
         return None
@@ -504,6 +614,31 @@ def _per_line_rows(lines: list, cls, dims, m: int):
     return rows, None
 
 
+def _file_rows(path):
+    """The class, dimensions and rows an edge-list file declares, with the
+    per-line fault that ended the rows, if any (see read_edge_list)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # numbered as splitlines() numbers them; the dot ends the bad line
+        line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise EdgeListParseError("not UTF-8 text", line) from None
+    head_end = data.find(b"\n")
+    if head_end >= 0 and data[:head_end].replace(b" ", b"").isdigit():
+        # ASCII digits and spaces hold no line break: this is splitlines()[0]
+        cls, dims, m = _parse_header(text[:head_end])
+        rows = _canonical_rows(np.frombuffer(data, np.uint8, offset=head_end + 1), cls, dims, m)
+        if rows is not None:
+            return cls, dims, rows, None
+    lines = text.splitlines()
+    if not lines:
+        raise EdgeListParseError("empty file", 1)
+    cls, dims, m = _parse_header(lines[0])
+    return cls, dims, *_per_line_rows(lines, cls, dims, m)
+
+
 def read_edge_list(path):
     """Read an edge-list file; the header arity picks Graph vs BipartiteGraph.
 
@@ -516,29 +651,12 @@ def read_edge_list(path):
 
     Lines are checked in order and the first faulty one is reported.  The
     loop stops at the first line that breaks a per-line rule; a duplicate
-    among the lines before it is found on their flat keys and wins.  A file
-    that is not UTF-8 fails at the line of its first undecodable byte.
+    among the lines before it is found on their flat keys and wins, and
+    rows in strictly increasing key order, as written, are checked for
+    duplicates in one pass.  A file that is not UTF-8 fails at the line of
+    its first undecodable byte.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # numbered as splitlines() numbers them; the dot ends the bad line
-        line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
-        raise EdgeListParseError("not UTF-8 text", line) from None
-    head_end = data.find(b"\n")
-    rows = fault = None
-    if head_end >= 0 and data[:head_end].replace(b" ", b"").isdigit():
-        # ASCII digits and spaces hold no line break: this is splitlines()[0]
-        cls, dims, m = _parse_header(text[:head_end])
-        rows = _canonical_rows(np.frombuffer(data, np.uint8, offset=head_end + 1), cls, dims, m)
-    if rows is None:
-        lines = text.splitlines()
-        if not lines:
-            raise EdgeListParseError("empty file", 1)
-        cls, dims, m = _parse_header(lines[0])
-        rows, fault = _per_line_rows(lines, cls, dims, m)
+    cls, dims, rows, fault = _file_rows(path)
     if len(rows):
         # a row in range means every dimension is positive; one above the
         # limit is rejected here, before its endpoints or keys could overflow
@@ -546,12 +664,13 @@ def read_edge_list(path):
             _vertex_count(n)
         rows = np.asarray(rows, dtype=np.int64)
         keys = rows[:, 0] * dims[-1] + rows[:, 1]
-        order = np.argsort(keys, kind="stable")
-        # stable: of two equal keys the later line comes second
-        repeats = order[1:][np.diff(keys[order]) == 0]
-        if repeats.size:
-            i = int(repeats.min())
-            raise EdgeListParseError(f"duplicate edge ({rows[i, 0]}, {rows[i, 1]})", i + 2)
+        if not (keys[1:] > keys[:-1]).all():
+            order = np.argsort(keys, kind="stable")
+            # stable: of two equal keys the later line comes second
+            repeats = order[1:][np.diff(keys[order]) == 0]
+            if repeats.size:
+                i = int(repeats.min())
+                raise EdgeListParseError(f"duplicate edge ({rows[i, 0]}, {rows[i, 1]})", i + 2)
     if fault is not None:
         raise fault
     return cls(*dims, rows)

@@ -386,8 +386,9 @@ def _sample_blocks(g, params: ReductionParams, seed) -> list:
     zero_mass = np.empty(0)
     bit_generator = edge_rng.bit_generator
     edges = []
-    # with one side, rows is cols: block_routes walks it as unipartite
-    for row in block_routes(rows, cols, table, g.has_edges):
+    # with one side, rows is cols: block_routes walks it as unipartite, and
+    # asks each row s about columns t >= s only
+    for row in block_routes(rows, cols, table, g.row_has_edges):
         code = row.slots * 4 + row.route
         grow = int(code.max()) + 1 - zero_mass.size
         if grow > 0:

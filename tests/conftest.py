@@ -312,6 +312,8 @@ def line_by_line_read_edge_list(path):
     if cls is None:
         raise EdgeListParseError("header must be 'N M' or 'Nt Nb M'", 1)
     *dims, m = _parse_ints(lines[0], 1, len(cls._DIM_NAMES) + 1)
+    if m < 0:
+        raise EdgeListParseError(f"negative edge count {m}", 1)
     if len(lines) - 1 != m:
         raise EdgeListParseError(f"expected {m} edge lines, found {len(lines) - 1}", len(lines) + 1)
     height, width = dims[0], dims[-1]

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdslab import graphmodels
-from pdslab.errors import EdgeListParseError, InvalidParameterError
+from pdslab.errors import EdgeListParseError, InvalidParameterError, TooLargeError
 from pdslab.graphmodels import (
     BipartiteGraph,
     Graph,
@@ -261,6 +262,46 @@ def _exact_pair(n: int, t: int) -> tuple:
     return i, t - i * (2 * n - i - 1) // 2 + i + 1
 
 
+class TestSamplerCap:
+    """Requests whose expected edge count is above the cap are refused
+    before anything is drawn."""
+
+    CAP = graphmodels._MAX_EXPECTED_EDGES
+
+    @pytest.fixture(autouse=True)
+    def no_drawing(self, monkeypatch):
+        def drawn(*args):
+            raise AssertionError("edges were drawn")
+
+        monkeypatch.setattr(graphmodels, "_bernoulli_flat", drawn)
+
+    @pytest.mark.parametrize("sample, expected", [
+        # C(N, 2) q, N^2 q, then planted parts alone: C(K, 2) (p - q), K^2 (p - q)
+        (lambda: gen_er(100_000, 0.9, Seed(1)), "4.5e+09"),
+        (lambda: gen_bipartite_er(8_000, 0.9, Seed(1)), "5.76e+07"),
+        (lambda: gen_pds_fixed_size(PdsParams(10**6, 20_000, 1.0, 0.0), Seed(1)), "2e+08"),
+        (lambda: gen_pds_random_size(PdsParams(10**6, 20_000, 0.5, 0.0), Seed(1)), "1e+08"),
+        (lambda: gen_planted_clique(10**6, 12_000, 0.0, Seed(1)), "7.2e+07"),
+        (lambda: gen_bipartite_pc(10**6, 8_000, 0.0, Seed(1)), "6.4e+07"),
+    ])
+    def test_refused_before_drawing(self, sample, expected):
+        with pytest.raises(TooLargeError) as err:
+            sample()
+        assert str(err.value) == f"expected {expected} edges, above the sampler's cap of 5e+07"
+
+    def test_cap_is_inclusive(self):
+        # 10^8 * 0.5 is exactly the cap: the estimate passes and drawing starts
+        assert self.CAP == 5 * 10**7
+        with pytest.raises(AssertionError, match="edges were drawn"):
+            gen_bipartite_er(10_000, 0.5, Seed(1))
+        with pytest.raises(TooLargeError):
+            gen_bipartite_er(10_000, 0.5000001, Seed(1))
+
+    def test_cap_far_above_the_largest_draw(self):
+        # the benchmark pipeline's planted clique, the largest graph drawn
+        assert self.CAP >= 10 * (math.comb(1000, 2) * 0.5 + math.comb(60, 2) * 0.5)
+
+
 class TestPairIndex:
     def test_matches_float_inversion(self):
         # every index at every n <= 299, and probes at n where the float
@@ -474,6 +515,21 @@ class TestEdgeListIO:
             format_write_edge_list(g, tmp_path / "old.txt")
             assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes(), g
 
+    def test_write_and_read_memory_per_edge(self, tmp_path):
+        # a string-format writer peaked at ~86 bytes an edge here, and the
+        # reader before the one-pass order check at ~107
+        g = gen_er(1000, 0.5, Seed(3))
+        path = tmp_path / "g.txt"
+        write_edge_list(g, path)
+        tracemalloc.start()
+        try:
+            write_edge_list(g, path)
+            assert read_edge_list(path) == g
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 72 * g.num_edges
+
     @pytest.mark.parametrize("rewrite", [
         lambda t: t.replace("\n", "\r\n"),
         lambda t: t.replace(" ", "\t \t  "),
@@ -557,6 +613,14 @@ class TestEdgeListIO:
             ("\n", 1, "header must be 'N M' or 'Nt Nb M'"),
             ("3 x\n", 1, "non-integer field in '3 x'"),
             ("", 1, "empty file"),
+        ])
+
+    def test_negative_edge_count(self, tmp_graph_file):
+        # a header fault, not a count of lines that cannot match
+        self.assert_faults(tmp_graph_file, [
+            ("3 -1\n", 1, "negative edge count -1"),
+            ("3 -2\n0 1\n", 1, "negative edge count -2"),
+            ("2 3 -1\n", 1, "negative edge count -1"),
         ])
 
     def test_earliest_fault_wins(self, tmp_graph_file):

@@ -323,6 +323,31 @@ class TestCli:
             assert run_cli("reduce", str(bad), "--k", "2", "--gamma", "0.5", "--ell", "2",
                            "--q", "0.01", "--out", str(tmp_path / "r.txt"))[0] == 2
 
+    def test_negative_edge_count_exit_code(self, tmp_path, capsys):
+        # a header fault at line 1, still a parse error
+        bad = tmp_path / "bad.txt"
+        bad.write_text("3 -1\n", encoding="utf-8")
+        assert run_cli("test", str(bad), "--test", "lin", "--K", "2", "--p", "0.5",
+                       "--q", "0.2") == (3, "")
+        assert "line 1: negative edge count -1" in capsys.readouterr().err
+
+    def test_sampler_cap_exit_code(self, tmp_path, capsys, monkeypatch):
+        # ~4.5e9 expected edges: refused by the estimate, before any draw
+        # that could exhaust memory
+        from pdslab import graphmodels
+
+        def drawn(*args):
+            raise AssertionError("edges were drawn")
+
+        monkeypatch.setattr(graphmodels, "_bernoulli_flat", drawn)
+        out = tmp_path / "big.txt"
+        assert run_cli("generate", "er", "--n", "100000", "--q", "0.9", "--seed", "1",
+                       "--out", str(out)) == (4, "")
+        assert capsys.readouterr().err == (
+            "error: expected 4.5e+09 edges, above the sampler's cap of 5e+07\n"
+        )
+        assert not out.exists()
+
     def test_no_restarts_exit_code(self, tmp_path):
         out = str(tmp_path / "g.txt")
         run_cli("generate", "er", "--n", "10", "--q", "0.3", "--seed", "3", "--out", out)

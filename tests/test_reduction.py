@@ -323,6 +323,43 @@ class TestReduceGraph:
         assert abs(total - samples * params.q) <= 4 * sigma
 
 
+    def test_row_lookup_matches_has_edges(self, monkeypatch):
+        # every row lookup the reduction makes, against the full-key lookup
+        rows_seen = []
+        route = reduction.block_routes
+
+        def checked(rows, cols, table, has_edge):
+            g = has_edge.__self__
+
+            def lookup(s, t):
+                got = has_edge(s, t)
+                assert np.array_equal(got, g.has_edges(s, t)), (s, t)
+                rows_seen.append(s)
+                return got
+
+            return route(rows, cols, table, lookup)
+
+        monkeypatch.setattr(reduction, "block_routes", checked)
+        graphs = [Graph(30), gen_er(30, 1.0, Seed(1)), gen_er(30, 0.3, Seed(2)),
+                  gen_planted_clique(120, 12, 0.5, Seed(3)).graph,
+                  BipartiteGraph(30, 30), gen_bipartite_pc(40, 6, 0.4, Seed(4)).graph]
+        for i, g in enumerate(graphs):
+            n = g.num_vertices if isinstance(g, Graph) else g.num_top
+            for ell in (1, 2, 5):
+                params = ReductionParams(n=n, k=2, gamma=0.5, ell=ell, q=0.01)
+                (reduce_graph if isinstance(g, Graph) else reduce_bipartite)(g, params, Seed(i))
+        assert len(rows_seen) > 500
+
+    def test_row_lookup_on_every_row(self):
+        for g in (Graph(1), Graph(7), gen_er(7, 1.0, Seed(1)), gen_er(60, 0.4, Seed(2)),
+                  BipartiteGraph(1, 4), BipartiteGraph(5, 3, [(4, 0), (0, 2)]),
+                  gen_bipartite_pc(50, 7, 0.3, Seed(3)).graph):
+            height, width = g._dims[0], g._dims[-1]
+            for s in range(height):
+                t = np.arange(s if isinstance(g, Graph) else 0, width)
+                assert np.array_equal(g.row_has_edges(s, t), g.has_edges(s, t))
+
+
 class TestReduceBipartite:
     def test_shape_and_determinism(self):
         params = ReductionParams(n=2, k=2, gamma=0.5, ell=2, q=0.01)
