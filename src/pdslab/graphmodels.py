@@ -307,21 +307,16 @@ def _pairs_from_flat(n: int, t: np.ndarray) -> np.ndarray:
     limit.
     """
     t = np.asarray(t, dtype=np.int64)
-    out = np.empty((t.size, 2), dtype=np.int64)
     if n <= t.size:
         rows = np.arange(n)
         starts = _pair_start(n, rows)
         runs = np.diff(np.searchsorted(t, starts), append=t.size)
-        out[:, 0] = np.repeat(rows, runs)
-        np.subtract(t, np.repeat(starts - rows - 1, runs), out=out[:, 1])
-        return out
+        return np.column_stack([np.repeat(rows, runs), t - np.repeat(starts - rows - 1, runs)])
     k = _pair_count(n) - 1 - t
     r = ((np.sqrt(8.0 * k + 1.0) - 1.0) // 2).astype(np.int64)
     r += (r + 1) * (r + 2) // 2 <= k
     r -= r * (r + 1) // 2 > k
-    out[:, 0] = n - 2 - r
-    out[:, 1] = n - 1 - k + r * (r + 1) // 2
-    return out
+    return np.column_stack([n - 2 - r, n - 1 - k + r * (r + 1) // 2])
 
 
 def _bernoulli_flat(total: int, prob: float, rng: np.random.Generator) -> np.ndarray:
