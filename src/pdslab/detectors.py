@@ -512,7 +512,7 @@ def recovery_detector(
     the input graph, so repeated calls on the same graph are reproducible
     and distinct inputs get fresh coins.
     """
-    if epsilon >= 1.0:
+    if not epsilon < 1.0:  # NaN fails the gate too
         raise PreconditionViolationError("need epsilon < 1")
     tau = recovery_threshold(params.q, params.p, epsilon)
     cutoff = tau * _comb2(params.K)

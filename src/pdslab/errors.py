@@ -29,10 +29,6 @@ class InvalidGammaError(InvalidParameterError):
     """The clique edge density must lie in (0, 1/2]."""
 
 
-class AbsoluteContinuityError(PdsLabError, ValueError):
-    """chi-square divergence requested where the reference has zero mass."""
-
-
 class InvalidPmfError(PdsLabError, ValueError):
     """A probability vector fails normalization or nonnegativity."""
 

@@ -341,7 +341,7 @@ def _bernoulli_flat(total: int, prob: float, rng: np.random.Generator) -> np.nda
             hits = np.flatnonzero(rng.random(size) < prob)
             hits += start
             chunks.append(hits)
-        return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+        return np.concatenate(chunks)
     out = []
     pos = -1
     while True:

@@ -379,7 +379,9 @@ def _sample_blocks(g, params: ReductionParams, seed) -> list:
     sides = []
     for _ in range(2 if isinstance(g, BipartiteGraph) else 1):
         parents = parent_rng.integers(0, n, size=params.N)
-        sides.append([np.nonzero(parents == s)[0] for s in range(n)])
+        # one stable sort groups each parent's children in ascending order
+        order = np.argsort(parents, kind="stable")
+        sides.append(np.split(order, np.cumsum(np.bincount(parents, minlength=n))[:-1]))
     rows, cols = sides[0], sides[-1]
     table = params.kernel_table
     # P(count = 0) by slots * 4 + route, grown and filled in as routes turn up
@@ -467,17 +469,23 @@ def map_parameters(alpha: float, beta: float, delta: float, ell: int, gamma=0.5)
     The exponent targets are met in the limit: log(1/q)/log N -> alpha and
     log K / log N -> beta as ell grows.
     """
-    if alpha <= 0.0:
+    # negated gates so that NaN fails them
+    if not alpha > 0.0:
         raise InvalidParameterError("need alpha > 0")
     if not (0.0 < beta < 1.0):
         raise InvalidParameterError("need 0 < beta < 1")
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise InvalidParameterError("need delta > 0")
-    if ell < 2:
+    if not ell >= 2:
         raise InvalidParameterError("need ell >= 2")
     q = float(ell) ** (-(2.0 + delta))
-    n = math.floor(float(ell) ** ((2.0 + delta) / alpha - 1.0))
-    k = math.floor(float(ell) ** ((2.0 + delta) * beta / alpha - 1.0))
+    try:
+        n = math.floor(float(ell) ** ((2.0 + delta) / alpha - 1.0))
+        k = math.floor(float(ell) ** ((2.0 + delta) * beta / alpha - 1.0))
+    except OverflowError:
+        raise InvalidParameterError(
+            f"n = ell^((2+delta)/alpha - 1) overflows at ell={ell}, delta={delta}, alpha={alpha}"
+        ) from None
     if n < 1 or k < 1:
         raise InvalidParameterError(
             f"degenerate map: n={n}, k={k} at ell={ell}; increase ell"

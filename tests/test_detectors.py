@@ -515,6 +515,10 @@ class TestRecoveryDetector:
         with pytest.raises(PreconditionViolationError):
             recovery_detector(lambda g: range(3), PdsParams(6, 3, 0.5, 0.2), 1.0, Seed(0))
 
+    def test_nan_epsilon_rejected(self):
+        with pytest.raises(PreconditionViolationError):
+            recovery_detector(lambda g: range(3), PdsParams(6, 3, 0.5, 0.2), math.nan, Seed(0))
+
     def test_constant_recovery_on_empty_noiseless_graph(self):
         # q = 0 resampling keeps every intermediate graph empty
         params = PdsParams(6, 3, 0.2, 0.0)

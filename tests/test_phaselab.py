@@ -698,7 +698,6 @@ def _concrete_errors(cls=PdsLabError):
 class TestExitCodes:
     # main's exit code for every PdsLabError subclass raised inside a command
     ERROR_EXITS = {
-        "AbsoluteContinuityError": 2,
         "BudgetExceededError": 4,
         "ConfigError": 3,
         "ContractViolationError": 2,

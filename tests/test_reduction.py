@@ -505,6 +505,21 @@ class TestMapParameters:
         with pytest.raises(InvalidParameterError):
             map_parameters(0.5, 0.6, 0.0, 10)
 
+    @pytest.mark.parametrize(
+        "alpha, beta, delta, ell",
+        [
+            (math.nan, 0.6, 0.1, 10),
+            (0.5, 0.6, math.nan, 10),
+            (0.5, 0.6, math.inf, 10),
+            (0.5, 0.6, 0.1, math.nan),
+            # finite, but ell^((2+delta)/alpha - 1) = 10^1019 overflows a float
+            (0.1, 0.5, 100.0, 10),
+        ],
+    )
+    def test_nan_and_overflow_rejected(self, alpha, beta, delta, ell):
+        with pytest.raises(InvalidParameterError):
+            map_parameters(alpha, beta, delta, ell)
+
 
 class TestComposeTest:
     PARAMS = ReductionParams(n=8, k=4, gamma=0.5, ell=2, q=0.01)
