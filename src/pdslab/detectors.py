@@ -532,7 +532,8 @@ def recovery_detector(
             row = rng.random(N) < params.q
             row[v] = False
             # v's old edges go, its freshly drawn ones come in
-            kept = g_t.edges[(g_t.edges[:, 0] != v) & (g_t.edges[:, 1] != v)]
+            edges = g_t.edges
+            kept = edges[(edges[:, 0] != v) & (edges[:, 1] != v)]
             fresh = np.flatnonzero(row)
             g_t = Graph(N, np.concatenate([kept, np.column_stack([np.full(fresh.size, v), fresh])]))
             recovered = list(recovery_alg(g_t))

@@ -1,15 +1,15 @@
 """Graph containers, planted-model samplers, and edge-list I/O.
 
 Graphs are immutable after construction.  Graph and BipartiteGraph share one
-implementation whose one edge form is the sorted int64 flat key u*width + v:
-construction validates the rows and keys them, and the public (M, 2)
-``edges`` rows are kept in key order.  Rows already in strictly increasing
-key order, as the samplers and edge-list files give them, pass one order
-check; any others are sorted and checked for duplicates on their keys.
-Lookups binary-search the keys, or only one row's slice of them.  The
-edge-list writer and the canonical-file reader work on byte and digit
-arrays, with no Python object per edge.  Instances are safe to share
-read-only across parallel Monte Carlo trials; generation itself is
+implementation whose one stored edge form is the sorted int64 flat key
+u*width + v: construction validates the rows and keys them; rows in
+strictly increasing key order pass one order check, and others are sorted
+and checked for duplicates.  The public (M, 2) ``edges`` rows are derived
+from the keys on each access, so a caller that reads them twice holds
+them in a local.  Lookups binary-search the keys, or only one row's slice
+of them.  The edge-list writer and the canonical-file reader work on byte
+and digit arrays, with no Python object per edge.  Instances are safe to
+share read-only across parallel Monte Carlo trials; generation itself is
 single-threaded per instance.
 
 All seven generators are one planted sampler.  G(N, q) is the planted
@@ -67,10 +67,17 @@ _EDGE_STREAM = 1
 
 _DENSE_Q_THRESHOLD = 0.1
 
-# Largest expected edge count a sampler draws.  A graph holds 24 bytes per
-# edge (its rows and its keys), so 1.2 GB here, and drawing it needs more;
+# Largest expected edge count a sampler draws.  A graph holds 8 bytes per
+# edge (its keys), so 0.4 GB here, and drawing it needs more;
 # the largest graph drawn in the tests and benchmarks has 250k edges.
 _MAX_EXPECTED_EDGES = 50_000_000
+
+
+def _check_expected_edges(expected: float) -> None:
+    if expected > _MAX_EXPECTED_EDGES:
+        raise TooLargeError(
+            f"expected {expected:.3g} edges, above the sampler's cap of {_MAX_EXPECTED_EDGES:.3g}"
+        )
 
 
 def _check_prob(x, name="probability"):
@@ -107,14 +114,14 @@ def _vertex_count(n) -> int:
 class _SortedKeyGraph:
     """Storage and queries shared by Graph and BipartiteGraph.
 
-    The edge set is its sorted int64 flat keys u*width + v, with height the
-    first dimension and width the last; the public (M, 2) ``edges`` rows are
-    derived from those keys, so they come out in lexicographic order.
-    Subclasses name their dimensions and say whether rows are unordered
-    pairs, stored u < v.
+    The edge set is stored only as its sorted int64 flat keys u*width + v,
+    with height the first dimension and width the last.  The public (M, 2)
+    ``edges`` rows, in lexicographic order, are derived from the keys on
+    each access: hold them in a local to read them twice.  Subclasses name
+    their dimensions and say whether rows are unordered pairs, stored u < v.
     """
 
-    __slots__ = ("edges", "_keys")
+    __slots__ = ("_keys",)
     _DIM_NAMES: tuple = ()
     _UNORDERED = False
 
@@ -128,10 +135,9 @@ class _SortedKeyGraph:
     def _store(self, edges) -> None:
         """Validate the edge rows, then keep them as sorted flat keys.
 
-        Rows in strictly increasing key order, as the samplers and
-        edge-list files give them, pass one order check and are kept as
-        given; any other rows are oriented, sorted and checked for
-        duplicates on their keys, and stored in key order.
+        Keys of rows in strictly increasing key order, as the samplers and
+        edge-list files give them, pass one order check; any others are
+        sorted and checked for duplicates.
         """
         arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
         if arr.size == 0:
@@ -161,13 +167,18 @@ class _SortedKeyGraph:
             repeat = np.flatnonzero(keys[1:] == keys[:-1])
             if repeat.size:
                 raise InvalidParameterError("duplicate edge (%d, %d)" % divmod(keys[repeat[0]], width))
-            u, v = np.divmod(keys, width)
-        self.edges = np.column_stack((u, v))
-        self.edges.flags.writeable = False
+
+    @property
+    def edges(self) -> np.ndarray:
+        """The (M, 2) int64 rows in key order, read-only, derived anew on each access."""
+        rows = np.empty((self.num_edges, 2), dtype=np.int64)
+        np.divmod(self._keys[:-1], self._dims[-1], out=(rows[:, 0], rows[:, 1]))
+        rows.flags.writeable = False
+        return rows
 
     @property
     def num_edges(self) -> int:
-        return self.edges.shape[0]
+        return self._keys.size - 1
 
     def has_edges(self, u, v) -> np.ndarray:
         """Elementwise has_edge over broadcast arrays of endpoints."""
@@ -200,14 +211,14 @@ class _SortedKeyGraph:
         h = hashlib.blake2b(digest_size=8)
         for n in self._dims:
             h.update(n.to_bytes(8, "little"))
-        h.update(np.ascontiguousarray(self.edges).tobytes())
+        h.update(self.edges.tobytes())
         return int.from_bytes(h.digest(), "little")
 
     def __eq__(self, other) -> bool:
         return (
             type(other) is type(self)
             and self._dims == other._dims
-            and np.array_equal(self.edges, other.edges)
+            and np.array_equal(self._keys, other._keys)
         )
 
     def __repr__(self) -> str:
@@ -227,9 +238,10 @@ class Graph(_SortedKeyGraph):
         self._store(edges)
 
     def adjacency_matrix(self) -> np.ndarray:
+        u, v = self.edges.T
         a = np.zeros((self.num_vertices, self.num_vertices), dtype=np.uint8)
-        a[self.edges[:, 0], self.edges[:, 1]] = 1
-        a[self.edges[:, 1], self.edges[:, 0]] = 1
+        a[u, v] = 1
+        a[v, u] = 1
         return a
 
 
@@ -397,11 +409,7 @@ def _plant(N: int, K: int, p: float, q: float, seed, sides: int, fixed_size: boo
         raise InvalidParameterError("need N >= 1")
     _check_prob(q, "q")
     pairs = _pair_count if sides == 1 else lambda n: n * n
-    expected = pairs(N) * q + pairs(K) * (p - q)
-    if expected > _MAX_EXPECTED_EDGES:
-        raise TooLargeError(
-            f"expected {expected:.3g} edges, above the sampler's cap of {_MAX_EXPECTED_EDGES:.3g}"
-        )
+    _check_expected_edges(pairs(N) * q + pairs(K) * (p - q))
     s = as_seed(seed)
     plants = [np.empty(0, dtype=np.int64)] * sides
     if K:
@@ -480,13 +488,15 @@ def gen_bipartite_pc(n: int, k: int, gamma: float, seed) -> PlantedInstance:
 
 
 def subgraph_edge_count(g: Graph, S: Iterable[int]) -> int:
-    """Number of edges with both endpoints in S."""
-    members = [int(v) for v in S]
+    """Number of edges with both endpoints in S; a member that is not an
+    integer vertex is refused, not truncated."""
+    members = [_integer(v, "subset member") for v in S]
     if not all(0 <= v < g.num_vertices for v in members):
         raise InvalidParameterError("subset is not within the vertex range")
     inside = np.zeros(g.num_vertices, dtype=bool)
     inside[members] = True
-    return int(np.count_nonzero(inside[g.edges[:, 0]] & inside[g.edges[:, 1]]))
+    u, v = g.edges.T
+    return int(np.count_nonzero(inside[u] & inside[v]))
 
 
 def write_edge_list(g, path) -> None:
@@ -547,13 +557,13 @@ def _parse_header(text: str):
 _CANONICAL_DIGITS = 18
 
 
-def _canonical_rows(body: np.ndarray, cls, dims, m: int):
+def _canonical_rows(body: np.ndarray, cls, m: int):
     """The (m, 2) unsigned rows of a canonical body, or None if it is not one.
 
     Canonical is what write_edge_list writes: m lines 'u v' of ASCII
-    decimals, one space between, each line ended by '\n'.  The rows must
-    also be in range and, for a Graph, have u < v.  Any other body gives
-    None, for the per-line loop to read or report.
+    decimals, one space between, each line ended by '\n', and for a Graph
+    u < v (the container would silently reorient a reversed row).  Ranges
+    and duplicates are left to the container.
     """
     digits = body - 48  # uint8: every byte but '0'..'9' wraps to 10 or more
     seps = np.flatnonzero(digits > 9)
@@ -584,54 +594,54 @@ def _canonical_rows(body: np.ndarray, cls, dims, m: int):
         values += column
         at += 1
     rows = values.reshape(m, 2)
-    if int(rows[:, 0].max()) >= dims[0] or int(rows[:, 1].max()) >= dims[-1]:
-        return None
     if cls._UNORDERED and (rows[:, 0] >= rows[:, 1]).any():
         return None
     return rows
 
 
-def _per_line_rows(lines: list, cls, dims, m: int):
-    """Rows up to the first line that breaks a per-line rule, and its error."""
-    if len(lines) - 1 != m:
-        raise EdgeListParseError(f"expected {m} edge lines, found {len(lines) - 1}", len(lines) + 1)
-    height, width = dims[0], dims[-1]
-    rule = "need 0 <= u < v < N" if cls._UNORDERED else "endpoint out of range"
-    rows = []
-    for line_no, text in enumerate(lines[1:], start=2):
-        try:
-            u, v = _parse_ints(text, line_no, 2)
-            if not (0 <= u < height and 0 <= v < width and (u < v or not cls._UNORDERED)):
-                raise EdgeListParseError(f"{rule} in ({u}, {v})", line_no)
-        except EdgeListParseError as exc:
-            return rows, exc
-        rows.append((u, v))
-    return rows, None
-
-
-def _file_rows(path):
-    """The class, dimensions and rows an edge-list file declares, with the
-    per-line fault that ended the rows, if any (see read_edge_list)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _per_line_graph(data: bytes):
+    """The graph an edge-list file holds, read line by line, or the error
+    at its first faulty line (see read_edge_list).  The lines are dropped
+    before the rows become arrays."""
     try:
-        text = data.decode("utf-8")
+        lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         # numbered as splitlines() numbers them; the dot ends the bad line
         line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
         raise EdgeListParseError("not UTF-8 text", line) from None
-    head_end = data.find(b"\n")
-    if head_end >= 0 and data[:head_end].replace(b" ", b"").isdigit():
-        # ASCII digits and spaces hold no line break: this is splitlines()[0]
-        cls, dims, m = _parse_header(text[:head_end])
-        rows = _canonical_rows(np.frombuffer(data, np.uint8, offset=head_end + 1), cls, dims, m)
-        if rows is not None:
-            return cls, dims, rows, None
-    lines = text.splitlines()
     if not lines:
         raise EdgeListParseError("empty file", 1)
     cls, dims, m = _parse_header(lines[0])
-    return cls, dims, *_per_line_rows(lines, cls, dims, m)
+    if len(lines) - 1 != m:
+        raise EdgeListParseError(f"expected {m} edge lines, found {len(lines) - 1}", len(lines) + 1)
+    height, width = dims[0], dims[-1]
+    rule = "need 0 <= u < v < N" if cls._UNORDERED else "endpoint out of range"
+    rows, fault = [], None
+    try:
+        for line_no, text in enumerate(lines[1:], start=2):
+            u, v = _parse_ints(text, line_no, 2)
+            if not (0 <= u < height and 0 <= v < width and (u < v or not cls._UNORDERED)):
+                raise EdgeListParseError(f"{rule} in ({u}, {v})", line_no)
+            rows.append((u, v))
+    except EdgeListParseError as exc:
+        fault = exc
+    del lines
+    if rows:
+        # a row in range means every dimension is positive; one above the
+        # limit is rejected here, before its endpoints or keys could overflow
+        for n in dims:
+            _vertex_count(n)
+        rows = np.array(rows, dtype=np.int64)
+        keys = rows[:, 0] * width + rows[:, 1]
+        order = np.argsort(keys, kind="stable")
+        # stable: of two equal keys the later line comes second
+        repeats = order[1:][np.diff(keys[order]) == 0]
+        if repeats.size:
+            i = int(repeats.min())
+            raise EdgeListParseError(f"duplicate edge ({rows[i, 0]}, {rows[i, 1]})", i + 2)
+    if fault is not None:
+        raise fault
+    return cls(*dims, rows)
 
 
 def read_edge_list(path):
@@ -639,33 +649,25 @@ def read_edge_list(path):
 
     The file is read once.  A canonical file, as write_edge_list writes it
     (a header of digits and spaces, then lines 'u v' of ASCII digits with
-    one space and one '\n', every row in range and ordered), is parsed as
-    one byte array.  Any other file takes the per-line loop, which accepts
-    every whitespace and sign that int() and str.split() accept.  Either
-    way the same file gives the same graph or the same error.
-
-    Lines are checked in order and the first faulty one is reported.  The
-    loop stops at the first line that breaks a per-line rule; a duplicate
-    among the lines before it is found on their flat keys and wins, and
-    rows in strictly increasing key order, as written, are checked for
-    duplicates in one pass.  A file that is not UTF-8 fails at the line of
-    its first undecodable byte.
+    one space and one '\n', and u < v in a Graph), is parsed as one byte
+    array and handed to the container, its rows' only validator.  Any
+    other file, and a canonical one the container refuses, takes the
+    per-line reader, which accepts every whitespace and sign that int()
+    and str.split() accept.  It checks lines in order and names the first
+    faulty one: it stops at the first line that breaks a per-line rule,
+    and a duplicate among the lines before it wins.  A file that is not
+    UTF-8 fails at the line of its first undecodable byte.
     """
-    cls, dims, rows, fault = _file_rows(path)
-    if len(rows):
-        # a row in range means every dimension is positive; one above the
-        # limit is rejected here, before its endpoints or keys could overflow
-        for n in dims:
-            _vertex_count(n)
-        rows = np.asarray(rows, dtype=np.int64)
-        keys = rows[:, 0] * dims[-1] + rows[:, 1]
-        if not (keys[1:] > keys[:-1]).all():
-            order = np.argsort(keys, kind="stable")
-            # stable: of two equal keys the later line comes second
-            repeats = order[1:][np.diff(keys[order]) == 0]
-            if repeats.size:
-                i = int(repeats.min())
-                raise EdgeListParseError(f"duplicate edge ({rows[i, 0]}, {rows[i, 1]})", i + 2)
-    if fault is not None:
-        raise fault
-    return cls(*dims, rows)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head_end = data.find(b"\n")
+    if head_end >= 0 and data[:head_end].replace(b" ", b"").isdigit():
+        # ASCII with no line break; what this stage refuses, the per-line reader reports
+        try:
+            cls, dims, m = _parse_header(data[:head_end].decode())
+            rows = _canonical_rows(np.frombuffer(data, np.uint8, offset=head_end + 1), cls, m)
+            if rows is not None:
+                return cls(*dims, rows)
+        except (EdgeListParseError, InvalidParameterError):
+            pass
+    return _per_line_graph(data)

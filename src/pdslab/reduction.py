@@ -54,7 +54,7 @@ from .errors import (
     ValidityViolationError,
     VertexCountMismatchError,
 )
-from .graphmodels import BipartiteGraph, Graph, _integer
+from .graphmodels import BipartiteGraph, Graph, _check_expected_edges, _integer
 from .randkit import Pmf, as_seed, binom_pmf, sample_pmf
 
 __all__ = [
@@ -168,11 +168,13 @@ class ReductionParams:
         return problems
 
 
-def build_pprime(ls: int, lt: int, q: float, gamma) -> tuple:
-    """The modified planted-block PMF P' and its zero-bucket mass a.
+def _kernel_laws(ls: int, lt: int, q: float, gamma) -> tuple:
+    """(P', Q', a) for a block with ls * lt slots, from one Binom(n, 2q) and
+    one Binom(n, q).
 
-    Fails with ValidityViolationError if any entry would be more negative
-    than -1e-12; that signals the caller broke the validity conditions.
+    Fails with ValidityViolationError if any entry of P' or Q' would be
+    more negative than -1e-12; that signals the caller broke the validity
+    conditions.
     """
     n = int(ls) * int(lt)
     if n < 0:
@@ -180,28 +182,31 @@ def build_pprime(ls: int, lt: int, q: float, gamma) -> tuple:
     m0 = m0_of(gamma)
     g = float(gamma)
     p_pmf = binom_pmf(n, 2.0 * q)
-    if m0 >= n:
-        return p_pmf, 0.0
     q_pmf = binom_pmf(n, q)
-    probs = p_pmf.probs.copy()
-    tail = slice(m0 + 1, n + 1)
-    scaled_tail = q_pmf.probs[tail] / g
-    a = math.fsum((p_pmf.probs[tail] - scaled_tail).tolist())
-    probs[0] += a
-    probs[tail] = scaled_tail
-    _check_valid(probs, "P'")
-    return Pmf(probs), a
+    p_prime, a = p_pmf, 0.0
+    if m0 < n:
+        probs = p_pmf.probs.copy()
+        tail = slice(m0 + 1, n + 1)
+        scaled_tail = q_pmf.probs[tail] / g
+        a = math.fsum((p_pmf.probs[tail] - scaled_tail).tolist())
+        probs[0] += a
+        probs[tail] = scaled_tail
+        _check_valid(probs, "P'")
+        p_prime = Pmf(probs)
+    probs = (q_pmf.probs - g * p_prime.probs) / (1.0 - g)
+    _check_valid(probs, "Q'")
+    return p_prime, Pmf(probs), a
+
+
+def build_pprime(ls: int, lt: int, q: float, gamma) -> tuple:
+    """The modified planted-block PMF P' and its zero-bucket mass a."""
+    p_prime, _, a = _kernel_laws(ls, lt, q, gamma)
+    return p_prime, a
 
 
 def build_qprime(ls: int, lt: int, q: float, gamma) -> Pmf:
     """The complementary null-block PMF Q' = (Q - gamma P') / (1 - gamma)."""
-    n = int(ls) * int(lt)
-    g = float(gamma)
-    p_prime, _ = build_pprime(ls, lt, q, gamma)
-    q_pmf = binom_pmf(n, q)
-    probs = (q_pmf.probs - g * p_prime.probs) / (1.0 - g)
-    _check_valid(probs, "Q'")
-    return Pmf(probs)
+    return _kernel_laws(ls, lt, q, gamma)[1]
 
 
 def _check_valid(probs: np.ndarray, label: str) -> None:
@@ -241,9 +246,7 @@ class KernelTable:
         slots = int(ls) * int(lt)
         hit = self._cells.get(slots)
         if hit is None:
-            p_prime, a = build_pprime(ls, lt, self.q, self.gamma)
-            q_prime = build_qprime(ls, lt, self.q, self.gamma)
-            hit = (p_prime, q_prime, a)
+            hit = _kernel_laws(ls, lt, self.q, self.gamma)
             self._cells[slots] = hit
         return hit
 
@@ -371,14 +374,19 @@ def _sample_blocks(g, params: ReductionParams, seed) -> list:
     before the run, steps past the zero-count uniforms by drawing them
     again, and draws that block's count and placement as a lone block
     would.  The stream is the one a per-block loop consumes.
+
+    Before any draw, a reduction is refused with a TooLargeError when the
+    output of an Erdos-Renyi(gamma) input, exactly G(N, q), would expect
+    more edges than the samplers' cap.
     """
-    n = params.n
+    n, N = params.n, params.N
+    _check_expected_edges((N * N if isinstance(g, BipartiteGraph) else N * (N - 1) // 2) * params.q)
     root = as_seed(seed)
     parent_rng = root.child(_PARENT_STREAM).rng()
     edge_rng = root.child(_EDGE_STREAM).rng()
     sides = []
     for _ in range(2 if isinstance(g, BipartiteGraph) else 1):
-        parents = parent_rng.integers(0, n, size=params.N)
+        parents = parent_rng.integers(0, n, size=N)
         # one stable sort groups each parent's children in ascending order
         order = np.argsort(parents, kind="stable")
         sides.append(np.split(order, np.cumsum(np.bincount(parents, minlength=n))[:-1]))

@@ -31,10 +31,10 @@ from .graphmodels import Graph
 from .randkit import Pmf, binom_pmf, hyper_pmf, tv_distance
 from .reduction import (
     ReductionParams,
+    _kernel_laws,
     block_pairs,
     block_routes,
     build_pprime,
-    build_qprime,
     m0_of,
 )
 
@@ -123,8 +123,7 @@ def check_mixture_identity(grid) -> list:
     """Pointwise deviation of (1-gamma) Q' + gamma P' from Binom(ls*lt, q)."""
     reports = []
     for ls, lt, q, gamma, _ell in grid:
-        p_prime, _ = build_pprime(ls, lt, q, gamma)
-        q_prime = build_qprime(ls, lt, q, gamma)
+        p_prime, q_prime, _ = _kernel_laws(ls, lt, q, gamma)
         target = binom_pmf(ls * lt, q)
         mix = (1.0 - gamma) * q_prime.probs + gamma * p_prime.probs
         deviation = float(np.max(np.abs(mix - target.probs)))

@@ -487,6 +487,10 @@ class TestDksDetector:
         det = dks_detector(lambda g: [0, 1], eta=1.2, epsilon=0.2, params=params)
         with pytest.raises(ContractViolationError):
             det(Graph(6, []))
+        # members that are not integer vertices are refused, not truncated
+        det = dks_detector(lambda g: [0.5, 1.5, 2.5], eta=1.2, epsilon=0.2, params=params)
+        with pytest.raises(InvalidParameterError):
+            det(gen_er(6, 1.0, Seed(1)))
 
     def test_desk_scale_rates_frozen(self):
         # honest Monte Carlo at (N=60, K=8, p=0.9, q=0.1, eps=0.2) with the

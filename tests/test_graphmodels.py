@@ -408,6 +408,10 @@ class TestSubgraphEdgeCount:
             subgraph_edge_count(Graph(3, []), [5])
         with pytest.raises(InvalidParameterError):
             subgraph_edge_count(Graph(3, [(0, 1)]), [0, -1])
+        # a member that is not an integer vertex is refused, not truncated
+        for members in ([0.9, 1], [True, 2], ["1", 2]):
+            with pytest.raises(InvalidParameterError):
+                subgraph_edge_count(Graph(4, [(0, 1), (1, 2)]), members)
 
 
 _MUTATIONS = ("swap", "insert", "delete", "replace_separator", "double_space", "crlf", "lone_cr",
@@ -530,6 +534,22 @@ class TestEdgeListIO:
             tracemalloc.stop()
         assert peak < 72 * g.num_edges
 
+    def test_non_canonical_read_memory_per_edge(self, tmp_path):
+        # a per-line reader that held the decoded text through its loop
+        # peaked at ~197 bytes an edge here; the text and the lines must go
+        # before the rows become arrays and the graph
+        g = gen_er(1000, 0.2, Seed(3))
+        path = tmp_path / "g.txt"
+        write_edge_list(g, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        tracemalloc.start()
+        try:
+            assert read_edge_list(path) == g
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 196 * g.num_edges
+
     @pytest.mark.parametrize("rewrite", [
         lambda t: t.replace("\n", "\r\n"),
         lambda t: t.replace(" ", "\t \t  "),
@@ -550,7 +570,7 @@ class TestEdgeListIO:
         def per_line_rows(*args):
             raise AssertionError("the per-line loop ran on a canonical file")
 
-        monkeypatch.setattr(graphmodels, "_per_line_rows", per_line_rows)
+        monkeypatch.setattr(graphmodels, "_per_line_graph", per_line_rows)
         for g in (gen_er(30, 0.2, Seed(13)), gen_bipartite_er(12, 0.3, Seed(14)), Graph(3)):
             path = tmp_path / "g.txt"
             write_edge_list(g, path)

@@ -408,18 +408,18 @@ class TestCli:
         # flag it with a nonzero exit
         import pdslab.theorychecks as tc
         from pdslab.randkit import Pmf
-        from pdslab.reduction import build_pprime as real_build_pprime
+        from pdslab.reduction import _kernel_laws as real_kernel_laws
 
         def corrupted(ls, lt, q, gamma):
-            pmf, a = real_build_pprime(ls, lt, q, gamma)
+            pmf, q_prime, a = real_kernel_laws(ls, lt, q, gamma)
             probs = pmf.probs.copy()
             if probs.size >= 2:
                 shift = min(1e-6, probs[0] / 2)
                 probs[0] -= shift
                 probs[1] += shift
-            return Pmf(probs), a
+            return Pmf(probs), q_prime, a
 
-        monkeypatch.setattr(tc, "build_pprime", corrupted)
+        monkeypatch.setattr(tc, "_kernel_laws", corrupted)
         code, out = run_cli("verify", "kernel")
         assert code == 1
         offenders = [json.loads(line) for line in out.strip().split("\n")]

@@ -15,10 +15,11 @@ from pdslab.errors import (
     InvalidGammaError,
     InvalidParameterError,
     PreconditionViolationError,
+    TooLargeError,
     ValidityViolationError,
     VertexCountMismatchError,
 )
-from pdslab.graphmodels import Graph, PdsParams, gen_er, gen_planted_clique, gen_pds_random_size
+from pdslab.graphmodels import BipartiteGraph, Graph, PdsParams, gen_er, gen_planted_clique, gen_pds_random_size
 from pdslab.randkit import Seed, binom_pmf, tv_distance
 from pdslab.reduction import (
     KernelTable,
@@ -111,6 +112,19 @@ class TestKernelConstruction:
         table = KernelTable(0.01, 0.5, 2)
         assert table.cell(1, 4)[0] is table.cell(2, 2)[0]
         assert table.cell(2, 2)[0] is not table.cell(2, 1)[0]
+
+    def test_new_cell_builds_two_binomials(self, monkeypatch):
+        # P' and Q' of a new cell share one Binom(n, 2q) and one Binom(n, q)
+        calls = []
+        build = reduction.binom_pmf
+        monkeypatch.setattr(reduction, "binom_pmf", lambda *args: calls.append(args) or build(*args))
+        table = KernelTable(0.01, 0.5, 2)
+        p_prime, q_prime, a = table.cell(2, 2)
+        assert calls == [(4, 0.02), (4, 0.01)]
+        # the same laws, to the bit, as the public builders give
+        assert np.array_equal(p_prime.probs, build_pprime(2, 2, 0.01, 0.5)[0].probs)
+        assert a == build_pprime(2, 2, 0.01, 0.5)[1]
+        assert np.array_equal(q_prime.probs, build_qprime(2, 2, 0.01, 0.5).probs)
 
 
 class TestReductionParams:
@@ -284,13 +298,31 @@ class TestReduceGraph:
         with pytest.raises(VertexCountMismatchError):
             reduce_graph(Graph(4, []), params, Seed(0))
 
+    def test_too_large_output_refused_before_drawing(self, monkeypatch):
+        # the estimate is G(N, q)'s expected edge count: C(N, 2) q, or N^2 q
+        # bipartite; it must fire before the parent split or any block draw
+        def drawn(*args):
+            raise AssertionError("the reduction drew")
+
+        monkeypatch.setattr(reduction, "as_seed", drawn)
+        params = ReductionParams(n=50_000, k=10, gamma=0.5, ell=2, q=1 / 64)
+        with pytest.raises(TooLargeError) as err:
+            reduce_graph(Graph(50_000), params, Seed(0))
+        assert str(err.value) == "expected 7.81e+07 edges, above the sampler's cap of 5e+07"
+        params = ReductionParams(n=30_000, k=10, gamma=0.5, ell=2, q=1 / 64)
+        with pytest.raises(TooLargeError, match=r"^expected 5\.62e\+07 edges"):
+            reduce_bipartite(BipartiteGraph(30_000, 30_000), params, Seed(0))
+        # C(60000, 2) / 64 is 2.8e7: under the cap, so drawing starts
+        with pytest.raises(AssertionError, match="the reduction drew"):
+            reduce_graph(Graph(30_000), params, Seed(0))
+
     def test_kernel_laws_built_once_per_params(self, monkeypatch):
         params = ReductionParams(n=20, k=5, gamma=0.5, ell=2, q=0.01)
         g = gen_er(20, 0.5, Seed(4))
         first = reduce_graph(g, params, Seed(5))
         calls = []
-        build = reduction.build_pprime
-        monkeypatch.setattr(reduction, "build_pprime", lambda *args: calls.append(args) or build(*args))
+        build = reduction._kernel_laws
+        monkeypatch.setattr(reduction, "_kernel_laws", lambda *args: calls.append(args) or build(*args))
         assert reduce_graph(g, params, Seed(5)) == first
         assert calls == []
         # the table belongs to the instance: an equal one builds its own
