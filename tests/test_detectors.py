@@ -375,6 +375,59 @@ class TestScanHeuristic:
         assert hits / 100 >= 0.9
 
 
+def _decision_cases():
+    """(graph, K) pairs for the scan-decision pins: empty, complete, sparse,
+    dense and planted-clique graphs on 12 and 40 vertices, at K = 1 to 6."""
+    cases = []
+    for n in (12, 40):
+        graphs = [Graph(n, []), Graph(n, list(combinations(range(n), 2)))]
+        graphs += [gen_er(n, q, Seed(42).child(n).child(i)) for i, q in enumerate((0.1, 0.3, 0.6))]
+        graphs.append(gen_planted_clique(n, 5, 0.15, Seed(43).child(n)).graph)
+        cases += [(g, k) for g in graphs for k in (1, 2, 4, 6)]
+    return cases
+
+
+def _taus_around(value: int) -> list:
+    """Thresholds that `value` misses and clears by one: an integral tau at
+    the value and one below it, and tau with floor(tau) at the value and
+    one below it."""
+    return [value - 1, value - 0.5, value, value + 0.5]
+
+
+class TestScanDecisions:
+    # "more than tau" for an integer count means "at least floor(tau) + 1":
+    # each engine's decision at thresholds around the maximum (exact) or
+    # around its own value (heuristic), plus the sweep's tau_scan
+
+    SWEEP_TAUS = (tau_scan(4, 0.4, 0.2), tau_scan(6, 0.9, 0.05), 3.0)
+
+    def test_exact_decisions(self):
+        for g, k in _decision_cases():
+            value = t_scan_exact(g, k)[0]
+            if g.num_vertices <= 12:
+                assert value == recursive_scan_max(g, k)[0]
+            for tau in (*_taus_around(value), *self.SWEEP_TAUS):
+                assert (value > tau) == (value >= math.floor(tau) + 1)
+
+    def test_exact_budget_refusal(self):
+        g = gen_er(30, 0.2, Seed(1))
+        with pytest.raises(BudgetExceededError):
+            t_scan_exact(g, 10, budget=100_000)
+
+    def test_heuristic_decisions(self):
+        for n in (12, 40):
+            cases = [(g, k) for g, k in _decision_cases() if g.num_vertices == n]
+            for k in sorted({k for _, k in cases}):
+                graphs = [g for g, gk in cases if gk == k]
+                seeds = [Seed(44).child(n).child(k).child(i) for i in range(len(graphs))]
+                want = [sequential_scan_heuristic(g, k, 5, s)[0] for g, s in zip(graphs, seeds)]
+                csrs = [csr_adjacency(g) for g in graphs]
+                got = [value for value, _ in scan_heuristic_batch(zip(csrs, seeds), n, k, 5)]
+                assert got == want
+                for tau in sorted({t for v in want for t in _taus_around(v)} | set(self.SWEEP_TAUS)):
+                    assert [v > tau for v in got] == [v > tau for v in want], (n, k, tau)
+
+
 class TestScanStatistic:
     def test_dispatches_on_scan_mode(self):
         g = gen_er(30, 0.3, Seed(8))
