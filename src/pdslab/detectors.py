@@ -16,7 +16,9 @@ to the restart hill-climbing heuristic, whose value never exceeds the true
 maximum.  The heuristic has one engine, `scan_heuristic_batch`: it runs
 the restarts of several graphs with the same N and K in lockstep, each
 graph with its own seed and its own result, and `t_scan_heuristic` hands
-it one graph.  Derived detectors wrap user-supplied subgraph finders: one
+it one graph.  Both engines take an optional threshold: with it they
+decide, not maximise, reporting only whether their value would exceed
+it, and they stop at the first K-set that does.  Derived detectors wrap user-supplied subgraph finders: one
 thresholds the density of a densest-K-subgraph approximation, the other
 runs a recovery algorithm over a sequence of progressively resampled graphs
 and scans the recovered sets' edge counts.
@@ -25,8 +27,9 @@ and scans the recovered sets' edge counts.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -78,6 +81,17 @@ _BLOCK = 2**20
 
 def _comb2(x: float) -> float:
     return x * (x - 1) / 2.0
+
+
+def _threshold(threshold):
+    """A scan threshold as a float, or None; a bool, NaN, infinity or
+    non-number is refused."""
+    if threshold is None:
+        return None
+    if isinstance(threshold, (bool, np.bool_)) or not isinstance(threshold, numbers.Real) \
+            or not math.isfinite(threshold):
+        raise InvalidParameterError(f"threshold must be a finite number, got {threshold!r}")
+    return float(threshold)
 
 
 @dataclass(frozen=True)
@@ -159,32 +173,38 @@ def scan_subset_count(N: int, K: int, budget: int) -> int:
     return count
 
 
-def t_scan_exact(g: Graph, K: int, budget: int = DEFAULT_SCAN_BUDGET):
-    """Maximum edge count over all K-subsets, plus the first argmax.
+def t_scan_exact(g: Graph, K: int, budget: int = DEFAULT_SCAN_BUDGET, threshold=None):
+    """Maximum edge count over all K-subsets, plus the first argmax; given a
+    `threshold`, only whether some K-subset has more edges than it.
 
     A depth-first branch-and-bound walks the K-subsets in lexicographic
     order and keeps only strictly better leaves, so the returned set is the
-    lexicographically smallest among ties.  Raises BudgetExceededError when
-    C(N, K) exceeds the budget, which caps subsets, not search nodes.
+    lexicographically smallest among ties.  A threshold decides rather than
+    maximises: the bound starts at floor(threshold), as if a set of that
+    many edges had been seen, and the walk stops at the first leaf above
+    it.  Raises BudgetExceededError when C(N, K) exceeds the budget, which
+    caps subsets, not search nodes, so the check comes first either way.
     """
     N = g.num_vertices
     K = _integer(K, "K")
+    threshold = _threshold(threshold)
     if not (0 <= K <= N):
         raise InvalidParameterError(f"need 0 <= K <= N, got K={K}, N={N}")
     if K <= 1:
-        return 0, tuple(range(K))
+        return (0, tuple(range(K))) if threshold is None else 0 > threshold
     total = scan_subset_count(N, K, budget)
     if total > budget:
         relation = "=" if min(K, N - K) <= _COUNT_CAP else ">="
         raise BudgetExceededError(
             f"C({N},{K}) {relation} {total} subsets exceeds the budget of {budget}"
         )
-    A = g.adjacency_matrix().astype(np.int64)
-    best, best_set = -1, None
+    # uint8 rows: the degree vectors are int64, so every sum is exact
+    A = g.adjacency_matrix()
+    best, best_set = (-1, None) if threshold is None else (math.floor(threshold), None)
     # A frame stands for the completions of `prefix` by vertices >= v; deg[u]
     # counts u's edges into the prefix, rest[u] its edges to v..N-1.  An
     # explicit stack keeps K near N off the recursion limit.
-    stack = [((), 0, 0, np.zeros(N, dtype=np.int64), A.sum(axis=1))]
+    stack = [((), 0, 0, np.zeros(N, dtype=np.int64), A.sum(axis=1, dtype=np.int64))]
     while stack:
         prefix, v, count, deg, rest = stack.pop()
         r = K - len(prefix)
@@ -194,6 +214,8 @@ def t_scan_exact(g: Graph, K: int, budget: int = DEFAULT_SCAN_BUDGET):
             # the leaves prefix + (u,), u >= v, in lexicographic order
             u = v + int(np.argmax(deg[v:]))
             if count + int(deg[u]) > best:
+                if threshold is not None:
+                    return True
                 best, best_set = count + int(deg[u]), prefix + (u,)
             continue
         # Each added vertex brings deg[u] edges into the prefix and at most
@@ -207,7 +229,7 @@ def t_scan_exact(g: Graph, K: int, budget: int = DEFAULT_SCAN_BUDGET):
         # the child goes on top, so the walk stays in lexicographic order
         stack.append((prefix, v + 1, count, deg, rest))
         stack.append((prefix + (v,), v + 1, count + int(deg[v]), deg + A[v], rest))
-    return best, best_set
+    return (best, best_set) if threshold is None else False
 
 
 def _gather(ptr: np.ndarray, nbrs: np.ndarray, vs: np.ndarray, offsets=None) -> np.ndarray:
@@ -245,10 +267,12 @@ def t_scan_heuristic(g: Graph, K: int, restarts: int, seed):
     return scan_heuristic_batch([(csr_adjacency(g), seed)], g.num_vertices, K, restarts)[0]
 
 
-def scan_heuristic_batch(graphs, N: int, K: int, restarts: int) -> list:
+def scan_heuristic_batch(graphs, N: int, K: int, restarts: int, threshold=None) -> list:
     """`t_scan_heuristic`'s (value, set) for each (CSR, seed) in `graphs`,
     in order: graphs on N vertices as `csr_adjacency` gives them, each with
-    its own restart seed.
+    its own restart seed.  Given a `threshold`, each graph's entry is
+    instead whether that value exceeds it, found without running every
+    restart to its stop.
 
     The best swap has a closed form.  With D the largest d outside the set
     and T the outside vertices at D, member u's best gain is D - d_u, less 1
@@ -259,17 +283,25 @@ def scan_heuristic_batch(graphs, N: int, K: int, restarts: int) -> list:
     Restarts run in lockstep, those of several graphs together: each
     iteration makes one swap in every live restart, on a matrix of degrees
     with one row per (graph, restart) pair, and a row leaves the matrix
-    when its restart stops.  `graphs` is read one graph at a time, and
-    graphs join one lockstep run while their N + 2M entries sum to at most
-    _BLOCK, so a lazy iterable of any length keeps memory bounded.  A run's
-    rows go in blocks of _BLOCK // N, and at most _BLOCK // max(N, 2M) rows
-    of a block gather T's neighbour lists at once, M the most edges of a
-    graph in the run, so the matrix and every gather stay within _BLOCK
-    entries: no N x N or K x (N - K) array is built.
+    when its restart stops.  A swap only raises a restart's count, so with
+    a threshold a graph is decided as soon as one of its counts exceeds
+    it, and all its rows leave the matrix then.  The restarts start in
+    waves: restart 0 of every graph first, then the others of the graphs
+    it left undecided; restart r always draws from seed child r, so no
+    decision depends on the waves.
+
+    `graphs` is read one graph at a time, and graphs join one lockstep run
+    while their N + 2M entries sum to at most _BLOCK, so a lazy iterable of
+    any length keeps memory bounded.  A run's rows go in blocks of
+    _BLOCK // N, and at most _BLOCK // max(N, 2M) rows of a block gather
+    T's neighbour lists at once, M the most edges of a graph in the run, so
+    the matrix and every gather stay within _BLOCK entries: no N x N or
+    K x (N - K) array is built.
     """
     N = _integer(N, "N")
     K = _integer(K, "K")
     restarts = _integer(restarts, "restarts")
+    threshold = _threshold(threshold)
     if not (1 <= K <= N):
         raise InvalidParameterError(f"need 1 <= K <= N, got K={K}, N={N}")
     if restarts < 1:
@@ -280,18 +312,19 @@ def scan_heuristic_batch(graphs, N: int, K: int, restarts: int) -> list:
         if csr[0].size != N + 1:
             raise VertexCountMismatchError(f"a CSR has {csr[0].size - 1} vertices, the batch {N}")
         if run and size + N + csr[1].size > _BLOCK:
-            results += _lockstep_scan(run, N, K, restarts)  # empties run
+            results += _lockstep_scan(run, N, K, restarts, threshold)  # empties run
             size = 0
         run.append((csr, as_seed(seed)))
         size += N + csr[1].size
     if run:
-        results += _lockstep_scan(run, N, K, restarts)
+        results += _lockstep_scan(run, N, K, restarts, threshold)
     return results
 
 
-def _lockstep_scan(run: list, N: int, K: int, restarts: int) -> list:
-    """The (value, set) of each (CSR, Seed) in `run`, by one lockstep run;
-    `run` is left empty."""
+def _lockstep_scan(run: list, N: int, K: int, restarts: int, threshold) -> list:
+    """The (value, set) of each (CSR, Seed) in `run`, or whether the value
+    exceeds `threshold` if one is given, by one lockstep run; `run` is left
+    empty."""
     seeds = [seed for _, seed in run]
     # one CSR over all the graphs: graph j's vertex x is row j*N + x, and
     # nbrs keeps each graph's own vertex ids.  The graphs' own CSRs go
@@ -302,28 +335,50 @@ def _lockstep_scan(run: list, N: int, K: int, restarts: int) -> list:
     per_gather = max(1, _BLOCK // max(N, *(n.size for (_, n), _ in run)))
     run.clear()
     if K == 1:
-        return [(0, (0,))] * len(seeds)
+        return [(0, (0,)) if threshold is None else 0 > threshold] * len(seeds)
     # key[x] is x's degree into the set, less `off` for members: members sit
     # at or below -2 and outside vertices at or above 0
     off = N + 1
     best_count = [-1] * len(seeds)
     best_set = [None] * len(seeds)
+    decided = np.zeros(len(seeds), dtype=bool)  # graphs with a count above threshold
     per_block = max(1, _BLOCK // N)
-    for first in range(0, len(seeds) * restarts, per_block):
-        block = range(first, min(first + per_block, len(seeds) * restarts))
+
+    def blocks():
+        # the (graph, restart) pairs in start order, per_block at a time.  A
+        # block takes its pairs as it starts, so a graph decided by then
+        # starts no more restarts; with a threshold, restarts 1.. wait until
+        # restart 0 of every graph has stopped
+        firsts = ((j, 0) for j in range(len(seeds)))
+        others = ((j, r) for j in range(len(seeds)) for r in range(1, restarts) if not decided[j])
+        for wave in (chain(firsts, others),) if threshold is None else (firsts, others):
+            while block := list(islice(wave, per_block)):
+                yield block
+
+    for block in blocks():
         keys = np.empty((len(block), N), dtype=np.int64)
         counts = np.empty(len(block), dtype=np.int64)
-        for i, row in enumerate(block):
-            j, r = divmod(row, restarts)
+        for i, (j, r) in enumerate(block):
             start = seeds[j].child(r).rng().permutation(N)[:K]
             key = np.bincount(_gather(ptr, nbrs, start + j * N), minlength=N)
             counts[i] = key[start].sum() // 2
             key[start] -= off
             keys[i] = key
         base = np.arange(len(block)) * N  # each row's offset in `flat`
-        vbase = np.arange(block.start, block.stop) // restarts * N  # its graph's in ptr
+        vbase = np.array([j for j, _ in block]) * N  # its graph's in ptr
         flat = keys.reshape(-1)
         while len(keys):
+            if threshold is not None:
+                # a count above the threshold decides its graph, whose
+                # rows all leave
+                decided[vbase[counts > threshold] // N] = True
+                live = ~decided[vbase // N]
+                if not live.all():
+                    keys, counts, vbase = keys[live], counts[live], vbase[live]
+                    base = base[:len(keys)]
+                    flat = keys.reshape(-1)
+                    if not len(keys):
+                        break
             D = keys.max(axis=1)
             u = keys.argmin(axis=1)  # the first member of least degree
             # no swap gains more than D - d_u; with K = N, D is a member's key
@@ -369,7 +424,7 @@ def _lockstep_scan(run: list, N: int, K: int, restarts: int) -> list:
             # count, then the smaller set
             done = gain <= 0
             if done.any():
-                for i in done.nonzero()[0]:
+                for i in done.nonzero()[0] if threshold is None else ():
                     j = vbase[i] // N
                     cand = tuple((keys[i] < -1).nonzero()[0].tolist())
                     if counts[i] > best_count[j] or (counts[i] == best_count[j] and cand < best_set[j]):
@@ -383,7 +438,7 @@ def _lockstep_scan(run: list, N: int, K: int, restarts: int) -> list:
             flat[base + u] += off
             flat[base + v] -= off
             counts += gain
-    return list(zip(best_count, best_set))
+    return list(zip(best_count, best_set)) if threshold is None else decided.tolist()
 
 
 def scan_statistic(g: Graph, K: int, scan_mode: str, restarts: int, seed,

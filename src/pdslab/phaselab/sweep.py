@@ -5,11 +5,14 @@ Each grid point gets its own derived seed, so a row is a pure function of
 over points was slower under the GIL, so the ``workers`` setting is
 accepted for compatibility and changes neither the run nor its output.
 Within a point, every trial graph the edge count decides is decided as it
-is drawn.  In heuristic scan mode the others go to one batch of lockstep
-heuristic scans as CSR adjacency, read as the batch goes; graphs run
-together only while their N + 2M entries sum to at most
-``detectors._BLOCK``, so a point's memory does not grow with ``trials``.
-In exact scan mode each of them gets its own exact scan.
+is drawn.  The others are decided, not maximised: each scan gets tau_scan
+as its threshold and answers only whether some K-set has more edges, the
+answer ``value > tau_scan`` of the full scan would give.  In heuristic
+scan mode they go to one batch of lockstep heuristic scans as CSR
+adjacency, read as the batch goes; graphs run together only while their
+N + 2M entries sum to at most ``detectors._BLOCK``, so a point's memory
+does not grow with ``trials``.  In exact scan mode each of them gets its
+own exact scan.
 
 The CSV schema is fixed and versioned by its header line, ``CSV_HEADER``.
 """
@@ -67,16 +70,16 @@ def run_point(config: SweepConfig, index: int, alpha: float, beta: float) -> dic
                 h1[arm] += 1
             elif config.test != "lin":
                 if config.scan_mode == "exact":
-                    h1[arm] += t_scan_exact(g, params.K)[0] > t2
+                    h1[arm] += t_scan_exact(g, params.K, threshold=t2)
                 else:
                     scanned.append(arm)
                     item = csr_adjacency(g), scan_root.child(g.fingerprint())
                     del g
                     yield item
 
-    values = scan_heuristic_batch(undecided(), params.N, params.K, config.restarts)
-    for arm, (value, _) in zip(scanned, values):
-        h1[arm] += value > t2
+    decisions = scan_heuristic_batch(undecided(), params.N, params.K, config.restarts, threshold=t2)
+    for arm, decision in zip(scanned, decisions):
+        h1[arm] += decision
     estimate = ErrorEstimate.from_h1_counts(h1, config.trials)
     return {
         "alpha": alpha,

@@ -168,9 +168,9 @@ class ReductionParams:
         return problems
 
 
-def _kernel_laws(ls: int, lt: int, q: float, gamma) -> tuple:
+def _kernel_laws(ls: int, lt: int, q: float, gamma, plain=None) -> tuple:
     """(P', Q', a) for a block with ls * lt slots, from one Binom(n, 2q) and
-    one Binom(n, q).
+    one Binom(n, q), the latter `plain(n)` when a memo of them is given.
 
     Fails with ValidityViolationError if any entry of P' or Q' would be
     more negative than -1e-12; that signals the caller broke the validity
@@ -182,7 +182,7 @@ def _kernel_laws(ls: int, lt: int, q: float, gamma) -> tuple:
     m0 = m0_of(gamma)
     g = float(gamma)
     p_pmf = binom_pmf(n, 2.0 * q)
-    q_pmf = binom_pmf(n, q)
+    q_pmf = binom_pmf(n, q) if plain is None else plain(n)
     p_prime, a = p_pmf, 0.0
     if m0 < n:
         probs = p_pmf.probs.copy()
@@ -242,11 +242,12 @@ class KernelTable:
         self._mixed: dict = {}
 
     def cell(self, ls: int, lt: int) -> tuple:
-        """(P', Q', a) for a block with ls * lt slots."""
+        """(P', Q', a) for a block with ls * lt slots; its Binom(slots, q)
+        is the one `plain` keeps."""
         slots = int(ls) * int(lt)
         hit = self._cells.get(slots)
         if hit is None:
-            hit = _kernel_laws(ls, lt, self.q, self.gamma)
+            hit = _kernel_laws(ls, lt, self.q, self.gamma, self.plain)
             self._cells[slots] = hit
         return hit
 

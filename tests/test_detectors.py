@@ -408,11 +408,28 @@ class TestScanDecisions:
                 assert value == recursive_scan_max(g, k)[0]
             for tau in (*_taus_around(value), *self.SWEEP_TAUS):
                 assert (value > tau) == (value >= math.floor(tau) + 1)
+                assert t_scan_exact(g, k, threshold=tau) is (value > tau), (k, tau)
+        # a numpy threshold, as a config's arithmetic may give, decides alike
+        assert t_scan_exact(K4, 3, threshold=np.float64(2.5)) is True
+        assert t_scan_exact(K4, 3, threshold=np.int64(3)) is False
 
     def test_exact_budget_refusal(self):
+        # the budget check comes before any decision, even one a threshold
+        # below zero would make at once
         g = gen_er(30, 0.2, Seed(1))
         with pytest.raises(BudgetExceededError):
             t_scan_exact(g, 10, budget=100_000)
+        for tau in (-1, 0.5, 45):
+            with pytest.raises(BudgetExceededError):
+                t_scan_exact(g, 10, budget=100_000, threshold=tau)
+
+    def test_rejects_bad_thresholds(self):
+        csr = csr_adjacency(K4)
+        for tau in (float("nan"), float("inf"), -float("inf"), True, np.bool_(False), "3", 1j):
+            with pytest.raises(InvalidParameterError, match="threshold must be a finite number"):
+                t_scan_exact(K4, 3, threshold=tau)
+            with pytest.raises(InvalidParameterError, match="threshold must be a finite number"):
+                scan_heuristic_batch([(csr, Seed(0))], 4, 3, 2, threshold=tau)
 
     def test_heuristic_decisions(self):
         for n in (12, 40):
@@ -426,6 +443,80 @@ class TestScanDecisions:
                 assert got == want
                 for tau in sorted({t for v in want for t in _taus_around(v)} | set(self.SWEEP_TAUS)):
                     assert [v > tau for v in got] == [v > tau for v in want], (n, k, tau)
+                    decided = scan_heuristic_batch(zip(csrs, seeds), n, k, 5, threshold=tau)
+                    assert decided == [v > tau for v in want], (n, k, tau)
+
+
+    def test_exact_matrix_is_one_byte_an_entry(self):
+        # the adjacency matrix is held as uint8: on a sparse graph the peak
+        # is about one byte per N^2 entry (an int64 copy made it nine)
+        g = gen_er(2000, 0.001, Seed(45))
+        for threshold in (None, 1.5):
+            tracemalloc.start()
+            try:
+                t_scan_exact(g, 2, threshold=threshold)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * 2000**2, (threshold, peak)
+
+
+class TestScanWaves:
+    def _starts(self, monkeypatch, graphs, seeds, k, restarts, threshold):
+        """The decisions of one batch, and the restarts it started, per graph."""
+        child = Seed.child
+        started = [[] for _ in graphs]
+
+        def spy(seed, index):
+            if seed in seeds:
+                started[seeds.index(seed)].append(index)
+            return child(seed, index)
+
+        monkeypatch.setattr(Seed, "child", spy)
+        csrs = [csr_adjacency(g) for g in graphs]
+        n = graphs[0].num_vertices
+        try:
+            out = scan_heuristic_batch(zip(csrs, seeds), n, k, restarts, threshold=threshold)
+        finally:
+            monkeypatch.setattr(Seed, "child", child)
+        return out, started
+
+    def _cases(self):
+        n = 60
+        graphs = [Graph(n, []), Graph(n, list(combinations(range(n), 2)))]
+        graphs += [gen_er(n, 0.15, Seed(46).child(i)) for i in range(6)]
+        graphs += [gen_planted_clique(n, 8, 0.15, Seed(47).child(i)).graph for i in range(6)]
+        seeds = [Seed(48).child(i) for i in range(len(graphs))]
+        # tau = 16.1: the null graphs' restarts reach 15 to 19 edges, so some
+        # are decided by restart 0, some by a later one and some never
+        return graphs, seeds, 8, 6, tau_scan(8, 1.0, 0.15)
+
+    def test_restart_zero_runs_first_and_decides(self, monkeypatch):
+        # restart 0 of every graph starts first; a graph restart 0 decides
+        # H1 starts no other restart, and every other graph starts all R
+        graphs, seeds, k, restarts, tau = self._cases()
+        first = [sequential_scan_heuristic(g, k, 1, s)[0] > tau for g, s in zip(graphs, seeds)]
+        want = [sequential_scan_heuristic(g, k, restarts, s)[0] > tau for g, s in zip(graphs, seeds)]
+        assert any(first) and not all(first) and any(w and not f for f, w in zip(first, want))
+        out, started = self._starts(monkeypatch, graphs, seeds, k, restarts, tau)
+        assert out == want
+        for f, got in zip(first, started):
+            assert got == ([0] if f else list(range(restarts)))
+        # without a threshold every graph starts every restart
+        out, started = self._starts(monkeypatch, graphs, seeds, k, restarts, None)
+        assert out == [sequential_scan_heuristic(g, k, restarts, s) for g, s in zip(graphs, seeds)]
+        assert started == [list(range(restarts))] * len(graphs)
+
+    def test_decided_graph_starts_no_later_block(self, monkeypatch):
+        # one restart a block: a graph stops starting restarts at the first
+        # one that decides it
+        graphs, seeds, k, restarts, tau = self._cases()
+        monkeypatch.setattr(detectors, "_BLOCK", graphs[0].num_vertices)
+        out, started = self._starts(monkeypatch, graphs, seeds, k, restarts, tau)
+        for g, s, decided, got in zip(graphs, seeds, out, started):
+            deciding = [r for r in range(restarts) if sequential_scan_heuristic(g, k, r + 1, s)[0] > tau]
+            assert decided == bool(deciding)
+            assert got == list(range(deciding[0] + 1 if deciding else restarts))
 
 
 class TestScanStatistic:

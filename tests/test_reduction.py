@@ -329,6 +329,17 @@ class TestReduceGraph:
         assert reduce_graph(g, ReductionParams(n=20, k=5, gamma=0.5, ell=2, q=0.01), Seed(5)) == first
         assert calls
 
+    def test_pipeline_reduction_builds_each_binomial_once(self, monkeypatch):
+        # at the generate -> reduce pipeline's size a plain block and a kernel
+        # cell of the same slot count share one Binom(slots, q): no
+        # binom_pmf call repeats an earlier one
+        calls = []
+        build = reduction.binom_pmf
+        monkeypatch.setattr(reduction, "binom_pmf", lambda *args: calls.append(args) or build(*args))
+        g = gen_planted_clique(1000, 60, 0.5, Seed(6)).graph
+        reduce_graph(g, ReductionParams(n=1000, k=60, gamma=0.5, ell=2, q=0.001), Seed(7))
+        assert calls and len(set(calls)) == len(calls), Counter(calls).most_common(3)
+
     def test_partition_marginals(self):
         # |V_t| ~ Binom(N, 1/n): reproduce the documented parent stream
         params = ReductionParams(n=5, k=5, gamma=0.5, ell=4, q=0.001)
