@@ -18,10 +18,11 @@ the restarts of several graphs with the same N and K in lockstep, each
 graph with its own seed and its own result, and `t_scan_heuristic` hands
 it one graph.  Both engines take an optional threshold: with it they
 decide, not maximise, reporting only whether their value would exceed
-it, and they stop at the first K-set that does.  Derived detectors wrap user-supplied subgraph finders: one
-thresholds the density of a densest-K-subgraph approximation, the other
-runs a recovery algorithm over a sequence of progressively resampled graphs
-and scans the recovered sets' edge counts.
+it, and they stop at the first K-set that does.  Derived detectors wrap
+user-supplied subgraph finders: one thresholds the density of a
+densest-K-subgraph approximation, the other runs a recovery algorithm
+over a sequence of progressively resampled graphs and scans the
+recovered sets' edge counts.
 """
 
 from __future__ import annotations
@@ -200,7 +201,8 @@ def t_scan_exact(g: Graph, K: int, budget: int = DEFAULT_SCAN_BUDGET, threshold=
         )
     # uint8 rows: the degree vectors are int64, so every sum is exact
     A = g.adjacency_matrix()
-    best, best_set = (-1, None) if threshold is None else (math.floor(threshold), None)
+    best = -1 if threshold is None else math.floor(threshold)
+    best_set = None
     # A frame stands for the completions of `prefix` by vertices >= v; deg[u]
     # counts u's edges into the prefix, rest[u] its edges to v..N-1.  An
     # explicit stack keeps K near N off the recursion limit.
@@ -285,10 +287,10 @@ def scan_heuristic_batch(graphs, N: int, K: int, restarts: int, threshold=None) 
     with one row per (graph, restart) pair, and a row leaves the matrix
     when its restart stops.  A swap only raises a restart's count, so with
     a threshold a graph is decided as soon as one of its counts exceeds
-    it, and all its rows leave the matrix then.  The restarts start in
-    waves: restart 0 of every graph first, then the others of the graphs
-    it left undecided; restart r always draws from seed child r, so no
-    decision depends on the waves.
+    it, and all its rows leave the matrix then.  With a threshold the
+    restarts also start in waves: restart 0 of every graph first, then the
+    others of the graphs it left undecided.  Restart r always draws from
+    seed child r, so no result depends on the order restarts start in.
 
     `graphs` is read one graph at a time, and graphs join one lockstep run
     while their N + 2M entries sum to at most _BLOCK, so a lazy iterable of
@@ -421,7 +423,7 @@ def _lockstep_scan(run: list, N: int, K: int, restarts: int, threshold) -> list:
             # a restart stops at its first gain <= 0.  Its members are the keys
             # below -1 even with u's edges still off: members at -3 or below,
             # outside vertices at -1 or above; its graph's best is the larger
-            # count, then the smaller set
+            # count, then the smaller set.  A threshold keeps no sets
             done = gain <= 0
             if done.any():
                 for i in done.nonzero()[0] if threshold is None else ():
