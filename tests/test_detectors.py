@@ -388,9 +388,9 @@ def _decision_cases():
 
 
 def _taus_around(value: int) -> list:
-    """Thresholds that `value` misses and clears by one: an integral tau at
-    the value and one below it, and tau with floor(tau) at the value and
-    one below it."""
+    """Thresholds an integer count `value` clears or misses by one: the
+    integral taus value - 1 and value, and taus with floor(tau) = value - 1
+    and floor(tau) = value."""
     return [value - 1, value - 0.5, value, value + 0.5]
 
 
@@ -446,10 +446,9 @@ class TestScanDecisions:
                     decided = scan_heuristic_batch(zip(csrs, seeds), n, k, 5, threshold=tau)
                     assert decided == [v > tau for v in want], (n, k, tau)
 
-
     def test_exact_matrix_is_one_byte_an_entry(self):
         # the adjacency matrix is held as uint8: on a sparse graph the peak
-        # is about one byte per N^2 entry (an int64 copy made it nine)
+        # is about one byte per N^2 entry, where an int64 copy adds eight
         g = gen_er(2000, 0.001, Seed(45))
         for threshold in (None, 1.5):
             tracemalloc.start()
