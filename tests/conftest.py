@@ -39,8 +39,8 @@ from pdslab.graphmodels import (
     gen_er,
     gen_pds_random_size,
 )
-from pdslab.randkit import Seed, as_seed, sample_pmf
-from pdslab.reduction import KernelTable, _floyd_sample, block_pairs, block_routes, regime_classify
+from pdslab.randkit import Seed, as_seed
+from pdslab.reduction import KernelTable, block_pairs, block_routes, regime_classify
 from pdslab.theorychecks import CheckReport
 
 
@@ -105,8 +105,10 @@ def per_block_reduce_edges(g, params, seed) -> list:
     One count draw per block with at least one slot, in draw order (rows s,
     then columns t >= s, or every t when bipartite), and a Floyd placement
     after each nonzero count.  Walk, routing and slot layout are written
-    out here; only the kernel laws, `sample_pmf` and `_floyd_sample` come
-    from the library.
+    out here, and so are the draws: a count inverts `rng.random()` through
+    the law's CDF with `np.searchsorted`, and Floyd's algorithm takes
+    `edge_rng.integers(0, i + 1)`, so the reference reads numpy's own
+    generator.  Only the kernel laws come from the library.
     """
     n = params.n
     root = as_seed(seed)
@@ -133,10 +135,14 @@ def per_block_reduce_edges(g, params, seed) -> list:
             else:
                 p_prime, q_prime, _ = table.cell(len(vs), len(vt))
                 law = p_prime if (s, t) in present else q_prime
-            m = sample_pmf(law, edge_rng)
+            m = min(int(np.searchsorted(law.cdf(), edge_rng.random(), side="right")), law.max_value)
             if m == 0:
                 continue
-            for k in _floyd_sample(slots, m, edge_rng):
+            chosen = set()
+            for i in range(slots - m, slots):
+                pick = int(edge_rng.integers(0, i + 1))
+                chosen.add(i if pick in chosen else pick)
+            for k in sorted(chosen):
                 if diagonal:
                     # colex: slot k is the pair (i, j), i < j, with k = C(j, 2) + i
                     j = max(j for j in range(len(vs)) if math.comb(j, 2) <= k)
