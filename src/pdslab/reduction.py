@@ -39,8 +39,10 @@ reduce sidecar format is unchanged.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -51,11 +53,12 @@ from .errors import (
     InvalidGammaError,
     InvalidParameterError,
     PreconditionViolationError,
+    TooLargeError,
     ValidityViolationError,
     VertexCountMismatchError,
 )
-from .graphmodels import BipartiteGraph, Graph, _check_expected_edges, _integer
-from .randkit import Pmf, as_seed, binom_pmf, sample_pmf
+from .graphmodels import _MAX_EXPECTED_EDGES, BipartiteGraph, Graph, _check_expected_edges, _integer
+from .randkit import Pmf, as_seed, binom_pmf
 
 __all__ = [
     "ReductionParams",
@@ -80,6 +83,11 @@ __all__ = [
 
 _PARENT_STREAM = 0
 _EDGE_STREAM = 1
+
+# the most slots one parent block may have: its count laws are dense vectors
+# over 0..slots, and below 2**32 - 1 every Floyd bound takes numpy's 32-bit
+# draw, the one `_WordStream.below` reads
+_MAX_BLOCK_SLOTS = 1 << 20
 
 
 def m0_of(gamma) -> int:
@@ -278,23 +286,27 @@ class KernelTable:
         return hit
 
 
-def _floyd_sample(n_slots: int, m: int, rng: np.random.Generator) -> list:
-    """Uniform m-subset of range(n_slots) in O(m) draws (Floyd's algorithm)."""
+def _floyd_sample(n_slots: int, m: int, draw: Callable[[int], int]) -> list:
+    """Uniform m-subset of range(n_slots) in O(m) draws (Floyd's algorithm);
+    `draw(high)` is a uniform integer in [0, high)."""
     chosen = set()
     for i in range(n_slots - m, n_slots):
-        t = int(rng.integers(0, i + 1))
+        t = draw(i + 1)
         chosen.add(i if t in chosen else t)
     return sorted(chosen)
 
 
-def _colex_pair(idx: int) -> tuple:
+def _colex_pairs(idx: np.ndarray) -> tuple:
     """Invert colex enumeration of pairs i < j: index = C(j,2) + i.
 
-    j is the largest with C(j, 2) <= idx, that is (2j - 1)^2 <= 8 idx + 1;
-    isqrt is exact, so that is 2j - 1 <= isqrt(8 idx + 1).
+    j is the largest with C(j, 2) <= idx.  The float root of 8 idx + 1
+    misses it by at most one either way, and the integer checks settle it
+    for every idx below C(3e9 + 1, 2).
     """
-    j = int((1 + math.isqrt(1 + 8 * idx)) // 2)
-    return idx - j * (j - 1) // 2, j
+    j = ((np.sqrt(8.0 * idx + 1.0) + 1.0) * 0.5).astype(np.int64)
+    j -= (j * (j - 1)) >> 1 > idx
+    j += ((j + 1) * j) >> 1 <= idx
+    return idx - ((j * (j - 1)) >> 1), j
 
 
 class BlockRow(NamedTuple):
@@ -353,52 +365,137 @@ def block_routes(rows, cols, table: KernelTable, has_edge):
         yield BlockRow(s, t, diagonal, slots, np.where(plain, ROUTE_PLAIN, kernel))
 
 
-def block_pairs(vs, vt, diagonal: bool, idx) -> list:
-    """The output vertex pairs at slot indices `idx` of one block: colex
-    order over within-part pairs for a diagonal block, row-major over
-    vs x vt otherwise."""
+def block_pairs(vs, vt, diagonal: bool, idx) -> np.ndarray:
+    """The output vertex pairs at slot indices `idx` of one block, as an
+    (M, 2) array: colex order over within-part pairs for a diagonal block,
+    row-major over vs x vt otherwise."""
+    idx = np.asarray(idx, dtype=np.int64)
     if diagonal:
-        return [(int(vs[i]), int(vs[j])) for i, j in map(_colex_pair, idx)]
-    lt = len(vt)
-    return [(int(vs[k // lt]), int(vt[k % lt])) for k in idx]
+        (i, j), vt = _colex_pairs(idx), vs
+    else:
+        i, j = np.divmod(idx, len(vt))
+    return np.column_stack((np.asarray(vs, dtype=np.int64)[i], np.asarray(vt, dtype=np.int64)[j]))
 
 
-def _sample_blocks(g, params: ReductionParams, seed) -> list:
-    """Edges of one reduced graph: parents for each side from the parent
-    stream, then, per routed block in draw order, one count uniform from
-    the edge stream and, after a nonzero count, its Floyd placement.
+class _WordStream:
+    """The 64-bit words of a fresh PCG64 generator, read the way its
+    `Generator` reads them.
 
-    A block's count is 0 exactly when its uniform falls below its law's
-    P(0), and a zero count draws nothing more, so a run of zero-count
-    blocks is one vectorised `random` call.  The first block at or above
-    its threshold ends the run: the generator goes back to the state
-    before the run, steps past the zero-count uniforms by drawing them
-    again, and draws that block's count and placement as a lone block
-    would.  The stream is the one a per-block loop consumes.
+    `uniforms(n)` looks at the next n doubles without taking them, each
+    (word >> 11) * 2**-53 as `Generator.random` makes it, and `advance(n)`
+    takes them.  `below(high)` is `Generator.integers(0, high)` for
+    high < 2**32 - 1: Lemire's method with rejection on 32-bit draws.  A
+    32-bit draw takes a word's low half and keeps its high half for the
+    next 32-bit draw; doubles leave that half alone, and high = 1 takes
+    nothing.  Words come from `random_raw` in chunks, so the generator runs
+    ahead of the reader and serves no one else.
+    """
 
-    Before any draw, a reduction is refused with a TooLargeError when the
-    output of an Erdos-Renyi(gamma) input, exactly G(N, q), would expect
-    more edges than the samplers' cap.
+    _CHUNK = 1 << 14
+
+    def __init__(self, bit_generator):
+        self._bit_generator = bit_generator
+        self._words = np.empty(0, dtype=np.uint64)
+        self._doubles = np.empty(0)
+        self._pos = 0
+        self._half = None
+
+    def _fill(self, n: int) -> None:
+        if self._pos + n > self._words.size:
+            more = self._bit_generator.random_raw(max(n, self._CHUNK))
+            self._words = np.concatenate((self._words[self._pos :], more))
+            self._doubles = np.concatenate((self._doubles[self._pos :], (more >> 11) * 2.0**-53))
+            self._pos = 0
+
+    def uniforms(self, n: int) -> np.ndarray:
+        self._fill(n)
+        return self._doubles[self._pos : self._pos + n]
+
+    def advance(self, n: int) -> None:
+        self._pos += n
+
+    def below(self, high: int) -> int:
+        threshold = (1 << 32) % high
+        while high > 1:
+            if self._half is None:
+                self._fill(1)
+                word = int(self._words[self._pos])
+                self._pos += 1
+                draw, self._half = word & 0xFFFFFFFF, word >> 32
+            else:
+                draw, self._half = self._half, None
+            m = draw * high
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+        return 0
+
+
+def _largest_block(sizes: list) -> int:
+    """Slots of the largest parent block, given each side's part sizes: the
+    two largest parts' product, or C(ls, 2) within one part when
+    unipartite."""
+    if len(sizes) == 2:
+        return int(sizes[0].max()) * int(sizes[1].max())
+    b, a = np.sort(np.append(sizes[0], 0))[-2:].tolist()
+    return max(a * b, a * (a - 1) // 2)
+
+
+def _sample_blocks(g, params: ReductionParams, seed) -> np.ndarray:
+    """Edges of one reduced graph as an (M, 2) array: parents for each side
+    from the parent stream, then, per routed block in draw order, one
+    count uniform from the edge stream and, after a nonzero count, its
+    Floyd placement.
+
+    The edge stream is read through `_WordStream`, so each uniform and
+    each Floyd draw takes the words `Generator.random` and
+    `Generator.integers` would.  A block's count is 0 exactly when its
+    uniform falls below its law's P(0), and a zero count draws nothing
+    more, so one look-ahead compares the rest of a row's uniforms with
+    their thresholds at once.  The first block at or above its threshold
+    inverts its count from that same uniform through the law's CDF; its
+    Floyd draws take the words that follow, and the next look-ahead starts
+    after them.  The stream is the one a per-block loop consumes.  Blocks
+    and slot indices collect in flat buffers and become vertex pairs in
+    one vectorised step over each side's sorted children.
+
+    Refused with a TooLargeError, before the parent split, when the output
+    of an Erdos-Renyi(gamma) input, exactly G(N, q), would expect more
+    edges than the samplers' cap, or there are more parent blocks to walk
+    than that cap; and, after the split and before any law is built, when
+    the largest block has more than _MAX_BLOCK_SLOTS slots.
     """
     n, N = params.n, params.N
-    _check_expected_edges((N * N if isinstance(g, BipartiteGraph) else N * (N - 1) // 2) * params.q)
+    bipartite = isinstance(g, BipartiteGraph)
+    _check_expected_edges((N * N if bipartite else N * (N - 1) // 2) * params.q)
+    walk = n * n if bipartite else n * (n + 1) // 2
+    if walk > _MAX_EXPECTED_EDGES:
+        raise TooLargeError(f"{walk:,} parent blocks to walk, above the cap of {_MAX_EXPECTED_EDGES:,}")
     root = as_seed(seed)
     parent_rng = root.child(_PARENT_STREAM).rng()
-    edge_rng = root.child(_EDGE_STREAM).rng()
-    sides = []
-    for _ in range(2 if isinstance(g, BipartiteGraph) else 1):
+    sides, sizes = [], []
+    for _ in range(2 if bipartite else 1):
         parents = parent_rng.integers(0, n, size=N)
+        size = np.bincount(parents, minlength=n)
         # one stable sort groups each parent's children in ascending order
         order = np.argsort(parents, kind="stable")
-        sides.append(np.split(order, np.cumsum(np.bincount(parents, minlength=n))[:-1]))
-    rows, cols = sides[0], sides[-1]
-    table = params.kernel_table
-    # P(count = 0) by slots * 4 + route, grown and filled in as routes turn up
-    zero_mass = np.empty(0)
-    bit_generator = edge_rng.bit_generator
-    edges = []
-    # with one side, rows is cols: block_routes walks it as unipartite, and
+        sides.append((order, np.cumsum(size) - size))
+        sizes.append(size)
+    largest = _largest_block(sizes)
+    if largest > _MAX_BLOCK_SLOTS:
+        raise TooLargeError(f"the largest parent block has {largest:,} slots, above the cap of {_MAX_BLOCK_SLOTS:,}")
+    # with one side, cols is rows: block_routes walks it as unipartite, and
     # asks each row s about columns t >= s only
+    rows = cols = np.split(sides[0][0], sides[0][1][1:])
+    if bipartite:
+        cols = np.split(sides[1][0], sides[1][1][1:])
+    table = params.kernel_table
+    # P(count = 0) by slots * 4 + route, grown and filled in as routes turn up,
+    # and the CDF as a list once a block with that code draws a nonzero count
+    zero_mass = np.empty(0)
+    cdfs = {}
+    words = _WordStream(root.child(_EDGE_STREAM).rng().bit_generator)
+    # each nonzero block's parents (s, t) and count, and its slot indices
+    block_s, block_t, counts, picks = (array("q") for _ in range(4))
     for row in block_routes(rows, cols, table, g.row_has_edges):
         code = row.slots * 4 + row.route
         grow = int(code.max()) + 1 - zero_mass.size
@@ -411,18 +508,46 @@ def _sample_blocks(g, params: ReductionParams, seed) -> list:
         row_zero_mass = zero_mass[code]
         start = 0
         while start < code.size:
-            state = bit_generator.state
-            nonzero = edge_rng.random(code.size - start) >= row_zero_mass[start:]
-            skip = int(np.argmax(nonzero))
+            ahead = words.uniforms(code.size - start)
+            nonzero = ahead >= row_zero_mass[start:]
+            skip = int(nonzero.argmax())
             if not nonzero[skip]:
+                words.advance(ahead.size)
                 break
-            bit_generator.state = state
-            edge_rng.random(skip)
+            u = float(ahead[skip])
+            words.advance(skip + 1)
             i = start + skip
-            m = sample_pmf(table.law(row.route[i], row.slots[i]), edge_rng)
-            idx = _floyd_sample(int(row.slots[i]), m, edge_rng)
-            edges.extend(block_pairs(rows[row.s], cols[row.t[i]], row.diagonal[i], idx))
+            c = int(code[i])
+            cdf = cdfs.get(c)
+            if cdf is None:
+                cdf = cdfs[c] = table.law(c % 4, c // 4).cdf().tolist()
+            # u >= P(0), and u < 1 = the CDF's last entry, so 1 <= m <= slots
+            m = bisect.bisect_right(cdf, u)
+            block_s.append(row.s)
+            block_t.append(int(row.t[i]))
+            counts.append(m)
+            picks.extend(_floyd_sample(c // 4, m, words.below))
             start = i + 1
+    # each slot's block, then its position inside the block, then offsets into
+    # each side's sorted children, then the children themselves; each buffer
+    # is let go once read, so no more than ~6 int64s an edge are held at once
+    counts = np.frombuffer(counts, dtype=np.int64)
+    s = np.repeat(np.frombuffer(block_s, dtype=np.int64), counts)
+    t = np.repeat(np.frombuffer(block_t, dtype=np.int64), counts)
+    del block_s, block_t, counts
+    # the slots lie as `block_pairs` lays them out
+    edges = np.empty((s.size, 2), dtype=np.int64)
+    k = np.frombuffer(picks, dtype=np.int64)
+    np.divmod(k, sizes[-1][t], out=(edges[:, 0], edges[:, 1]))
+    if not bipartite:
+        d = np.flatnonzero(s == t)
+        edges[d, 0], edges[d, 1] = _colex_pairs(k[d])
+    del picks, k
+    (row_order, row_start), (col_order, col_start) = sides[0], sides[-1]
+    edges[:, 0] += row_start[s]
+    edges[:, 1] += col_start[t]
+    edges[:, 0] = row_order[edges[:, 0]]
+    edges[:, 1] = col_order[edges[:, 1]]
     return edges
 
 

@@ -456,7 +456,7 @@ def _reduced_law(params: ReductionParams, has_edge, bipartite: bool) -> np.ndarr
                 key = (tuple(rows[row.s]), tuple(cols[t]), diagonal, route)
                 block = block_tensors.get(key)
                 if block is None:
-                    pairs = block_pairs(rows[row.s], cols[t], diagonal, range(slots))
+                    pairs = block_pairs(rows[row.s], cols[t], diagonal, range(slots)).tolist()
                     block = _block_factor(n_slots, [slot_of[u][v] for u, v in pairs], table.law(route, slots))
                     block_tensors[key] = block
                 factor = factor * block

@@ -410,7 +410,7 @@ def per_mask_reduced_law(params, has_edge, bipartite: bool) -> np.ndarray:
         for row in block_routes(rows, cols, table, has_edge):
             blocks = zip(row.t.tolist(), row.diagonal.tolist(), row.slots.tolist(), row.route.tolist())
             for t, diagonal, slots, route in blocks:
-                pairs = block_pairs(rows[row.s], cols[t], diagonal, range(slots))
+                pairs = block_pairs(rows[row.s], cols[t], diagonal, range(slots)).tolist()
                 factor *= _per_mask_block_factor(
                     bits, [slot_of[u][v] for u, v in pairs], table.law(route, slots)
                 )

@@ -365,6 +365,19 @@ class TestCli:
         )
         assert code == 4
 
+    def test_reduce_too_large_block_exit_code(self, tmp_path):
+        # q = 0 passes the edge estimate, but parts near ell = 3000 make
+        # blocks of ~9e6 slots, past the reduction's slot cap
+        src = str(tmp_path / "in.txt")
+        run_cli("generate", "er", "--n", "10", "--q", "0.3", "--seed", "3", "--out", src)
+        out = tmp_path / "red.txt"
+        code, _ = run_cli(
+            "reduce", src, "--k", "2", "--gamma", "0.5", "--ell", "3000", "--q", "0",
+            "--seed", "11", "--out", str(out),
+        )
+        assert code == 4
+        assert not out.exists()
+
     def test_reduce_and_strict(self, tmp_path):
         src = str(tmp_path / "in.txt")
         run_cli("generate", "pc", "--n", "2", "--k", "2", "--gamma", "0.5", "--seed", "3", "--out", src)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, count, product
@@ -38,8 +39,10 @@ from pdslab.reduction import (
     regime_classify,
     xi_bound,
     xi_bound_terms,
-    _colex_pair,
+    _colex_pairs,
     _floyd_sample,
+    _largest_block,
+    _WordStream,
 )
 from pdslab.graphmodels import BipartiteGraph, gen_bipartite_pc
 
@@ -232,33 +235,37 @@ class TestSampleEdgeCount:
         assert chi2 < stats.chi2.ppf(1 - 1e-3, int(keep.sum()))
 
 
-class _ScriptedRng:
-    """Stands in for a Generator: each `integers(0, high)` call takes the
-    next (high, value) of a script, checks the high and returns the value."""
+class _ScriptedDraw:
+    """Stands in for a draw function: each `draw(high)` call takes the next
+    (high, value) of a script, checks the high and returns the value."""
 
     def __init__(self, bounds, path):
         self.calls = list(zip(bounds, path))
 
-    def integers(self, low, high):
+    def __call__(self, high):
         want_high, value = self.calls.pop(0)
-        assert (low, high) == (0, want_high)
+        assert high == want_high
         return value
 
 
 class TestPlacement:
     def test_colex_inversion(self):
-        # every index below 2e6, against the pairs walked in colex order
-        want = ((i, j) for j in count(1) for i in range(j))
-        assert all(_colex_pair(idx) == pair for idx, pair in zip(range(2_000_000), want))
+        # every index below 2e6, against the pairs walked in colex order:
+        # j = 1, 2, ... in turn, with i = 0..j-1 under each
+        js = np.arange(1, 2001)
+        want_j = np.repeat(js, js)[:2_000_000]
+        want_i = np.arange(want_j.size) - np.repeat(np.cumsum(js) - js, js)[:2_000_000]
+        i, j = _colex_pairs(np.arange(2_000_000))
+        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
         # the row boundaries C(j, 2) - 1, C(j, 2), C(j, 2) + 1 up to j = 3e9,
         # where idx passes 4.5e18
         rng = np.random.default_rng(0)
         ends = {int(3e9 ** (t / 500)) for t in range(501)} | set(rng.integers(2, 3 * 10**9, 500).tolist())
-        for j in sorted(ends - {1}):
-            base = j * (j - 1) // 2
-            assert _colex_pair(base - 1) == (j - 2, j - 1)
-            assert _colex_pair(base) == (0, j)
-            assert _colex_pair(base + 1) == (1, j)
+        j = np.array(sorted(ends - {1}), dtype=np.int64)
+        base = j * (j - 1) // 2
+        for offset, want in ((-1, (j - 2, j - 1)), (0, (0 * j, j)), (1, (0 * j + 1, j))):
+            got = _colex_pairs(base + offset)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     def test_floyd_uniformity(self):
         # exact, not statistical: replay every sequence of draws Floyd's
@@ -268,16 +275,60 @@ class TestPlacement:
                 bounds = [i + 1 for i in range(n_slots - m, n_slots)]
                 counts = Counter()
                 for path in product(*map(range, bounds)):
-                    rng = _ScriptedRng(bounds, path)
-                    counts[tuple(_floyd_sample(n_slots, m, rng))] += 1
-                    assert not rng.calls
+                    draw = _ScriptedDraw(bounds, path)
+                    counts[tuple(_floyd_sample(n_slots, m, draw))] += 1
+                    assert not draw.calls
                 assert sorted(counts) == list(combinations(range(n_slots), m))
                 assert set(counts.values()) == {math.prod(bounds) // math.comb(n_slots, m)}
 
     def test_floyd_sizes(self):
-        rng = Seed(1).rng()
-        assert _floyd_sample(10, 0, rng) == []
-        assert _floyd_sample(5, 5, rng) == [0, 1, 2, 3, 4]
+        draw = _WordStream(Seed(1).rng().bit_generator).below
+        assert _floyd_sample(10, 0, draw) == []
+        assert _floyd_sample(5, 5, draw) == [0, 1, 2, 3, 4]
+
+
+class TestWordStream:
+    """`_WordStream` against numpy's own Generator on one seed: doubles and
+    bounded draws interleaved, the same values, then the same next word and
+    the same buffered half."""
+
+    # ("u", n): n doubles; ("b", high): one integers(0, high).  A bounded
+    # draw starts with no buffered half (first, and after an even number of
+    # 32-bit draws) and with one; high = 1 draws nothing; high = 2**31 + 1
+    # rejects about half of its 32-bit draws; 2**32 - 2 is the largest high
+    # on the 32-bit path; a look-ahead longer than a chunk refills mid-read
+    SCRIPT = [
+        ("b", 1), ("b", 10), ("u", 3), ("b", 7), ("b", 1), ("u", 1), ("b", 5), ("b", 6),
+        ("u", 2), *[("b", 2**31 + 1)] * 201, ("u", 5), ("b", 2**32 - 2), ("b", 3),
+        ("u", _WordStream._CHUNK + 7), ("b", 1), ("b", 2), ("u", 1),
+    ]
+
+    @pytest.mark.parametrize("seed", [0, 5, 123456789])
+    def test_matches_generator(self, seed):
+        rng = Seed(seed).rng()
+        stream = _WordStream(Seed(seed).rng().bit_generator)
+        for kind, x in self.SCRIPT:
+            if kind == "u":
+                got = stream.uniforms(x).copy()
+                stream.advance(x)
+                assert np.array_equal(got, rng.random(x))
+            else:
+                assert stream.below(x) == int(rng.integers(0, x))
+        # the same next word; the script ends with the high half of a word
+        # buffered on both sides, and the next 32-bit draw takes it
+        stream.uniforms(1)
+        assert int(stream._words[stream._pos]) == int(rng.bit_generator.random_raw())
+        stream.advance(1)
+        assert stream.below(2**31 + 1) == int(rng.integers(0, 2**31 + 1))
+
+    def test_rejection_fires(self):
+        # 200 draws below 2**31 + 1 would take 100 words without a rejection
+        stream = _WordStream(Seed(5).rng().bit_generator)
+        for _ in range(200):
+            stream.below(2**31 + 1)
+        stream.uniforms(1)
+        words = Seed(5).rng().bit_generator.random_raw(1000).tolist()
+        assert words.index(int(stream._words[stream._pos])) >= 150
 
 
 class TestReduceGraph:
@@ -312,9 +363,69 @@ class TestReduceGraph:
         params = ReductionParams(n=30_000, k=10, gamma=0.5, ell=2, q=1 / 64)
         with pytest.raises(TooLargeError, match=r"^expected 5\.62e\+07 edges"):
             reduce_bipartite(BipartiteGraph(30_000, 30_000), params, Seed(0))
-        # C(60000, 2) / 64 is 2.8e7: under the cap, so drawing starts
+        # C(19998, 2) / 64 is 3.1e6 and the 9999 * 10000 / 2 parent blocks
+        # are under the walk cap, so drawing starts
+        params = ReductionParams(n=9_999, k=10, gamma=0.5, ell=2, q=1 / 64)
         with pytest.raises(AssertionError, match="the reduction drew"):
-            reduce_graph(Graph(30_000), params, Seed(0))
+            reduce_graph(Graph(9_999), params, Seed(0))
+
+    def test_block_walk_refused_before_the_split(self, monkeypatch):
+        # at q = 0 the edge estimate is 0; the parent blocks to walk,
+        # n(n+1)/2 or n^2 bipartite, are checked against the same cap
+        def drawn(*args):
+            raise AssertionError("the reduction drew")
+
+        monkeypatch.setattr(reduction, "as_seed", drawn)
+        params = ReductionParams(n=10_000, k=10, gamma=0.5, ell=1, q=0.0)
+        with pytest.raises(TooLargeError) as err:
+            reduce_graph(Graph(10_000), params, Seed(0))
+        assert str(err.value) == "50,005,000 parent blocks to walk, above the cap of 50,000,000"
+        params = ReductionParams(n=7_072, k=10, gamma=0.5, ell=1, q=0.0)
+        with pytest.raises(TooLargeError, match="^50,013,184 parent blocks"):
+            reduce_bipartite(BipartiteGraph(7_072, 7_072), params, Seed(0))
+        # 7071^2 is under the cap, so drawing starts
+        params = ReductionParams(n=7_071, k=10, gamma=0.5, ell=1, q=0.0)
+        with pytest.raises(AssertionError, match="the reduction drew"):
+            reduce_bipartite(BipartiteGraph(7_071, 7_071), params, Seed(0))
+
+    def test_largest_block_refused_before_any_law(self, monkeypatch):
+        # parts near ell = 3000 give blocks of ~9e6 slots, each law a dense
+        # vector over 0..slots; the slot cap fires before any law is built
+        def built(*args):
+            raise AssertionError("a law was built")
+
+        monkeypatch.setattr(reduction, "binom_pmf", built)
+        params = ReductionParams(n=10, k=2, gamma=0.5, ell=3000, q=0.0)
+        for reduce, g in ((reduce_graph, Graph(10)), (reduce_bipartite, BipartiteGraph(10, 10))):
+            with pytest.raises(TooLargeError, match=r"^the largest parent block has [\d,]+ slots, above the cap of 1,048,576$"):
+                reduce(g, params, Seed(0))
+        # a block within the cap builds its laws
+        params = ReductionParams(n=10, k=2, gamma=0.5, ell=2, q=0.0)
+        with pytest.raises(AssertionError, match="a law was built"):
+            reduce_graph(Graph(10), params, Seed(0))
+
+    def test_largest_block(self):
+        # every Floyd bound stays on numpy's 32-bit draw
+        assert reduction._MAX_BLOCK_SLOTS < 2**32 - 1
+        assert _largest_block([np.array([3, 5, 0])]) == 15
+        assert _largest_block([np.array([7, 2])]) == 21
+        assert _largest_block([np.array([4])]) == 6
+        assert _largest_block([np.array([1])]) == 0
+        assert _largest_block([np.array([2, 4]), np.array([3, 1])]) == 12
+
+    def test_memory_per_output_edge(self):
+        # flat int64 buffers, not a tuple per edge: the output graph from an
+        # (M, 2) array alone costs ~9 bytes an edge
+        params = ReductionParams(n=1000, k=60, gamma=0.5, ell=2, q=0.05)
+        g = gen_er(1000, 0.5, Seed(8))
+        tracemalloc.start()
+        try:
+            out = reduce_graph(g, params, Seed(9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.num_edges > 90_000
+        assert peak <= 80 * out.num_edges
 
     def test_kernel_laws_built_once_per_params(self, monkeypatch):
         params = ReductionParams(n=20, k=5, gamma=0.5, ell=2, q=0.01)
