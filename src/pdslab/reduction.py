@@ -20,21 +20,25 @@ construction fails fast (rather than clamping) if a caller violates that.
 Given the block count, the concrete edges are placed uniformly at random
 among the block's slots with Floyd's sampling.  Slot indices are canonical:
 row-major over the sorted vertex lists for off-diagonal blocks, colex over
-within-part pairs for diagonal blocks.
+within-part pairs for diagonal blocks.  The sampler collects the picked
+slots of all blocks and maps them to vertex pairs in one vectorised step.
 
 `block_routes` is the one place that walks the parent blocks and routes
-each to its count law, one parent row at a time as arrays, and
-`block_pairs` the one place that lays out its slots.  Both samplers and
-the exact oracles in `theorychecks` consume them, so the oracles check the
-routing the samplers use.
+each to its count law, one parent row at a time as arrays.  Both samplers
+and the exact oracles in `theorychecks` consume it, so the oracles check
+the routing the samplers use.  `block_pairs` lays out one block's slots
+for the oracles; the samplers lay out all their picks at once by the same
+rule, row-major by `divmod` and colex by `_colex_pairs`.
 
 The edge stream's layout is fixed: one uniform per block with at least one
 slot, in draw order (rows s, then columns t >= s, or every t when
 bipartite), inverted through the block's count law; when the count is
 nonzero, the block's Floyd placement draws follow at once.  The sampler
-skips each run of zero-count blocks with one vectorised draw and keeps
-this layout, so its output for a seed is that of a per-block loop and the
-reduce sidecar format is unchanged.
+reads the stream's words itself (`_WordStream`), taking the words numpy's
+Generator would take, so one look-ahead compares a row's uniforms with
+their zero-count thresholds and no word is drawn twice; its output for a
+seed is that of a per-block loop, and the reduce sidecar format is
+unchanged.
 """
 
 from __future__ import annotations
@@ -446,17 +450,14 @@ def _sample_blocks(g, params: ReductionParams, seed) -> np.ndarray:
     count uniform from the edge stream and, after a nonzero count, its
     Floyd placement.
 
-    The edge stream is read through `_WordStream`, so each uniform and
-    each Floyd draw takes the words `Generator.random` and
-    `Generator.integers` would.  A block's count is 0 exactly when its
-    uniform falls below its law's P(0), and a zero count draws nothing
-    more, so one look-ahead compares the rest of a row's uniforms with
-    their thresholds at once.  The first block at or above its threshold
-    inverts its count from that same uniform through the law's CDF; its
-    Floyd draws take the words that follow, and the next look-ahead starts
-    after them.  The stream is the one a per-block loop consumes.  Blocks
-    and slot indices collect in flat buffers and become vertex pairs in
-    one vectorised step over each side's sorted children.
+    A block's count is 0 exactly when its uniform falls below its law's
+    P(0), and a zero count draws nothing more, so one look-ahead compares
+    the rest of a row's uniforms with their thresholds at once.  The first
+    block at or above its threshold inverts its count from that same
+    uniform through the law's CDF; its Floyd draws take the words that
+    follow, and the next look-ahead starts after them.  Blocks and slot
+    indices collect in flat buffers and become vertex pairs in one
+    vectorised step over each side's sorted children.
 
     Refused with a TooLargeError, before the parent split, when the output
     of an Erdos-Renyi(gamma) input, exactly G(N, q), would expect more
