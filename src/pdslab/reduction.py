@@ -486,9 +486,8 @@ def _sample_blocks(g, params: ReductionParams, seed) -> np.ndarray:
         raise TooLargeError(f"the largest parent block has {largest:,} slots, above the cap of {_MAX_BLOCK_SLOTS:,}")
     # with one side, cols is rows: block_routes walks it as unipartite, and
     # asks each row s about columns t >= s only
-    rows = cols = np.split(sides[0][0], sides[0][1][1:])
-    if bipartite:
-        cols = np.split(sides[1][0], sides[1][1][1:])
+    parts = [np.split(order, start[1:]) for order, start in sides]
+    rows, cols = parts[0], parts[-1]
     table = params.kernel_table
     # P(count = 0) by slots * 4 + route, grown and filled in as routes turn up,
     # and the CDF as a list once a block with that code draws a nonzero count
