@@ -192,19 +192,22 @@ class _SortedKeyGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.has_edges(u, v))
 
-    def row_has_edges(self, s: int, t: np.ndarray) -> np.ndarray:
-        """has_edges(s, t) for one row end s and column ends t in range,
-        with t >= s in a Graph.
+    def row_marks(self, lo: int, hi: int) -> np.ndarray:
+        """The edges of rows lo..hi-1 as a dense boolean matrix: entry
+        (u - lo, v - first) is has_edge(u, v).  In a BipartiteGraph first
+        is 0; in a Graph it is lo, and entries with v <= u are False, since
+        a row u holds only the edges (u, v) with v > u.
 
         Those edges are one slice of the sorted keys, so only the slice is
-        searched.  The key after it, from a later row or the sentinel, is
-        above every query and closes the slice.
+        read.
         """
         width = self._dims[-1]
-        lo, hi = self._keys.searchsorted((s * width, (s + 1) * width))
-        row = self._keys[lo : hi + 1]
-        query = t + s * width
-        return row[row.searchsorted(query)] == query
+        first = lo if self._UNORDERED else 0
+        a, b = self._keys.searchsorted((lo * width, hi * width))
+        u, v = np.divmod(self._keys[a:b], width)
+        marks = np.zeros((hi - lo, width - first), dtype=bool)
+        marks[u - lo, v - first] = True
+        return marks
 
     def fingerprint(self) -> int:
         """Stable 64-bit digest of (dimensions, edges); platform independent."""
@@ -499,36 +502,45 @@ def subgraph_edge_count(g: Graph, S: Iterable[int]) -> int:
     return int(np.count_nonzero(inside[u] & inside[v]))
 
 
+# the edge-list writer formats this many edges at a time
+_WRITE_SLICE = 1 << 16
+
+
 def write_edge_list(g, path) -> None:
     """Write the text edge-list format (header line, then one edge per line).
 
-    The body is built from the edge array: a cell per endpoint holds its
-    decimal digits right-aligned, then a space or a line end.  A cell's
-    padding left of its first digit is byte 0, and one compress drops it.
+    The body is built from the edge keys, _WRITE_SLICE edges at a time: a
+    cell per endpoint holds its decimal digits right-aligned, then a space
+    or a line end.  A cell's padding left of its first digit is byte 0, and
+    one compress drops it, so each slice's cell width is that of its own
+    largest end.
     """
     if not isinstance(g, _SortedKeyGraph):
         raise InvalidParameterError(f"cannot serialize {type(g).__name__}")
     header = " ".join(map(str, (*g._dims, g.num_edges)))
-    ends = g.edges.ravel()
-    top = int(ends.max()) if ends.size else 0
-    width = len(str(top))
-    # every end is below the vertex limit, so below 2**32
-    rest = ends.astype(np.min_scalar_type(top))
-    cells = np.empty((ends.size, width + 1), dtype=np.uint8)
-    cells[0::2, width] = ord(" ")
-    cells[1::2, width] = ord("\n")
-    for col in range(width - 1, -1, -1):
-        digit = rest % 10
-        digit += ord("0")
-        if col < width - 1:
-            # a zero quotient has no digit this far left: padding
-            digit *= rest != 0
-        cells[:, col] = digit
-        rest //= 10
-    body = cells.ravel()
     with open(path, "wb") as fh:
         fh.write(f"{header}\n".encode())
-        fh.write(body[body != 0])
+        for lo in range(0, g.num_edges, _WRITE_SLICE):
+            ends = np.empty((min(_WRITE_SLICE, g.num_edges - lo), 2), dtype=np.int64)
+            np.divmod(g._keys[lo : lo + ends.shape[0]], g._dims[-1], out=(ends[:, 0], ends[:, 1]))
+            ends = ends.ravel()
+            top = int(ends.max())
+            width = len(str(top))
+            # every end is below the vertex limit, so below 2**32
+            rest = ends.astype(np.min_scalar_type(top))
+            cells = np.empty((ends.size, width + 1), dtype=np.uint8)
+            cells[0::2, width] = ord(" ")
+            cells[1::2, width] = ord("\n")
+            for col in range(width - 1, -1, -1):
+                digit = rest % 10
+                digit += ord("0")
+                if col < width - 1:
+                    # a zero quotient has no digit this far left: padding
+                    digit *= rest != 0
+                cells[:, col] = digit
+                rest //= 10
+            body = cells.ravel()
+            fh.write(body[body != 0])
 
 
 def _parse_ints(text: str, line_no: int, expect: int) -> list:

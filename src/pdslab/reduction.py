@@ -24,21 +24,21 @@ within-part pairs for diagonal blocks.  The sampler collects the picked
 slots of all blocks and maps them to vertex pairs in one vectorised step.
 
 `block_routes` is the one place that walks the parent blocks and routes
-each to its count law, one parent row at a time as arrays.  Both samplers
-and the exact oracles in `theorychecks` consume it, so the oracles check
-the routing the samplers use.  `block_pairs` lays out one block's slots
-for the oracles; the samplers lay out all their picks at once by the same
-rule, row-major by `divmod` and colex by `_colex_pairs`.
+each to its count law, in chunks of whole parent rows as flat arrays.
+Both samplers and the exact oracles in `theorychecks` consume it, so the
+oracles check the routing the samplers use.  `block_pairs` is the one slot
+layout, row-major by `divmod` and colex by `_colex_pairs`: the samplers
+lay out all their picks in one call, and the oracles a chunk's new blocks.
 
 The edge stream's layout is fixed: one uniform per block with at least one
 slot, in draw order (rows s, then columns t >= s, or every t when
 bipartite), inverted through the block's count law; when the count is
 nonzero, the block's Floyd placement draws follow at once.  The sampler
 reads the stream's words itself (`_WordStream`), taking the words numpy's
-Generator would take, so one look-ahead compares a row's uniforms with
-their zero-count thresholds and no word is drawn twice; its output for a
-seed is that of a per-block loop, and the reduce sidecar format is
-unchanged.
+Generator would take, so one look-ahead compares up to _WINDOW of a
+chunk's uniforms with their zero-count thresholds and no word is drawn
+twice; its output for a seed is that of a per-block loop, and the reduce
+sidecar format is unchanged.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -70,7 +70,6 @@ __all__ = [
     "m0_of",
     "build_pprime",
     "build_qprime",
-    "BlockRow",
     "block_routes",
     "block_pairs",
     "reduce_graph",
@@ -92,6 +91,11 @@ _EDGE_STREAM = 1
 # over 0..slots, and below 2**32 - 1 every Floyd bound takes numpy's 32-bit
 # draw, the one `_WordStream.below` reads
 _MAX_BLOCK_SLOTS = 1 << 20
+
+# `block_routes` yields runs of whole parent rows with about this many blocks,
+# and the sampler's look-ahead reads at most this many count uniforms at once
+_CHUNK_BLOCKS = 1 << 13
+_WINDOW = 512
 
 
 def m0_of(gamma) -> int:
@@ -313,72 +317,98 @@ def _colex_pairs(idx: np.ndarray) -> tuple:
     return idx - ((j * (j - 1)) >> 1), j
 
 
-class BlockRow(NamedTuple):
-    """The blocks (s, t) of parent row s that have at least one slot, in
-    draw order, as parallel arrays.  Block i draws its edge count from
-    `table.law(route[i], slots[i])`."""
+def block_routes(sizes, table: KernelTable, graph):
+    """Walk the parent blocks in draw order and route each to its count law,
+    a run of whole parent rows at a time.
 
-    s: int
-    t: np.ndarray
-    diagonal: np.ndarray
-    slots: np.ndarray
-    route: np.ndarray
+    `sizes` holds each side's part sizes: one array for a unipartite graph,
+    whose row s holds the blocks (s, t) with t >= s, s == t being the
+    diagonal block of within-part pairs; or the row and column sizes of a
+    bipartite graph, whose row s holds every (s, t), all off-diagonal.
+    `graph` is the input graph, read through its `row_marks`, or None for an
+    Erdos-Renyi(gamma) input whose edges are not drawn.
 
-
-def block_routes(rows, cols, table: KernelTable, has_edge):
-    """Walk the parent blocks in draw order, one parent row at a time, and
-    route each block to its count law.
-
-    `rows[s]` and `cols[t]` hold the sorted output vertices with parent s
-    (row side) and t (column side).  When `cols is rows` the graph is
-    unipartite and row s holds the blocks (s, t) with t >= s, where s == t
-    is the diagonal block of within-part pairs; otherwise row s holds every
-    (s, t), all off-diagonal.  `has_edge(s, t)` gives, for an array of
-    column parents t, whether each input pair (s, t) is an edge; None
-    stands for an Erdos-Renyi(gamma) input whose edges are not drawn.
-
-    Yields a `BlockRow` for every row with a block of at least one slot.
-    Diagonal blocks and blocks with a part above 2*ell take the plain
-    route, Binom(slots, q); every other block takes P' if its input pair
-    is an edge, Q' if not, and the mixture (1-gamma) Q' + gamma P' for an
-    Erdos-Renyi(gamma) input.
+    Yields the blocks with at least one slot as flat arrays (s, t,
+    diagonal, slots, route) in draw order, about _CHUNK_BLOCKS of them at a
+    time and nothing when no block has a slot; block i draws its edge count
+    from `table.law(route[i], slots[i])`.  Diagonal blocks and blocks with a
+    part above 2*ell take the plain route, Binom(slots, q); every other
+    block takes P' if its input pair is an edge, Q' if not, and the mixture
+    (1-gamma) Q' + gamma P' for an Erdos-Renyi(gamma) input.
     """
-    unipartite = cols is rows
-    col_sizes = np.fromiter(map(len, cols), dtype=np.int64, count=len(cols))
-    oversize = col_sizes > 2 * table.ell
-    for s, vs in enumerate(rows):
-        ls = len(vs)
-        if ls == 0:
-            continue
-        start = s if unipartite else 0
-        slots = ls * col_sizes[start:]
-        plain = oversize[start:] | (ls > 2 * table.ell)
+    unipartite = len(sizes) == 1
+    row_sizes, col_sizes = sizes[0], sizes[-1]
+    n = row_sizes.size
+    cols = np.flatnonzero(col_sizes)
+    # row s's blocks are the nonempty columns from cols[first[s]] on: from
+    # t = s when unipartite, past the diagonal when part s is one vertex
+    # and has no within-part pair
+    if unipartite:
+        first = np.searchsorted(cols, np.arange(n)) + (row_sizes == 1)
+    else:
+        first = np.zeros(n, dtype=np.int64)
+    count = np.where(row_sizes > 0, cols.size - first, 0)
+    ends = np.cumsum(count)
+    # block i of the walk, in row s, is column cols[i + shift[s]]
+    shift = first - (ends - count)
+    # a chunk ends with the first row whose end reaches the next multiple of
+    # _CHUNK_BLOCKS, or the walk's end
+    total = int(ends[-1])
+    targets = np.minimum(np.arange(_CHUNK_BLOCKS, total + _CHUNK_BLOCKS, _CHUNK_BLOCKS), total)
+    stops = dict.fromkeys((np.searchsorted(ends, targets) + 1).tolist())
+    over_rows, over_cols = row_sizes > 2 * table.ell, col_sizes > 2 * table.ell
+    lo = done = 0
+    for hi in stops:
+        c = count[lo:hi]
+        s = np.repeat(np.arange(lo, hi), c)
+        t = cols[np.arange(done, done + s.size) + np.repeat(shift[lo:hi], c)]
+        ls, lt = row_sizes[s], col_sizes[t]
+        slots = ls * lt
+        plain = over_rows[s] | over_cols[t]
         if unipartite:
-            slots[0] = ls * (ls - 1) // 2
-            plain[0] = True
-        t = np.flatnonzero(slots)
-        if t.size == 0:
-            continue
-        slots, plain = slots[t], plain[t]
-        t += start
-        diagonal = t == s if unipartite else np.zeros(t.size, dtype=bool)
-        if has_edge is None:
+            diagonal = t == s
+            slots[diagonal] = (ls * (ls - 1) // 2)[diagonal]
+            plain |= diagonal
+        else:
+            diagonal = np.zeros(s.size, dtype=bool)
+        if graph is None:
             kernel = ROUTE_MIXED
         else:
-            kernel = ROUTE_QPRIME + np.asarray(has_edge(s, t), dtype=np.int64)
-        yield BlockRow(s, t, diagonal, slots, np.where(plain, ROUTE_PLAIN, kernel))
+            # a Graph's marks start at column lo, since its rows hold v > u
+            kernel = ROUTE_QPRIME + graph.row_marks(lo, hi)[s - lo, t - (lo if unipartite else 0)]
+        yield s, t, diagonal, slots, np.where(plain, ROUTE_PLAIN, kernel)
+        lo, done = hi, done + s.size
 
 
-def block_pairs(vs, vt, diagonal: bool, idx) -> np.ndarray:
-    """The output vertex pairs at slot indices `idx` of one block, as an
-    (M, 2) array: colex order over within-part pairs for a diagonal block,
-    row-major over vs x vt otherwise."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if diagonal:
-        (i, j), vt = _colex_pairs(idx), vs
-    else:
-        i, j = np.divmod(idx, len(vt))
-    return np.column_stack((np.asarray(vs, dtype=np.int64)[i], np.asarray(vt, dtype=np.int64)[j]))
+def _split_parents(parents: np.ndarray, n: int) -> tuple:
+    """One side's vertices grouped by parent, as (order, start, size):
+    parent s's children, ascending, are order[start[s] : start[s] + size[s]]."""
+    size = np.bincount(parents, minlength=n)
+    # one stable sort groups each parent's children in ascending order
+    order = np.argsort(parents, kind="stable")
+    return order, np.cumsum(size) - size, size
+
+
+def block_pairs(sides, s, t, idx) -> np.ndarray:
+    """The output vertex pairs at slot indices `idx` of parent blocks (s, t),
+    entry by entry, as an (M, 2) int64 array.
+
+    `sides` holds each side's `_split_parents`; with one side the graph is
+    unipartite, and a block with s == t is diagonal.  A diagonal block's
+    slots are colex over its within-part pairs, any other's row-major over
+    row part x column part, each part its children in ascending order.
+    """
+    (row_order, row_start, _), (col_order, col_start, col_size) = sides[0], sides[-1]
+    pairs = np.empty((idx.size, 2), dtype=np.int64)
+    np.divmod(idx, col_size[t], out=(pairs[:, 0], pairs[:, 1]))
+    if len(sides) == 1:
+        d = np.flatnonzero(s == t)
+        pairs[d, 0], pairs[d, 1] = _colex_pairs(idx[d])
+    pairs[:, 0] += row_start[s]
+    pairs[:, 1] += col_start[t]
+    pairs[:, 0] = row_order[pairs[:, 0]]
+    pairs[:, 1] = col_order[pairs[:, 1]]
+    return pairs
 
 
 class _WordStream:
@@ -452,12 +482,12 @@ def _sample_blocks(g, params: ReductionParams, seed) -> np.ndarray:
 
     A block's count is 0 exactly when its uniform falls below its law's
     P(0), and a zero count draws nothing more, so one look-ahead compares
-    the rest of a row's uniforms with their thresholds at once.  The first
-    block at or above its threshold inverts its count from that same
-    uniform through the law's CDF; its Floyd draws take the words that
+    the next _WINDOW of a chunk's uniforms with their thresholds at once.
+    The first block at or above its threshold inverts its count from that
+    same uniform through the law's CDF; its Floyd draws take the words that
     follow, and the next look-ahead starts after them.  Blocks and slot
     indices collect in flat buffers and become vertex pairs in one
-    vectorised step over each side's sorted children.
+    `block_pairs` call.
 
     Refused with a TooLargeError, before the parent split, when the output
     of an Erdos-Renyi(gamma) input, exactly G(N, q), would expect more
@@ -473,21 +503,11 @@ def _sample_blocks(g, params: ReductionParams, seed) -> np.ndarray:
         raise TooLargeError(f"{walk:,} parent blocks to walk, above the cap of {_MAX_EXPECTED_EDGES:,}")
     root = as_seed(seed)
     parent_rng = root.child(_PARENT_STREAM).rng()
-    sides, sizes = [], []
-    for _ in range(2 if bipartite else 1):
-        parents = parent_rng.integers(0, n, size=N)
-        size = np.bincount(parents, minlength=n)
-        # one stable sort groups each parent's children in ascending order
-        order = np.argsort(parents, kind="stable")
-        sides.append((order, np.cumsum(size) - size))
-        sizes.append(size)
+    sides = [_split_parents(parent_rng.integers(0, n, size=N), n) for _ in range(2 if bipartite else 1)]
+    sizes = [size for _, _, size in sides]
     largest = _largest_block(sizes)
     if largest > _MAX_BLOCK_SLOTS:
         raise TooLargeError(f"the largest parent block has {largest:,} slots, above the cap of {_MAX_BLOCK_SLOTS:,}")
-    # with one side, cols is rows: block_routes walks it as unipartite, and
-    # asks each row s about columns t >= s only
-    parts = [np.split(order, start[1:]) for order, start in sides]
-    rows, cols = parts[0], parts[-1]
     table = params.kernel_table
     # P(count = 0) by slots * 4 + route, grown and filled in as routes turn up,
     # and the CDF as a list once a block with that code draws a nonzero count
@@ -496,8 +516,8 @@ def _sample_blocks(g, params: ReductionParams, seed) -> np.ndarray:
     words = _WordStream(root.child(_EDGE_STREAM).rng().bit_generator)
     # each nonzero block's parents (s, t) and count, and its slot indices
     block_s, block_t, counts, picks = (array("q") for _ in range(4))
-    for row in block_routes(rows, cols, table, g.row_has_edges):
-        code = row.slots * 4 + row.route
+    for s, t, _, slots, route in block_routes(sizes, table, g):
+        code = slots * 4 + route
         grow = int(code.max()) + 1 - zero_mass.size
         if grow > 0:
             zero_mass = np.concatenate((zero_mass, np.full(grow, np.nan)))
@@ -505,15 +525,16 @@ def _sample_blocks(g, params: ReductionParams, seed) -> np.ndarray:
         if missing.any():
             for c in np.unique(code[missing]).tolist():
                 zero_mass[c] = table.law(c % 4, c // 4).cdf()[0]
-        row_zero_mass = zero_mass[code]
+        chunk_zero_mass = zero_mass[code]
         start = 0
         while start < code.size:
-            ahead = words.uniforms(code.size - start)
-            nonzero = ahead >= row_zero_mass[start:]
+            ahead = words.uniforms(min(_WINDOW, code.size - start))
+            nonzero = ahead >= chunk_zero_mass[start : start + ahead.size]
             skip = int(nonzero.argmax())
             if not nonzero[skip]:
                 words.advance(ahead.size)
-                break
+                start += ahead.size
+                continue
             u = float(ahead[skip])
             words.advance(skip + 1)
             i = start + skip
@@ -523,32 +544,18 @@ def _sample_blocks(g, params: ReductionParams, seed) -> np.ndarray:
                 cdf = cdfs[c] = table.law(c % 4, c // 4).cdf().tolist()
             # u >= P(0), and u < 1 = the CDF's last entry, so 1 <= m <= slots
             m = bisect.bisect_right(cdf, u)
-            block_s.append(row.s)
-            block_t.append(int(row.t[i]))
+            block_s.append(int(s[i]))
+            block_t.append(int(t[i]))
             counts.append(m)
             picks.extend(_floyd_sample(c // 4, m, words.below))
             start = i + 1
-    # each slot's block, then its position inside the block, then offsets into
-    # each side's sorted children, then the children themselves; each buffer
-    # is let go once read, so no more than ~6 int64s an edge are held at once
+    # each slot's block, then the vertex pairs; the per-block buffers are let
+    # go once read, so no more than ~6 int64s an edge are held at once
     counts = np.frombuffer(counts, dtype=np.int64)
     s = np.repeat(np.frombuffer(block_s, dtype=np.int64), counts)
     t = np.repeat(np.frombuffer(block_t, dtype=np.int64), counts)
     del block_s, block_t, counts
-    # the slots lie as `block_pairs` lays them out
-    edges = np.empty((s.size, 2), dtype=np.int64)
-    k = np.frombuffer(picks, dtype=np.int64)
-    np.divmod(k, sizes[-1][t], out=(edges[:, 0], edges[:, 1]))
-    if not bipartite:
-        d = np.flatnonzero(s == t)
-        edges[d, 0], edges[d, 1] = _colex_pairs(k[d])
-    del picks, k
-    (row_order, row_start), (col_order, col_start) = sides[0], sides[-1]
-    edges[:, 0] += row_start[s]
-    edges[:, 1] += col_start[t]
-    edges[:, 0] = row_order[edges[:, 0]]
-    edges[:, 1] = col_order[edges[:, 1]]
-    return edges
+    return block_pairs(sides, s, t, np.frombuffer(picks, dtype=np.int64))
 
 
 def reduce_graph(g: Graph, params: ReductionParams, seed) -> Graph:

@@ -27,11 +27,12 @@ from .errors import (
     PreconditionViolationError,
     TooLargeError,
 )
-from .graphmodels import Graph
+from .graphmodels import BipartiteGraph, Graph
 from .randkit import Pmf, binom_pmf, hyper_pmf, tv_distance
 from .reduction import (
     ReductionParams,
     _kernel_laws,
+    _split_parents,
     block_pairs,
     block_routes,
     build_pprime,
@@ -402,14 +403,13 @@ def _block_factor(n_slots: int, slot_ids: list, dist: Pmf) -> np.ndarray:
     return _slot_tensor(n_slots, slot_ids, weights[_popcount(k)])
 
 
-def _reduced_law(params: ReductionParams, has_edge, bipartite: bool) -> np.ndarray:
+def _reduced_law(params: ReductionParams, graph, bipartite: bool) -> np.ndarray:
     """Exact output law of the reduction as a vector over all edge masks.
 
     Sums over every parent assignment (of both sides for a bipartite
     graph); the blocks, their count laws and their slots come from the
-    samplers' own `block_routes` and `block_pairs`.  `has_edge` is the
-    input-edge lookup `block_routes` takes, None for an Erdos-Renyi(gamma)
-    input.
+    samplers' own `block_routes` and `block_pairs`.  `graph` is the input
+    graph `block_routes` takes, None for an Erdos-Renyi(gamma) input.
 
     The law is held as a tensor of shape (2,)*n_slots with slot i on axis
     n_slots-1-i, so its C-order flattening is the mask order.  Each
@@ -424,42 +424,50 @@ def _reduced_law(params: ReductionParams, has_edge, bipartite: bool) -> np.ndarr
         n_slots = N * N
         if (n**N) ** 2 * (1 << n_slots) > 20 * _ENUMERATION_CAP:
             raise TooLargeError("bipartite assignment x graph space exceeds the cap")
-        slot_of = [[u * N + v for v in range(N)] for u in range(N)]
+        slot_of = np.arange(n_slots).reshape(N, N)
     else:
-        pairs, n_slots = _graph_space(N)
+        _, n_slots = _graph_space(N)
         if n**N * (1 << n_slots) > _ENUMERATION_CAP:
             raise TooLargeError("assignment x graph space exceeds the enumeration cap")
-        slot_of = [[0] * N for _ in range(N)]
-        for i, (u, v) in enumerate(pairs):
-            slot_of[u][v] = slot_of[v][u] = i
-    parts = [
-        [[v for v in range(N) if assignment[v] == s] for s in range(n)]
-        for assignment in product(range(n), repeat=N)
-    ]
-    if bipartite:
-        # separate column lists: block_routes reads `cols is rows` as unipartite
-        sides = list(product(parts, [list(part) for part in parts]))
-    else:
-        sides = [(part, part) for part in parts]
+        slot_of = np.zeros((N, N), dtype=np.int64)
+        u, v = np.triu_indices(N, 1)
+        slot_of[u, v] = slot_of[v, u] = np.arange(n_slots)
+    # each assignment's parent split, and each part's vertex set as a bit mask
+    splits = []
+    for assignment in product(range(n), repeat=N):
+        masks = [0] * n
+        for vertex, parent in enumerate(assignment):
+            masks[parent] |= 1 << vertex
+        splits.append((_split_parents(np.array(assignment), n), masks))
+    sides = list(product(splits, splits)) if bipartite else [(split,) for split in splits]
     weight = 1.0 / len(sides)
     table = params.kernel_table
-    # a block's tensor depends only on its two parts, whether it is
-    # diagonal and its route, and many assignments share a block
+    # a block's tensor depends only on its two parts and its route (within
+    # one call, equal parts on both sides of a unipartite graph mean the
+    # diagonal), and many assignments share a block
     block_tensors = {}
     # the caps keep n_slots at 25 or below, inside numpy's 32-axis limit
     law = np.zeros((2,) * n_slots)
-    for rows, cols in sides:
+    for side in sides:
+        split = [parts for parts, _ in side]
+        row_masks, col_masks = side[0][1], side[-1][1]
         factor = weight
-        for row in block_routes(rows, cols, table, has_edge):
-            blocks = zip(row.t.tolist(), row.diagonal.tolist(), row.slots.tolist(), row.route.tolist())
-            for t, diagonal, slots, route in blocks:
-                key = (tuple(rows[row.s]), tuple(cols[t]), diagonal, route)
-                block = block_tensors.get(key)
-                if block is None:
-                    pairs = block_pairs(rows[row.s], cols[t], diagonal, range(slots)).tolist()
-                    block = _block_factor(n_slots, [slot_of[u][v] for u, v in pairs], table.law(route, slots))
-                    block_tensors[key] = block
-                factor = factor * block
+        for s, t, _, slots, route in block_routes([size for _, _, size in split], table, graph):
+            rows, cols = [row_masks[i] for i in s.tolist()], [col_masks[i] for i in t.tolist()]
+            keys = list(zip(rows, cols, route.tolist()))
+            new = [i for i, key in enumerate(keys) if key not in block_tensors]
+            if new:
+                # every slot of the new blocks, laid out in one call
+                counts = slots[new]
+                offsets = np.cumsum(counts) - counts
+                idx = np.arange(int(counts.sum())) - np.repeat(offsets, counts)
+                pairs = block_pairs(split, np.repeat(s[new], counts), np.repeat(t[new], counts), idx)
+                ids = slot_of[pairs[:, 0], pairs[:, 1]].tolist()
+                for i, lo, count in zip(new, offsets.tolist(), counts.tolist()):
+                    dist = table.law(int(route[i]), count)
+                    block_tensors[keys[i]] = _block_factor(n_slots, ids[lo : lo + count], dist)
+            for key in keys:
+                factor = factor * block_tensors[key]
         law += factor
     return law.reshape(-1)
 
@@ -475,7 +483,7 @@ def reduced_law_exact(g_in: Graph, params: ReductionParams) -> np.ndarray:
     assignment; only viable for tiny n and ell."""
     if g_in.num_vertices != params.n:
         raise InvalidParameterError("input graph size does not match params.n")
-    return _reduced_law(params, g_in.has_edges, bipartite=False)
+    return _reduced_law(params, g_in, bipartite=False)
 
 
 def reduction_null_tv_exact(params: ReductionParams) -> float:
@@ -520,7 +528,9 @@ def reduction_alt_tv_bipartite_exact(params: ReductionParams) -> float:
     trend isolates the (8 q ell^2)^(m0+1) term."""
     if params.k != params.n:
         raise InvalidParameterError("the exact bipartite alternative oracle needs k = n")
-    law = _reduced_law(params, lambda s, t: True, bipartite=True)
+    n = params.n
+    complete = BipartiteGraph(n, n, list(product(range(n), repeat=2)))
+    law = _reduced_law(params, complete, bipartite=True)
     return _tv(law, _product_law(params.N**2, params.p))
 
 

@@ -40,7 +40,7 @@ from pdslab.graphmodels import (
     gen_pds_random_size,
 )
 from pdslab.randkit import Seed, as_seed
-from pdslab.reduction import KernelTable, block_pairs, block_routes, regime_classify
+from pdslab.reduction import KernelTable, _split_parents, block_pairs, block_routes, regime_classify
 from pdslab.theorychecks import CheckReport
 
 
@@ -374,7 +374,7 @@ def _per_mask_block_factor(bits: np.ndarray, slot_ids: list, dist) -> np.ndarray
     return weights[m]
 
 
-def per_mask_reduced_law(params, has_edge, bipartite: bool) -> np.ndarray:
+def per_mask_reduced_law(params, graph, bipartite: bool) -> np.ndarray:
     """The exact reduction oracle as first written, one full-width pass per
     block: a bit plane per slot, and every block factor gathered over all
     2^n_slots edge masks and multiplied into the running factor.
@@ -392,27 +392,21 @@ def per_mask_reduced_law(params, has_edge, bipartite: bool) -> np.ndarray:
         slot_of = [[0] * N for _ in range(N)]
         for i, (u, v) in enumerate(pairs):
             slot_of[u][v] = slot_of[v][u] = i
-    parts = [
-        [[v for v in range(N) if assignment[v] == s] for s in range(n)]
-        for assignment in product(range(n), repeat=N)
-    ]
-    if bipartite:
-        sides = list(product(parts, [list(part) for part in parts]))
-    else:
-        sides = [(part, part) for part in parts]
+    splits = [_split_parents(np.array(assignment), n) for assignment in product(range(n), repeat=N)]
+    sides = list(product(splits, splits)) if bipartite else [(split,) for split in splits]
     weight = 1.0 / len(sides)
     masks = np.arange(1 << n_slots, dtype=np.int64)
     bits = ((masks >> np.arange(n_slots)[:, None]) & 1).astype(np.uint8)
     table = KernelTable(params.q, params.gamma, params.ell)
     law = np.zeros(masks.size)
-    for rows, cols in sides:
+    for side in sides:
         factor = np.full(masks.size, weight)
-        for row in block_routes(rows, cols, table, has_edge):
-            blocks = zip(row.t.tolist(), row.diagonal.tolist(), row.slots.tolist(), row.route.tolist())
-            for t, diagonal, slots, route in blocks:
-                pairs = block_pairs(rows[row.s], cols[t], diagonal, range(slots)).tolist()
+        for s, t, _, slots, route in block_routes([size for _, _, size in side], table, graph):
+            for i, count in enumerate(slots.tolist()):
+                block = np.full(count, i)
+                pairs = block_pairs(side, s[block], t[block], np.arange(count)).tolist()
                 factor *= _per_mask_block_factor(
-                    bits, [slot_of[u][v] for u, v in pairs], table.law(route, slots)
+                    bits, [slot_of[u][v] for u, v in pairs], table.law(int(route[i]), count)
                 )
         law += factor
     return law

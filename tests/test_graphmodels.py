@@ -534,6 +534,34 @@ class TestEdgeListIO:
             tracemalloc.stop()
         assert peak < 72 * g.num_edges
 
+    def test_writer_memory_is_bounded(self, tmp_path):
+        # the writer formats fixed-size slices of edges: a one-slice writer
+        # peaked at ~52 bytes an edge on this graph
+        g = gen_er(1100, 0.5, Seed(3))
+        assert g.num_edges >= 300_000
+        path = tmp_path / "g.txt"
+        write_edge_list(g, path)
+        tracemalloc.start()
+        try:
+            write_edge_list(g, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * g.num_edges
+
+    @pytest.mark.parametrize("size", [1, 7])
+    def test_writer_slices_match_format_reference(self, tmp_path, monkeypatch, size):
+        # slice seams between ends of different digit counts write no padding
+        monkeypatch.setattr(graphmodels, "_WRITE_SLICE", size)
+        top = graphmodels._MAX_VERTEX_COUNT
+        ends = [0, 5, 9, 10, 99, 100, 12345, top - 1]
+        for g in (Graph(top, [(u, v) for u in ends for v in ends if u < v]),
+                  BipartiteGraph(top, top, [(u, v) for u in ends for v in ends]),
+                  gen_er(40, 0.3, Seed(5)), Graph(4)):
+            write_edge_list(g, tmp_path / "new.txt")
+            format_write_edge_list(g, tmp_path / "old.txt")
+            assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes(), g
+
     def test_non_canonical_read_memory_per_edge(self, tmp_path):
         # a per-line reader that held the decoded text through its loop
         # peaked at ~197 bytes an edge here; the text and the lines must go

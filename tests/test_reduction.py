@@ -162,37 +162,77 @@ class TestSampleEdgeCount:
         # parts of sizes 2, 0, 3, 1: blocks with an empty part and the
         # singleton's diagonal have no slot and are never yielded
         table = KernelTable(0.01, 0.5, 2)
-        parts = [np.array([0, 1]), np.array([], dtype=np.int64), np.array([2, 3, 4]), np.array([5])]
+        parts = [[0, 1], [], [2, 3, 4], [5]]
+        sizes = np.array([2, 0, 3, 1])
 
-        def walk(rows, cols):
+        def walk(sides):
             return [
-                (rows[row.s].tolist(), cols[t].tolist(), diagonal, slots)
-                for row in block_routes(rows, cols, table, lambda s, t: True)
-                for t, diagonal, slots in zip(row.t.tolist(), row.diagonal.tolist(), row.slots.tolist())
+                (parts[s], parts[t], diagonal, slots)
+                for chunk in block_routes(sides, table, None)
+                for s, t, diagonal, slots in zip(*(a.tolist() for a in chunk[:4]))
             ]
 
-        assert walk(parts, parts) == [
+        assert walk([sizes]) == [
             ([0, 1], [0, 1], True, 1),
             ([0, 1], [2, 3, 4], False, 6),
             ([0, 1], [5], False, 2),
             ([2, 3, 4], [2, 3, 4], True, 3),
             ([2, 3, 4], [5], False, 3),
         ]
-        assert [blk[3] for blk in walk(parts, list(parts))] == [4, 6, 2, 6, 9, 3, 2, 3, 1]
+        assert [blk[3] for blk in walk([sizes, sizes])] == [4, 6, 2, 6, 9, 3, 2, 3, 1]
 
     def test_oversize_part_ignores_input_bit(self):
         params = ReductionParams(n=2, k=2, gamma=0.5, ell=2, q=0.01)
         table = params.kernel_table
 
         def law(ls, lt, w):
-            (row,) = block_routes([np.arange(ls)], [np.arange(lt)], table, lambda s, t: w)
-            return table.law(row.route[0], row.slots[0])
+            g = BipartiteGraph(1, 1, [(0, 0)] if w else [])
+            ((_, _, _, slots, route),) = block_routes([np.array([ls]), np.array([lt])], table, g)
+            return table.law(route[0], slots[0])
 
         on, off = law(6, 2, 1), law(6, 2, 0)  # max part > 2*ell
         assert np.array_equal(on.probs, off.probs)
         assert np.allclose(on.probs, binom_pmf(12, 0.01).probs, atol=1e-15)
         p_prime, q_prime, _ = table.cell(2, 2)
         assert law(2, 2, 1) is p_prime and law(2, 2, 0) is q_prime
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(0, 5), min_size=1, max_size=12),
+        bipartite=st.booleans(),
+        chunk=st.integers(1, 40),
+    )
+    @example(sizes=[1], bipartite=False, chunk=1)
+    @example(sizes=[3, 1, 0, 0], bipartite=False, chunk=1)
+    def test_chunks_hold_whole_rows(self, sizes, bipartite, chunk):
+        # at any chunk size, the chunks laid end to end are the per-block
+        # walk, each holds at least one block, and no row spans two chunks
+        n = len(sizes)
+        want = []
+        for s in range(n):
+            for t in range(0 if bipartite else s, n):
+                diagonal = not bipartite and s == t
+                slots = math.comb(sizes[s], 2) if diagonal else sizes[s] * sizes[t]
+                if slots:
+                    want.append((s, t, diagonal, slots))
+        sizes = np.array(sizes)
+        table = KernelTable(0.01, 0.5, 2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reduction, "_CHUNK_BLOCKS", chunk)
+            chunks = list(block_routes([sizes, sizes] if bipartite else [sizes], table, None))
+        got = [blk for c in chunks for blk in zip(*(a.tolist() for a in c[:4]))]
+        assert got == want
+        assert all(c[0].size for c in chunks)
+        assert all(a[0][-1] < b[0][0] for a, b in zip(chunks, chunks[1:]))
+
+    def test_empty_walk_yields_nothing(self, monkeypatch):
+        # one vertex, one part of one vertex: no block has a slot
+        table = KernelTable(0.0, 0.5, 1)
+        for chunk in (1, reduction._CHUNK_BLOCKS):
+            monkeypatch.setattr(reduction, "_CHUNK_BLOCKS", chunk)
+            assert list(block_routes([np.array([1])], table, None)) == []
+            params = ReductionParams(n=1, k=1, gamma=0.5, ell=1, q=0.0)
+            assert reduce_graph(Graph(1), params, Seed(0)) == Graph(1)
 
     def test_mixture_sampling_matches_binomial(self):
         # drawing the input bit Bern(gamma) then the kernel reproduces the
@@ -329,6 +369,16 @@ class TestWordStream:
         stream.uniforms(1)
         words = Seed(5).rng().bit_generator.random_raw(1000).tolist()
         assert words.index(int(stream._words[stream._pos])) >= 150
+
+
+def _row_edges(g, lo: int, hi: int) -> np.ndarray:
+    """`row_marks(lo, hi)` from the full-key lookup: rows lo..hi-1, and the
+    columns from lo on with v > u in a Graph, every column in a bipartite one."""
+    rows = np.arange(lo, hi)[:, None]
+    if isinstance(g, Graph):
+        cols = np.arange(lo, g.num_vertices)
+        return g.has_edges(rows, cols) & (cols > rows)
+    return g.has_edges(rows, np.arange(g.num_bottom))
 
 
 class TestReduceGraph:
@@ -478,40 +528,43 @@ class TestReduceGraph:
 
 
     def test_row_lookup_matches_has_edges(self, monkeypatch):
-        # every row lookup the reduction makes, against the full-key lookup
-        rows_seen = []
+        # every chunk lookup the reduction makes, against the full-key lookup:
+        # the routes read from the marks, and the marks themselves
+        chunks_seen = []
         route = reduction.block_routes
 
-        def checked(rows, cols, table, has_edge):
-            g = has_edge.__self__
-
-            def lookup(s, t):
-                got = has_edge(s, t)
-                assert np.array_equal(got, g.has_edges(s, t)), (s, t)
-                rows_seen.append(s)
-                return got
-
-            return route(rows, cols, table, lookup)
+        def checked(sizes, table, graph):
+            for chunk in route(sizes, table, graph):
+                s, t, diagonal, _, routes = chunk
+                lo, hi = int(s[0]), int(s[-1]) + 1
+                assert np.array_equal(graph.row_marks(lo, hi), _row_edges(graph, lo, hi)), (lo, hi)
+                kernel = routes != reduction.ROUTE_PLAIN
+                assert not (kernel & diagonal).any()
+                assert np.array_equal(routes[kernel] - reduction.ROUTE_QPRIME, graph.has_edges(s[kernel], t[kernel]))
+                chunks_seen.append(kernel.sum())
+                yield chunk
 
         monkeypatch.setattr(reduction, "block_routes", checked)
         graphs = [Graph(30), gen_er(30, 1.0, Seed(1)), gen_er(30, 0.3, Seed(2)),
                   gen_planted_clique(120, 12, 0.5, Seed(3)).graph,
                   BipartiteGraph(30, 30), gen_bipartite_pc(40, 6, 0.4, Seed(4)).graph]
-        for i, g in enumerate(graphs):
-            n = g.num_vertices if isinstance(g, Graph) else g.num_top
-            for ell in (1, 2, 5):
-                params = ReductionParams(n=n, k=2, gamma=0.5, ell=ell, q=0.01)
-                (reduce_graph if isinstance(g, Graph) else reduce_bipartite)(g, params, Seed(i))
-        assert len(rows_seen) > 500
+        for chunk in (reduction._CHUNK_BLOCKS, 50):
+            monkeypatch.setattr(reduction, "_CHUNK_BLOCKS", chunk)
+            for i, g in enumerate(graphs):
+                n = g.num_vertices if isinstance(g, Graph) else g.num_top
+                for ell in (1, 2, 5):
+                    params = ReductionParams(n=n, k=2, gamma=0.5, ell=ell, q=0.01)
+                    (reduce_graph if isinstance(g, Graph) else reduce_bipartite)(g, params, Seed(i))
+        assert len(chunks_seen) > 400 and sum(chunks_seen) > 40_000
 
     def test_row_lookup_on_every_row(self):
         for g in (Graph(1), Graph(7), gen_er(7, 1.0, Seed(1)), gen_er(60, 0.4, Seed(2)),
                   BipartiteGraph(1, 4), BipartiteGraph(5, 3, [(4, 0), (0, 2)]),
                   gen_bipartite_pc(50, 7, 0.3, Seed(3)).graph):
-            height, width = g._dims[0], g._dims[-1]
-            for s in range(height):
-                t = np.arange(s if isinstance(g, Graph) else 0, width)
-                assert np.array_equal(g.row_has_edges(s, t), g.has_edges(s, t))
+            height = g._dims[0]
+            for lo in range(height):
+                for hi in (lo + 1, height):
+                    assert np.array_equal(g.row_marks(lo, hi), _row_edges(g, lo, hi)), (lo, hi)
 
 
 class TestReduceBipartite:
@@ -549,15 +602,18 @@ class TestFrozenStreams:
     ]
 
     @staticmethod
-    def reduced(n, k, ell, q, seed, bipartite):
-        params = ReductionParams(n=n, k=k, gamma=0.5, ell=ell, q=q)
+    def reduced_input(n, k, bipartite):
         if bipartite:
-            b = BipartiteGraph(
+            return BipartiteGraph(
                 n, n, [(u, v) for u in range(n) for v in range(n) if max(u, v) < k or (u + v) % 3 == 0]
             )
-            return reduce_bipartite(b, params, Seed(seed))
-        g = Graph(n, [(u, v) for u, v in combinations(range(n), 2) if v < k or (u + 2 * v) % 3 == 0])
-        return reduce_graph(g, params, Seed(seed))
+        return Graph(n, [(u, v) for u, v in combinations(range(n), 2) if v < k or (u + 2 * v) % 3 == 0])
+
+    @classmethod
+    def reduced(cls, n, k, ell, q, seed, bipartite):
+        params = ReductionParams(n=n, k=k, gamma=0.5, ell=ell, q=q)
+        reduce = reduce_bipartite if bipartite else reduce_graph
+        return reduce(cls.reduced_input(n, k, bipartite), params, Seed(seed))
 
     @pytest.mark.parametrize("n,k,ell,q,seed,uni,bip", POINTS)
     def test_fingerprints(self, n, k, ell, q, seed, uni, bip):
@@ -590,6 +646,23 @@ class TestFrozenStreams:
         assert reduce_graph(g, params, Seed(seed)).fingerprint() == want.fingerprint()
         want = BipartiteGraph(N, N, per_block_reduce_edges(b, params, Seed(seed)))
         assert reduce_bipartite(b, params, Seed(seed)).fingerprint() == want.fingerprint()
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_chunk_seams(self, monkeypatch, chunk):
+        # chunks cut between any two rows, and look-aheads of any width,
+        # read the edge stream as the default chunks do
+        for n, k, ell, q, seed, uni, bip in self.POINTS[:3]:
+            params = ReductionParams(n=n, k=k, gamma=0.5, ell=ell, q=q)
+            for bipartite, fingerprint in ((False, uni), (True, bip)):
+                g = self.reduced(n, k, ell, q, seed, bipartite)
+                assert g.fingerprint() == fingerprint
+                want = per_block_reduce_edges(self.reduced_input(n, k, bipartite), params, Seed(seed))
+                assert g == type(g)(*g._dims, want)
+                for window in (reduction._WINDOW, 2):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(reduction, "_CHUNK_BLOCKS", chunk)
+                        patch.setattr(reduction, "_WINDOW", window)
+                        assert self.reduced(n, k, ell, q, seed, bipartite) == g, (n, bipartite, window)
 
     def test_points_cover_empty_and_oversize_parts(self):
         # part sizes from the documented parent stream: one draw per side

@@ -1,7 +1,7 @@
 import json
 import math
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from pdslab.errors import (
     TooLargeError,
     ValidityViolationError,
 )
-from pdslab.graphmodels import Graph
+from pdslab.graphmodels import BipartiteGraph, Graph
 from pdslab.reduction import ReductionParams
 from pdslab.theorychecks import (
     CheckReport,
@@ -285,7 +285,7 @@ class TestReductionOracles:
 
 
 def _oracle_cases():
-    """(n, ell, bipartite, has_edge label, q, gamma) for the oracle pin.
+    """(n, ell, bipartite, input label, q, gamma) for the oracle pin.
 
     The cheap shapes take every input, q and gamma.  The bipartite shapes
     with 9 and 16 slots, the slowest for the per-mask reference, take five
@@ -314,26 +314,27 @@ def _oracle_cases():
     return cases
 
 
-def _has_edge(n: int, bipartite: bool, label: str):
+def _input_graph(n: int, bipartite: bool, label: str):
     if label == "er":
         return None
     if bipartite:
-        return {"all": lambda s, t: True, "alternate": lambda s, t: (s + t) % 2 == 0}[label]
+        keep = {"all": lambda s, t: True, "alternate": lambda s, t: (s + t) % 2 == 0}[label]
+        return BipartiteGraph(n, n, [(s, t) for s, t in product(range(n), repeat=2) if keep(s, t)])
     edges = {
         "empty": [],
         "complete": list(combinations(range(n), 2)),
         "path": [(0, 1), (1, 2)],
     }[label]
-    return Graph(n, edges).has_edges
+    return Graph(n, edges)
 
 
 class TestOraclePin:
     def test_laws_match_per_mask_reference(self):
         for n, ell, bipartite, label, q, gamma in _oracle_cases():
             params = ReductionParams(n=n, k=n, gamma=gamma, ell=ell, q=q)
-            has_edge = _has_edge(n, bipartite, label)
-            got = _reduced_law(params, has_edge, bipartite)
-            want = per_mask_reduced_law(params, has_edge, bipartite)
+            graph = _input_graph(n, bipartite, label)
+            got = _reduced_law(params, graph, bipartite)
+            want = per_mask_reduced_law(params, graph, bipartite)
             assert got.tobytes() == want.tobytes(), (n, ell, bipartite, label, q, gamma)
 
     def test_block_memo_lives_for_one_call(self):
@@ -345,9 +346,9 @@ class TestOraclePin:
         assert {name: id(value) for name, value in vars(theorychecks).items()} == before
         params = ReductionParams(n=2, k=2, gamma=0.5, ell=2, q=0.01)
         for label in ("all", "alternate"):
-            has_edge = _has_edge(2, True, label)
-            got = _reduced_law(params, has_edge, True)
-            want = per_mask_reduced_law(params, has_edge, True)
+            graph = _input_graph(2, True, label)
+            got = _reduced_law(params, graph, True)
+            want = per_mask_reduced_law(params, graph, True)
             assert got.tobytes() == want.tobytes(), label
 
     def test_caps_admit_fewer_than_32_slots(self, monkeypatch):
