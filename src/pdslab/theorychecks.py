@@ -442,17 +442,21 @@ def _reduced_law(params: ReductionParams, graph, bipartite: bool) -> np.ndarray:
     sides = list(product(splits, splits)) if bipartite else [(split,) for split in splits]
     weight = 1.0 / len(sides)
     table = params.kernel_table
-    # a block's tensor depends only on its two parts and its route (within
-    # one call, equal parts on both sides of a unipartite graph mean the
-    # diagonal), and many assignments share a block
-    block_tensors = {}
+    # the routed blocks depend only on the part sizes, and a block's tensor
+    # only on its two parts and its route (within one call, equal parts on
+    # both sides of a unipartite graph mean the diagonal); many assignments
+    # share each
+    routes, block_tensors = {}, {}
     # the caps keep n_slots at 25 or below, inside numpy's 32-axis limit
     law = np.zeros((2,) * n_slots)
     for side in sides:
         split = [parts for parts, _ in side]
+        sizes = tuple(tuple(size.tolist()) for _, _, size in split)
+        if sizes not in routes:
+            routes[sizes] = list(block_routes([size for _, _, size in split], table, graph))
         row_masks, col_masks = side[0][1], side[-1][1]
         factor = weight
-        for s, t, _, slots, route in block_routes([size for _, _, size in split], table, graph):
+        for s, t, _, slots, route in routes[sizes]:
             rows, cols = [row_masks[i] for i in s.tolist()], [col_masks[i] for i in t.tolist()]
             keys = list(zip(rows, cols, route.tolist()))
             new = [i for i, key in enumerate(keys) if key not in block_tensors]
