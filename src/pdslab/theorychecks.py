@@ -433,13 +433,13 @@ def _reduced_law(params: ReductionParams, graph, bipartite: bool) -> np.ndarray:
         u, v = np.triu_indices(N, 1)
         slot_of[u, v] = slot_of[v, u] = np.arange(n_slots)
     # each assignment's parent split, and each part's vertex set as a bit mask
-    splits = []
+    assignments = []
     for assignment in product(range(n), repeat=N):
         masks = [0] * n
         for vertex, parent in enumerate(assignment):
             masks[parent] |= 1 << vertex
-        splits.append((_split_parents(np.array(assignment), n), masks))
-    sides = list(product(splits, splits)) if bipartite else [(split,) for split in splits]
+        assignments.append((_split_parents(np.array(assignment), n), masks))
+    sides = list(product(assignments, repeat=2)) if bipartite else [(a,) for a in assignments]
     weight = 1.0 / len(sides)
     table = params.kernel_table
     # the routed blocks depend only on the part sizes, and a block's tensor
@@ -450,10 +450,10 @@ def _reduced_law(params: ReductionParams, graph, bipartite: bool) -> np.ndarray:
     # the caps keep n_slots at 25 or below, inside numpy's 32-axis limit
     law = np.zeros((2,) * n_slots)
     for side in sides:
-        split = [parts for parts, _ in side]
-        sizes = tuple(tuple(size.tolist()) for _, _, size in split)
+        splits = [split for split, _ in side]
+        sizes = tuple(tuple(size.tolist()) for _, _, size in splits)
         if sizes not in routes:
-            routes[sizes] = list(block_routes([size for _, _, size in split], table, graph))
+            routes[sizes] = list(block_routes([size for _, _, size in splits], table, graph))
         row_masks, col_masks = side[0][1], side[-1][1]
         factor = weight
         for s, t, _, slots, route in routes[sizes]:
@@ -465,7 +465,7 @@ def _reduced_law(params: ReductionParams, graph, bipartite: bool) -> np.ndarray:
                 counts = slots[new]
                 offsets = np.cumsum(counts) - counts
                 idx = np.arange(int(counts.sum())) - np.repeat(offsets, counts)
-                pairs = block_pairs(split, np.repeat(s[new], counts), np.repeat(t[new], counts), idx)
+                pairs = block_pairs(splits, np.repeat(s[new], counts), np.repeat(t[new], counts), idx)
                 ids = slot_of[pairs[:, 0], pairs[:, 1]].tolist()
                 for i, lo, count in zip(new, offsets.tolist(), counts.tolist()):
                     dist = table.law(int(route[i]), count)
