@@ -328,9 +328,9 @@ def block_routes(sizes, table: KernelTable, graph):
     `graph` is the input graph, read through its `row_marks`, or None for an
     Erdos-Renyi(gamma) input whose edges are not drawn.
 
-    Yields the blocks with at least one slot as flat arrays (s, t,
-    diagonal, slots, route) in draw order, about _CHUNK_BLOCKS of them at a
-    time and nothing when no block has a slot; block i draws its edge count
+    Yields the blocks with at least one slot as flat arrays (s, t, slots,
+    route) in draw order, about _CHUNK_BLOCKS of them at a time and nothing
+    when no block has a slot; block i draws its edge count
     from `table.law(route[i], slots[i])`.  Diagonal blocks and blocks with a
     part above 2*ell take the plain route, Binom(slots, q); every other
     block takes P' if its input pair is an edge, Q' if not, and the mixture
@@ -369,14 +369,12 @@ def block_routes(sizes, table: KernelTable, graph):
             diagonal = t == s
             slots[diagonal] = (ls * (ls - 1) // 2)[diagonal]
             plain |= diagonal
-        else:
-            diagonal = np.zeros(s.size, dtype=bool)
         if graph is None:
             kernel = ROUTE_MIXED
         else:
             # a Graph's marks start at column lo, since its rows hold v > u
             kernel = ROUTE_QPRIME + graph.row_marks(lo, hi)[s - lo, t - (lo if unipartite else 0)]
-        yield s, t, diagonal, slots, np.where(plain, ROUTE_PLAIN, kernel)
+        yield s, t, slots, np.where(plain, ROUTE_PLAIN, kernel)
         lo, done = hi, done + s.size
 
 
@@ -516,7 +514,7 @@ def _sample_blocks(g, params: ReductionParams, seed) -> np.ndarray:
     words = _WordStream(root.child(_EDGE_STREAM).rng().bit_generator)
     # each nonzero block's parents (s, t) and count, and its slot indices
     block_s, block_t, counts, picks = (array("q") for _ in range(4))
-    for s, t, _, slots, route in block_routes(sizes, table, g):
+    for s, t, slots, route in block_routes(sizes, table, g):
         code = slots * 4 + route
         grow = int(code.max()) + 1 - zero_mass.size
         if grow > 0:

@@ -401,7 +401,7 @@ def per_mask_reduced_law(params, graph, bipartite: bool) -> np.ndarray:
     law = np.zeros(masks.size)
     for side in sides:
         factor = np.full(masks.size, weight)
-        for s, t, _, slots, route in block_routes([size for _, _, size in side], table, graph):
+        for s, t, slots, route in block_routes([size for _, _, size in side], table, graph):
             for i, count in enumerate(slots.tolist()):
                 block = np.full(count, i)
                 pairs = block_pairs(side, s[block], t[block], np.arange(count)).tolist()
@@ -457,12 +457,9 @@ _CUBE_NA_BATTERY = (
 )
 
 
-def count_cube_negative_association(k: int, S_size: int) -> CheckReport:
-    """The negative-association battery as first written: every battery
-    function evaluated in float64 over the whole count cube.
-
-    Reference for `check_negative_association`'s lhs and worst function.
-    """
+def count_cube(k: int, S_size: int) -> np.ndarray:
+    """The k^2 overlap counts of every pair of ball-in-bin assignments, as
+    an (assignments, assignments, k^2) array in row-major pair order."""
     assignments = np.array(list(product(range(k), repeat=S_size)), dtype=np.int64)
     n_assign = assignments.shape[0]
     counts = np.zeros((n_assign, n_assign, k * k), dtype=np.int16)
@@ -470,6 +467,16 @@ def count_cube_negative_association(k: int, S_size: int) -> CheckReport:
         cell = assignments[:, ball][:, None] * k + assignments[None, :, ball]
         for c in range(k * k):
             counts[:, :, c] += cell == c
+    return counts
+
+
+def count_cube_negative_association(k: int, S_size: int) -> CheckReport:
+    """The negative-association battery as first written: every battery
+    function evaluated in float64 over the whole count cube.
+
+    Reference for `check_negative_association`'s lhs and worst function.
+    """
+    counts = count_cube(k, S_size)
     worst = -math.inf
     worst_fn = None
     for fn_name, fn in _CUBE_NA_BATTERY:

@@ -6,7 +6,13 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from conftest import count_cube_negative_association, per_mask_planted_law, per_mask_reduced_law
+from conftest import (
+    _CUBE_NA_BATTERY,
+    count_cube,
+    count_cube_negative_association,
+    per_mask_planted_law,
+    per_mask_reduced_law,
+)
 from pdslab import theorychecks
 from pdslab.errors import (
     InvalidParameterError,
@@ -211,16 +217,42 @@ class TestNegativeAssociation:
                 want = count_cube_negative_association(k, s)
                 assert (got.lhs, got.params) == (want.lhs, want.params), (k, s)
 
+    def test_weighted_sums_match_row_order(self):
+        # what the byte identity rests on, over the whole capped domain: the
+        # integer-valued functions' multiplicity-weighted means equal the
+        # count cube's row-order means exactly, and exp-quadratic, whose
+        # means may differ in the last bits, never decides the report
+        for k in range(1, 4):
+            for s in range(1, 7):
+                cube = count_cube(k, s)
+                vectors, mult = np.unique(cube.reshape(-1, k * k), axis=0, return_counts=True)
+                n_pairs = cube.shape[0] * cube.shape[1]
+                gaps = {}
+                for name, fn in _CUBE_NA_BATTERY:
+                    vals = fn(cube)
+                    lhs = vals.prod(axis=2).mean()
+                    means = vals.reshape(-1, k * k).mean(axis=0)
+                    if name != "exp-quadratic":
+                        weighted = fn(vectors)
+                        assert mult @ weighted.prod(axis=1) / n_pairs == lhs, (k, s, name)
+                        assert np.array_equal(mult @ weighted / n_pairs, means), (k, s, name)
+                    gaps[name] = lhs - means.prod()
+                if k >= 2:
+                    assert gaps.pop("exp-quadratic") <= max(gaps.values()) - 1e-3, (k, s)
+                else:
+                    assert set(gaps.values()) == {0.0}, s
+
     def test_largest_case_memory(self):
         # one float64 pair x cell table at (3, 6) is 38 MB; the count-cube
-        # evaluation peaked near 90 MB
+        # evaluation peaked near 90 MB, and the multiplicity-weighted one
+        # peaks near 10 MB
         tracemalloc.start()
         try:
             check_negative_association(3, 6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 60e6
+        assert peak <= 15e6
 
 
 class TestHyperMgf:
