@@ -191,7 +191,7 @@ def _graph_space(N: int):
 
 def _popcount(n_bits: int) -> np.ndarray:
     """Number of set bits of every integer in range(2^n_bits)."""
-    pop = np.zeros(1, dtype=np.uint8)
+    pop = np.zeros(1, dtype=np.int64)
     for _ in range(n_bits):
         # setting the next bit adds one to the count of every lower value
         pop = np.concatenate((pop, pop + 1))
