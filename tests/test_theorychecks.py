@@ -319,13 +319,19 @@ class TestReductionOracles:
 def _oracle_cases():
     """(n, ell, bipartite, input label, q, gamma) for the oracle pin.
 
-    The cheap shapes take every input, q and gamma.  The bipartite shapes
-    with 9 and 16 slots, the slowest for the per-mask reference, take five
-    points that cover every input, q and gamma.
+    The cheap shapes take every input, q and gamma; among them are the
+    smallest, with no slot (n = ell = 1) or one, and one side with 9 slots.
+    The shapes with 9 to 16 slots and many sides, the slowest for the
+    per-mask reference, take five points that cover every input, q and
+    gamma.
     """
     inputs = {
+        (1, 1, False): ("er", "empty"),
+        (1, 2, False): ("er", "empty"),
         (2, 2, False): ("er", "empty", "complete"),
         (3, 1, False): ("er", "empty", "complete", "path"),
+        (1, 1, True): ("er", "all"),
+        (1, 3, True): ("er", "all"),
         (2, 1, True): ("er", "all", "alternate"),
     }
     cases = []
@@ -343,6 +349,15 @@ def _oracle_cases():
             ("er", 0.0, 0.25),
         ]:
             cases.append((n, ell, True, label, q, gamma))
+    # 15 slots and 64 sides, unipartite
+    for label, q, gamma in [
+        ("er", 0.01, 0.5),
+        ("complete", 0.01, 0.5),
+        ("empty", 0.001, 0.5),
+        ("complete", 1.0 / (16 * 3**2), 0.25),
+        ("er", 0.0, 0.25),
+    ]:
+        cases.append((2, 3, False, label, q, gamma))
     return cases
 
 
@@ -382,6 +397,20 @@ class TestOraclePin:
             got = _reduced_law(params, graph, True)
             want = per_mask_reduced_law(params, graph, True)
             assert got.tobytes() == want.tobytes(), label
+
+    @pytest.mark.parametrize("oracle", [reduction_null_tv_bipartite_exact, reduction_alt_tv_bipartite_exact])
+    def test_bipartite_battery_call_memory(self, oracle):
+        # one law, one target and one index buffer over the 2^16 masks; the
+        # per-call block tensors peaked at 46.2 bytes a mask
+        params = ReductionParams(n=2, k=2, gamma=0.5, ell=2, q=0.01)
+        oracle(params)
+        tracemalloc.start()
+        try:
+            oracle(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2**16
 
     def test_caps_admit_fewer_than_32_slots(self, monkeypatch):
         # the assignment enumeration starts once the caps have passed
