@@ -14,6 +14,7 @@ cannot prove it, and its report name says so.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -28,14 +29,13 @@ from .errors import (
     TooLargeError,
 )
 from .graphmodels import BipartiteGraph, Graph
-from .randkit import Pmf, binom_pmf, hyper_pmf, tv_distance
+from .randkit import binom_pmf, hyper_pmf, tv_distance
 from .reduction import (
     ReductionParams,
     _kernel_laws,
     _split_parents,
     block_pairs,
     block_routes,
-    build_pprime,
     m0_of,
 )
 
@@ -120,12 +120,21 @@ def default_kernel_grid(
     return grid
 
 
-def check_mixture_identity(grid) -> list:
+def _kernel_memo() -> tuple:
+    """(binom, cell), the laws the kernel checks take as `memo`, each built
+    once: Binom(slots, rate), and (P', Q', a) by (slots, q, gamma)."""
+    binom = functools.cache(lambda slots, rate: binom_pmf(slots, rate))
+    cell = functools.cache(lambda slots, q, gamma: _kernel_laws(slots, 1, q, gamma))
+    return binom, cell
+
+
+def check_mixture_identity(grid, memo=None) -> list:
     """Pointwise deviation of (1-gamma) Q' + gamma P' from Binom(ls*lt, q)."""
+    binom, cell = memo or _kernel_memo()
     reports = []
     for ls, lt, q, gamma, _ell in grid:
-        p_prime, q_prime, _ = _kernel_laws(ls, lt, q, gamma)
-        target = binom_pmf(ls * lt, q)
+        p_prime, q_prime, _ = cell(ls * lt, q, gamma)
+        target = binom(ls * lt, q)
         mix = (1.0 - gamma) * q_prime.probs + gamma * p_prime.probs
         deviation = float(np.max(np.abs(mix - target.probs)))
         reports.append(
@@ -139,12 +148,13 @@ def check_mixture_identity(grid) -> list:
     return reports
 
 
-def check_pprime_tv(grid) -> list:
+def check_pprime_tv(grid, memo=None) -> list:
     """tv(P', Binom(ls*lt, 2q)) against the 4 (8 q ell^2)^(m0+1) bound."""
+    binom, cell = memo or _kernel_memo()
     reports = []
     for ls, lt, q, gamma, ell in grid:
-        p_prime, _ = build_pprime(ls, lt, q, gamma)
-        target = binom_pmf(ls * lt, 2.0 * q)
+        p_prime = cell(ls * lt, q, gamma)[0]
+        target = binom(ls * lt, 2.0 * q)
         bound = 4.0 * (8.0 * q * ell**2) ** (m0_of(gamma) + 1)
         reports.append(
             CheckReport(
@@ -386,14 +396,25 @@ def _slot_tensor(n_slots: int, slot_ids: list, values: np.ndarray) -> np.ndarray
     return values.reshape(shape)
 
 
-def _block_factor(n_slots: int, slot_ids: list, dist: Pmf, pop: np.ndarray) -> np.ndarray:
-    """Probability factor of one block as a slot tensor: the block's count
-    law divided by the number of uniform placements.  The factor depends on
-    the block's bits through their sum alone, read from the popcount table
-    `pop`, so the order of its axes is free."""
-    k = len(slot_ids)
-    weights = np.array([dist[c] / math.comb(k, c) for c in range(k + 1)])
-    return _slot_tensor(n_slots, slot_ids, weights[pop[: 1 << k]])
+def _side_layout(weight: float, sizes: list, table, graph) -> tuple:
+    """(weights, s, t, idx, radix) for a side with these part sizes.
+
+    weights[sum_b radix_b * c_b] is the side's factor when its block b, in
+    `block_routes` order, holds c_b edges: [weight] times each block's count
+    law over its placements in turn, as outer products, so each entry is the
+    chain of float multiplies a per-mask product makes.  Each slot of each
+    block is one entry of (s, t, idx), as `block_pairs` takes them, and of
+    `radix`, its block's radix.
+    """
+    blocks, weights = [], np.array([weight])
+    for chunk in block_routes(sizes, table, graph):
+        for s, t, k, route in zip(*(a.tolist() for a in chunk)):
+            blocks.append((s, t, k, weights.size))
+            dist = table.law(route, k)
+            weights = np.multiply.outer([dist[c] / math.comb(k, c) for c in range(k + 1)], weights).ravel()
+    s, t, slots, radix = np.array(blocks, dtype=np.int64).reshape(-1, 4).T
+    idx = np.arange(int(slots.sum())) - np.repeat(np.cumsum(slots) - slots, slots)
+    return weights, np.repeat(s, slots), np.repeat(t, slots), idx, np.repeat(radix, slots)
 
 
 def _reduced_law(params: ReductionParams, graph, bipartite: bool) -> np.ndarray:
@@ -404,13 +425,12 @@ def _reduced_law(params: ReductionParams, graph, bipartite: bool) -> np.ndarray:
     samplers' own `block_routes` and `block_pairs`.  `graph` is the input
     graph `block_routes` takes, None for an Erdos-Renyi(gamma) input.
 
-    The law is held as a tensor of shape (2,)*n_slots with slot i on axis
-    n_slots-1-i, so its C-order flattening is the mask order.  Each
-    assignment's factor starts as the scalar weight and takes one block
-    tensor at a time, so it grows to full size only with the blocks that
-    span the last axes.  Every mask still takes the weight and then each
-    block's factor in `block_routes` order, the order of a per-mask
-    product, so the floats do not depend on the layout.
+    A side's factor depends on a mask only through its blocks' edge counts,
+    so each side is one gather from its weight table (`_side_layout`),
+    added to the law in side order.  The table index is linear in the
+    mask's bits, each slot's coefficient its block's radix, so it is the sum
+    of one table over the high bits and one over the low bits.  The floats
+    are those of a per-mask product in `block_routes` order.
     """
     n, N = params.n, params.N
     if bipartite:
@@ -425,50 +445,29 @@ def _reduced_law(params: ReductionParams, graph, bipartite: bool) -> np.ndarray:
         slot_of = np.zeros((N, N), dtype=np.int64)
         u, v = np.triu_indices(N, 1)
         slot_of[u, v] = slot_of[v, u] = np.arange(n_slots)
-    # each assignment's parent split, and each part's vertex set as a bit mask
-    assignments = []
-    for assignment in product(range(n), repeat=N):
-        masks = [0] * n
-        for vertex, parent in enumerate(assignment):
-            masks[parent] |= 1 << vertex
-        assignments.append((_split_parents(np.array(assignment), n), masks))
-    sides = list(product(assignments, repeat=2)) if bipartite else [(a,) for a in assignments]
+    splits = [_split_parents(np.array(assignment), n) for assignment in product(range(n), repeat=N)]
+    sides = list(product(splits, repeat=2)) if bipartite else [(split,) for split in splits]
     weight = 1.0 / len(sides)
     table = params.kernel_table
-    # the routed blocks depend only on the part sizes, and a block's tensor
-    # only on its two parts and its route (within one call, equal parts on
-    # both sides of a unipartite graph mean the diagonal); many assignments
-    # share each
-    routes, block_tensors = {}, {}
-    # one popcount table for the call; no block has more than n_slots slots
-    pop = _popcount(n_slots)
-    # the caps keep n_slots at 25 or below, inside numpy's 32-axis limit
-    law = np.zeros((2,) * n_slots)
+    # the bits of every half-width mask, one row per mask
+    low = n_slots // 2
+    low_bits, high_bits = ((np.arange(1 << w)[:, None] >> np.arange(w)) & 1 for w in (low, n_slots - low))
+    # many sides share their part sizes, and with them their layout
+    layouts = {}
+    coef = np.zeros(n_slots, dtype=np.int64)
+    index = np.empty((len(high_bits), len(low_bits)), dtype=np.intp)
+    law = np.zeros(index.size)
     for side in sides:
-        splits = [split for split, _ in side]
-        sizes = tuple(tuple(size.tolist()) for _, _, size in splits)
-        if sizes not in routes:
-            routes[sizes] = list(block_routes([size for _, _, size in splits], table, graph))
-        row_masks, col_masks = side[0][1], side[-1][1]
-        factor = weight
-        for s, t, slots, route in routes[sizes]:
-            rows, cols = [row_masks[i] for i in s.tolist()], [col_masks[i] for i in t.tolist()]
-            keys = list(zip(rows, cols, route.tolist()))
-            new = [i for i, key in enumerate(keys) if key not in block_tensors]
-            if new:
-                # every slot of the new blocks, laid out in one call
-                counts = slots[new]
-                offsets = np.cumsum(counts) - counts
-                idx = np.arange(int(counts.sum())) - np.repeat(offsets, counts)
-                pairs = block_pairs(splits, np.repeat(s[new], counts), np.repeat(t[new], counts), idx)
-                ids = slot_of[pairs[:, 0], pairs[:, 1]].tolist()
-                for i, lo, count in zip(new, offsets.tolist(), counts.tolist()):
-                    dist = table.law(int(route[i]), count)
-                    block_tensors[keys[i]] = _block_factor(n_slots, ids[lo : lo + count], dist, pop)
-            for key in keys:
-                factor = factor * block_tensors[key]
-        law += factor
-    return law.reshape(-1)
+        sizes = tuple(tuple(size.tolist()) for _, _, size in side)
+        if sizes not in layouts:
+            layouts[sizes] = _side_layout(weight, [size for _, _, size in side], table, graph)
+        weights, s, t, idx, radix = layouts[sizes]
+        # every slot lies in one block, so each side sets every coefficient
+        pairs = block_pairs(side, s, t, idx)
+        coef[slot_of[pairs[:, 0], pairs[:, 1]]] = radix
+        np.add.outer(high_bits @ coef[low:], low_bits @ coef[:low], out=index)
+        law += weights.take(index.reshape(-1))
+    return law
 
 
 def _tv(law: np.ndarray, target: np.ndarray) -> float:
@@ -540,7 +539,8 @@ def reduction_alt_tv_bipartite_exact(params: ReductionParams) -> float:
 
 def battery_kernel() -> list:
     grid = default_kernel_grid()
-    return check_mixture_identity(grid) + check_pprime_tv(grid)
+    memo = _kernel_memo()
+    return check_mixture_identity(grid, memo) + check_pprime_tv(grid, memo)
 
 
 def battery_lemmas() -> list:

@@ -13,7 +13,7 @@ from conftest import (
     per_mask_planted_law,
     per_mask_reduced_law,
 )
-from pdslab import theorychecks
+from pdslab import reduction, theorychecks
 from pdslab.errors import (
     InvalidParameterError,
     PreconditionViolationError,
@@ -455,6 +455,18 @@ class TestOraclePin:
 class TestBatteries:
     def test_kernel_battery(self):
         assert all(r.satisfied for r in battery_kernel())
+
+    def test_kernel_battery_builds_each_law_once(self, monkeypatch):
+        # its 80 grid points need 42 distinct Binom(slots, rate); each check
+        # building its own cell and target took 480 binom_pmf calls, and one
+        # memo for the battery takes 2 per kernel cell and 1 per target
+        calls = []
+        for module in (theorychecks, reduction):
+            build = module.binom_pmf
+            monkeypatch.setattr(module, "binom_pmf", lambda *args, build=build: calls.append(args) or build(*args))
+        battery_kernel()
+        assert len(set(calls)) == 42
+        assert len(calls) <= 210
 
     def test_lemmas_battery(self):
         assert all(r.satisfied for r in battery_lemmas())
