@@ -43,7 +43,7 @@ from .errors import (
     TooLargeError,
     VertexCountMismatchError,
 )
-from .graphmodels import Graph, PdsParams, _integer, subgraph_edge_count
+from .graphmodels import Graph, PdsParams, _check_vertex_arrays, _integer, subgraph_edge_count
 from .randkit import Seed, as_seed
 
 __all__ = [
@@ -246,8 +246,10 @@ def _gather(ptr: np.ndarray, nbrs: np.ndarray, vs: np.ndarray, offsets=None) -> 
 
 def csr_adjacency(g: Graph) -> tuple:
     """g's adjacency as CSR (ptr, nbrs), both directions of every edge: the
-    neighbours of x are nbrs[ptr[x]:ptr[x + 1]], in increasing order."""
+    neighbours of x are nbrs[ptr[x]:ptr[x + 1]], in increasing order.
+    Refused with a TooLargeError when N is above the per-vertex array cap."""
     N = g.num_vertices
+    _check_vertex_arrays(N)
     lo, hi = g.edges.T
     heads, nbrs = np.divmod(np.sort(np.concatenate([lo * N + hi, hi * N + lo])), N)
     ptr = np.zeros(N + 1, dtype=np.int64)
@@ -308,6 +310,8 @@ def scan_heuristic_batch(graphs, N: int, K: int, restarts: int, threshold=None) 
         raise InvalidParameterError(f"need 1 <= K <= N, got K={K}, N={N}")
     if restarts < 1:
         raise InvalidParameterError("need at least one restart")
+    # each restart draws a permutation of N and holds a key row of N
+    _check_vertex_arrays(N)
     results = []
     run, size = [], 0
     for csr, seed in graphs:

@@ -22,8 +22,9 @@ geometric skip-sampling over the flat pair index space for sparse ones
 (q < 0.1).  Background and planted extras are merged as flat indices and
 turned into rows once; the inversion from flat index to pair is exact for
 every vertex count up to the limit.  A request expecting more than
-_MAX_EXPECTED_EDGES edges is refused with a TooLargeError (exit 4) before
-anything is drawn.
+_MAX_EXPECTED_EDGES edges, or planting a set among more than
+_MAX_VERTEX_ARRAY vertices, is refused with a TooLargeError (exit 4)
+before anything is drawn.
 """
 
 from __future__ import annotations
@@ -78,6 +79,17 @@ def _check_expected_edges(expected: float) -> None:
         raise TooLargeError(
             f"expected {expected:.3g} edges, above the sampler's cap of {_MAX_EXPECTED_EDGES:.3g}"
         )
+
+
+# Largest vertex count a path that holds arrays of one entry a vertex takes:
+# the membership draw, the CSR and the heuristic scan's restarts.  At 8
+# bytes an entry each such array is then 0.4 GB, as the edge cap's keys are.
+_MAX_VERTEX_ARRAY = 50_000_000
+
+
+def _check_vertex_arrays(N: int) -> None:
+    if N > _MAX_VERTEX_ARRAY:
+        raise TooLargeError(f"{N:,} vertices, above the cap of {_MAX_VERTEX_ARRAY:,} on per-vertex arrays")
 
 
 def _check_prob(x, name="probability"):
@@ -399,7 +411,9 @@ def _plant(N: int, K: int, p: float, q: float, seed, sides: int, fixed_size: boo
     sides: N^2 q + K^2 (p - q)), is above _MAX_EXPECTED_EDGES is refused
     with a TooLargeError before anything is drawn.  Each side's planted set
     comes from the membership stream: a uniform K-subset, or each vertex
-    with probability K/N.  K = 0 plants nothing and draws nothing there.
+    with probability K/N, drawn as an array over all N vertices, so N above
+    _MAX_VERTEX_ARRAY is refused too.  K = 0 plants nothing and draws
+    nothing there.
     The union of a rate-q background and rate-(p-q)/(1-q) extras inside the
     planted set(s) is exactly Bernoulli(p) within and Bernoulli(q)
     elsewhere.  Both parts are ascending flat pair indices, merged by
@@ -413,6 +427,8 @@ def _plant(N: int, K: int, p: float, q: float, seed, sides: int, fixed_size: boo
     _check_prob(q, "q")
     pairs = _pair_count if sides == 1 else lambda n: n * n
     _check_expected_edges(pairs(N) * q + pairs(K) * (p - q))
+    if K:
+        _check_vertex_arrays(N)
     s = as_seed(seed)
     plants = [np.empty(0, dtype=np.int64)] * sides
     if K:

@@ -610,6 +610,32 @@ class TestMonotone:
             is_monotone(lambda g: H0, 6)
 
 
+class TestVertexArrayCap:
+    """The CSR and the heuristic scan's restarts hold arrays of N entries,
+    so N above the cap is refused by estimate, before any is built."""
+
+    MESSAGE = "1,000,000,000 vertices, above the cap of 50,000,000 on per-vertex arrays"
+
+    def test_csr_refused_before_reading_edges(self, monkeypatch):
+        def read(self):
+            raise AssertionError("the edges were read")
+
+        g = Graph(10**9, [])
+        monkeypatch.setattr(Graph, "edges", property(read))
+        with pytest.raises(TooLargeError, match=self.MESSAGE):
+            csr_adjacency(g)
+        with pytest.raises(TooLargeError, match=self.MESSAGE):
+            t_scan_heuristic(g, 10, 3, Seed(1))
+
+    def test_heuristic_batch_refused_before_reading_graphs(self):
+        def graphs():
+            raise AssertionError("a graph was read")
+            yield
+
+        with pytest.raises(TooLargeError, match=self.MESSAGE):
+            scan_heuristic_batch(graphs(), 10**9, 10, 3)
+
+
 class TestDksDetector:
     def test_parameter_gate(self):
         with pytest.raises(InvalidParameterError):

@@ -302,6 +302,41 @@ class TestSamplerCap:
         assert self.CAP >= 10 * (math.comb(1000, 2) * 0.5 + math.comb(60, 2) * 0.5)
 
 
+class TestVertexArrayCap:
+    """A planted set is drawn as an array over all N vertices, so N above
+    the cap is refused by estimate: the seed's streams are never taken."""
+
+    CAP = graphmodels._MAX_VERTEX_ARRAY
+
+    @pytest.fixture(autouse=True)
+    def no_drawing(self, monkeypatch):
+        def drawn(*args):
+            raise AssertionError("a stream was taken")
+
+        monkeypatch.setattr(graphmodels, "as_seed", drawn)
+
+    @pytest.mark.parametrize("sample", [
+        lambda N: gen_pds_fixed_size(PdsParams(N, 10, 0.5, 0.0), Seed(1)),
+        lambda N: gen_pds_random_size(PdsParams(N, 10, 0.5, 0.0), Seed(1)),
+        lambda N: gen_planted_clique(N, 10, 0.0, Seed(1)),
+        lambda N: gen_bipartite_pds(PdsParams(N, 10, 0.5, 0.0), Seed(1)),
+        lambda N: gen_bipartite_pc(N, 10, 0.0, Seed(1)),
+    ])
+    def test_refused_before_drawing(self, sample):
+        with pytest.raises(TooLargeError) as err:
+            sample(10**9)
+        assert str(err.value) == "1,000,000,000 vertices, above the cap of 50,000,000 on per-vertex arrays"
+        # the cap is inclusive: the estimate passes and the draw starts
+        with pytest.raises(AssertionError, match="a stream was taken"):
+            sample(self.CAP)
+
+    def test_nothing_planted_is_not_capped(self, monkeypatch):
+        # G(N, 0) holds no array of N entries, so it is drawn at any N
+        monkeypatch.undo()
+        g = gen_er(10**9, 0.0, Seed(1))
+        assert (g.num_vertices, g.num_edges) == (10**9, 0)
+
+
 class TestPairIndex:
     def test_matches_float_inversion(self):
         # every index at every n <= 299, and probes at n where the float

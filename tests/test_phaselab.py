@@ -776,6 +776,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: C(1000000,500000) >= ") and len(err) < 400
 
+    def test_per_vertex_arrays_on_a_huge_graph(self, tmp_path, monkeypatch, capsys):
+        # at 10^9 vertices G(N, 0) and the lin test hold no array of N
+        # entries and finish; a planted set and a heuristic scan would, and
+        # exit 4 on the estimate before a stream is taken or an edge read
+        from pdslab import graphmodels
+        from pdslab.graphmodels import Graph
+
+        path = str(tmp_path / "empty.txt")
+        assert run_cli("generate", "er", "--n", "1000000000", "--q", "0", "--seed", "1", "--out", path)[0] == 0
+        assert run_cli("test", path, "--test", "lin", "--K", "10", "--p", "0.5", "--q", "0.1")[0] == 0
+
+        def allocated(*args):
+            raise AssertionError("a per-vertex array was on its way")
+
+        monkeypatch.setattr(graphmodels, "as_seed", allocated)
+        monkeypatch.setattr(Graph, "edges", property(allocated))
+        capsys.readouterr()
+        for model in ("pds", "pds-fixed"):
+            assert run_cli("generate", model, "--n", "1000000000", "--k", "10", "--p", "0.5", "--q", "0",
+                           "--seed", "1", "--out", str(tmp_path / "planted.txt")) == (4, "")
+        assert run_cli("test", path, "--test", "scan", "--scan-mode", "heuristic", "--K", "10",
+                       "--p", "0.5", "--q", "0.1") == (4, "")
+        message = "error: 1,000,000,000 vertices, above the cap of 50,000,000 on per-vertex arrays\n"
+        assert capsys.readouterr().err == message * 3
+        assert not (tmp_path / "planted.txt").exists()
+
     def test_sweep_workers_override_is_checked(self, tmp_path, capsys):
         # a bad flag is a usage error, not a config error
         path, _ = small_config(tmp_path)
