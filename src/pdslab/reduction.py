@@ -28,7 +28,8 @@ each to its count law, in chunks of whole parent rows as flat arrays.
 Both samplers and the exact oracles in `theorychecks` consume it, so the
 oracles check the routing the samplers use.  `block_pairs` is the one slot
 layout, row-major by `divmod` and colex by `_colex_pairs`: the samplers
-lay out all their picks in one call, and the oracles a chunk's new blocks.
+lay out all their picks in one call, and the oracles every slot of a
+parent assignment's blocks.
 
 The edge stream's layout is fixed: one uniform per block with at least one
 slot, in draw order (rows s, then columns t >= s, or every t when
