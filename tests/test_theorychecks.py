@@ -400,8 +400,8 @@ class TestOraclePin:
 
     @pytest.mark.parametrize("oracle", [reduction_null_tv_bipartite_exact, reduction_alt_tv_bipartite_exact])
     def test_bipartite_battery_call_memory(self, oracle):
-        # one law, one target and one index buffer over the 2^16 masks; the
-        # per-call block tensors peaked at 46.2 bytes a mask
+        # over the 2^16 masks: the law, its target, and one side's index and
+        # gathered weights at a time, ~41 bytes a mask
         params = ReductionParams(n=2, k=2, gamma=0.5, ell=2, q=0.01)
         oracle(params)
         tracemalloc.start()
@@ -457,9 +457,8 @@ class TestBatteries:
         assert all(r.satisfied for r in battery_kernel())
 
     def test_kernel_battery_builds_each_law_once(self, monkeypatch):
-        # its 80 grid points need 42 distinct Binom(slots, rate); each check
-        # building its own cell and target took 480 binom_pmf calls, and one
-        # memo for the battery takes 2 per kernel cell and 1 per target
+        # its 80 grid points need 42 distinct Binom(slots, rate); with one
+        # memo for the battery, each kernel cell and each target is built once
         calls = []
         for module in (theorychecks, reduction):
             build = module.binom_pmf
