@@ -12,8 +12,9 @@ edge-list reader is the reference for every file the array parse reads,
 and the string-formatting edge-list writer for every byte the array writer
 writes.
 The per-mask reduced law is the reference for the exact reduction oracles'
-floats, the per-mask planted law for the exact planted laws', and the
-count-cube negative-association check for the battery's.  The float
+floats, the per-mask planted law for the exact planted laws', the
+count-cube negative-association check for the battery's, and the pair-key
+count for its count vectors and their multiplicities.  The float
 pair-index inversion the samplers used first is the reference for the
 closed-form one at every vertex count where it was exact.  The sweep point
 that samples and decides one trial graph at a time is the reference for
@@ -492,6 +493,25 @@ def count_cube_negative_association(k: int, S_size: int) -> CheckReport:
         lhs=worst,
         rhs=0.0,
     )
+
+
+def unique_key_multiplicities(k: int, S_size: int) -> tuple:
+    """(count vectors, multiplicities) of the overlap counts of every pair of
+    ball-in-bin assignments, by the pair-key step the negative-association
+    battery first used: each pair's k^2 counts are the base-(S_size+1)
+    digits of one integer key, and `np.unique` sorts and counts the keys.
+
+    Reference for the enumerated count vectors, which must come out in the
+    same order with the same multiplicities.
+    """
+    assignments = np.array(list(product(range(k), repeat=S_size)), dtype=np.int64)
+    # a ball in cell (a, b) adds base^(a*k + b) = base^(a*k) * base^b to the key
+    base = S_size + 1
+    row_digit = base ** (k * np.arange(k, dtype=np.int64))
+    col_digit = base ** np.arange(k, dtype=np.int64)
+    keys = row_digit[assignments] @ col_digit[assignments].T
+    distinct, mult = np.unique(keys, return_counts=True)
+    return distinct[:, None] // base ** np.arange(k * k, dtype=np.int64) % base, mult
 
 
 def per_graph_run_point(config, index: int, alpha: float, beta: float) -> dict:

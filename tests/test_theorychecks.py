@@ -1,7 +1,7 @@
 import json
 import math
 import tracemalloc
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from conftest import (
     count_cube_negative_association,
     per_mask_planted_law,
     per_mask_reduced_law,
+    unique_key_multiplicities,
 )
 from pdslab import reduction, theorychecks
 from pdslab.errors import (
@@ -241,6 +242,21 @@ class TestNegativeAssociation:
                     assert gaps.pop("exp-quadratic") <= max(gaps.values()) - 1e-3, (k, s)
                 else:
                     assert set(gaps.values()) == {0.0}, s
+
+    def test_enumerated_vectors_match_pair_keys(self):
+        # the distinct count vectors are the multisets of S_size cells,
+        # sorted by pair key, and each is shared by S_size! / prod(c!)
+        # pairs, the number of orders of its balls
+        for k in range(1, 4):
+            for s in range(1, 7):
+                cells = np.array(list(combinations_with_replacement(range(k * k), s)))
+                counts = (cells[:, :, None] == np.arange(k * k)).sum(axis=1)
+                counts = counts[np.argsort(counts @ (s + 1) ** np.arange(k * k))]
+                mult = math.factorial(s) // np.array([math.factorial(c) for c in range(s + 1)])[counts].prod(axis=1)
+                want_counts, want_mult = unique_key_multiplicities(k, s)
+                assert np.array_equal(counts, want_counts), (k, s)
+                assert np.array_equal(mult, want_mult), (k, s)
+                assert int(mult.sum()) == k ** (2 * s), (k, s)
 
     def test_largest_case_memory(self):
         # one float64 pair x cell table at (3, 6) is 38 MB; the count-cube
