@@ -18,7 +18,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Iterable
 
 import numpy as np
@@ -320,41 +320,49 @@ _NA_BATTERY = (
 )
 
 
+def _overlap_counts(k: int, S_size: int) -> tuple:
+    """(counts, mult): every distinct k^2 overlap-count vector of a pair of
+    ball-in-bin assignments, and the number of pairs that share it.
+
+    A pair is a sequence of S_size cells (a, b), the cell of each ball, so
+    the vectors are the multisets of S_size cells and a vector c is shared
+    by the multinomial S_size! / prod(c!) pairs.  The rows are sorted by
+    their base-(S_size+1) key, sum over cells a*k + b of c * base^(a*k + b).
+    """
+    cells = np.array(list(combinations_with_replacement(range(k * k), S_size)))
+    counts = (cells[:, :, None] == np.arange(k * k)).sum(axis=1)
+    counts = counts[np.argsort(counts @ (S_size + 1) ** np.arange(k * k))]
+    factorial = np.array([math.factorial(c) for c in range(S_size + 1)])
+    return counts, math.factorial(S_size) // factorial[counts].prod(axis=1)
+
+
 def check_negative_association(k: int, S_size: int) -> CheckReport:
     """Product-form bound for overlap counts of two independent uniform
     ball-in-bin assignments, checked exhaustively on a fixed battery of
     non-decreasing functions.  A finite battery can only falsify the
     property, never prove it; the report records the worst violation.
 
-    An assignment pair's k^2 overlap counts, each in 0..S_size, are the
-    base-(S_size+1) digits of one integer key, so each battery function is
-    evaluated, and its product over the cells taken in cell order, once per
-    distinct count vector (3,003 of the 531,441 pairs at k = 3,
-    S_size = 6).  Both means weight each vector by the number of pairs
-    that share it.  The integer-valued functions' sums are exact (every
-    partial sum is an integer below 2^53), so their floats are those of a
-    row-order mean over the full pair x cell table, which is never held.
-    The exp-quadratic sums may differ from a row-order sum in the last bits,
-    but its gap stays far below the worst one whenever k >= 2, and at k = 1
-    there is one pair and every gap is exactly 0, so the report is the
-    row-order one."""
+    Each battery function is evaluated, and its product over the cells
+    taken in cell order, once per distinct overlap-count vector (3,003
+    vectors for the 531,441 pairs at k = 3, S_size = 6), and both means
+    weight each vector by its multinomial multiplicity (`_overlap_counts`).
+    The integer-valued functions' sums are exact (every partial sum is an
+    integer below 2^53), so their floats are those of a row-order mean over
+    the full pair x cell table, which is never held.  The exp-quadratic
+    sums may differ from a row-order sum in the last bits, but its gap
+    stays far below the worst one whenever k >= 2, and at k = 1 there is
+    one pair and every gap is exactly 0, so the report is the row-order
+    one."""
     if k < 1 or S_size < 1:
         raise InvalidParameterError("need k >= 1 and S_size >= 1")
     if k > 3 or S_size > 6:
         raise TooLargeError("exhaustive check capped at k <= 3, S_size <= 6")
-    assignments = np.array(list(product(range(k), repeat=S_size)), dtype=np.int64)
-    # a ball in cell (a, b) adds base^(a*k + b) = base^(a*k) * base^b to the key
-    base = S_size + 1
-    row_digit = base ** (k * np.arange(k, dtype=np.int64))
-    col_digit = base ** np.arange(k, dtype=np.int64)
-    keys = row_digit[assignments] @ col_digit[assignments].T
-    distinct, mult = np.unique(keys, return_counts=True)
-    counts = distinct[:, None] // base ** np.arange(k * k, dtype=np.int64) % base
+    counts, mult = _overlap_counts(k, S_size)
     levels = np.arange(S_size + 1)
     # every battery function's cell values side by side, one row per vector
     table = np.concatenate([fn(levels)[counts] for _, fn in _NA_BATTERY], axis=1)
     products = table.reshape(-1, len(_NA_BATTERY), k * k).prod(axis=2)
-    n_pairs = keys.size
+    n_pairs = k ** (2 * S_size)
     cell_means = (mult @ table / n_pairs).reshape(len(_NA_BATTERY), k * k)
     worst = -math.inf
     worst_fn = None
@@ -426,11 +434,16 @@ def _reduced_law(params: ReductionParams, graph, bipartite: bool) -> np.ndarray:
     graph `block_routes` takes, None for an Erdos-Renyi(gamma) input.
 
     A side's factor depends on a mask only through its blocks' edge counts,
-    so each side is one gather from its weight table (`_side_layout`),
-    added to the law in side order.  The table index is linear in the
-    mask's bits, each slot's coefficient its block's radix, so it is the sum
-    of one table over the high bits and one over the low bits.  The floats
-    are those of a per-mask product in `block_routes` order.
+    so it is an entry of the side's weight table (`_side_layout`).  The
+    table index is linear in the mask's bits, each slot's coefficient its
+    block's radix, so it is the sum of one index over the high bits and one
+    over the low bits.  The high-half index takes at most prod_b (high
+    slots of block b + 1) distinct values, at most 81 of the 256 high
+    halves on the battery's 16-slot bipartite shapes, so a side gathers one
+    row of table entries per distinct value and copies it to every high
+    half that shares it.  The sides are added to the law in side order, the
+    same table entries in the same order, so the floats are those of a
+    per-mask product in `block_routes` order.
     """
     n, N = params.n, params.N
     if bipartite:
@@ -455,8 +468,8 @@ def _reduced_law(params: ReductionParams, graph, bipartite: bool) -> np.ndarray:
     # many sides share their part sizes, and with them their layout
     layouts = {}
     coef = np.zeros(n_slots, dtype=np.int64)
-    index = np.empty((len(high_bits), len(low_bits)), dtype=np.intp)
-    law = np.zeros(index.size)
+    factors = np.empty((len(high_bits), len(low_bits)))
+    law = np.zeros(factors.size)
     for side in sides:
         sizes = tuple(tuple(size.tolist()) for _, _, size in side)
         if sizes not in layouts:
@@ -465,8 +478,17 @@ def _reduced_law(params: ReductionParams, graph, bipartite: bool) -> np.ndarray:
         # every slot lies in one block, so each side sets every coefficient
         pairs = block_pairs(side, s, t, idx)
         coef[slot_of[pairs[:, 0], pairs[:, 1]]] = radix
-        np.add.outer(high_bits @ coef[low:], low_bits @ coef[:low], out=index)
-        law += weights.take(index.reshape(-1))
+        high = high_bits @ coef[low:]
+        distinct = np.zeros(weights.size, dtype=bool)
+        distinct[high] = True
+        block = weights.take(np.flatnonzero(distinct)[:, None] + low_bits @ coef[:low])
+        rows = np.cumsum(distinct)[high] - 1
+        # "clip" lets take write straight into `factors`, where "raise"
+        # would buffer the copy; this check stands for the bounds check
+        if rows.max() >= len(block):
+            raise IndexError("row rank outside the gathered block")
+        block.take(rows, axis=0, out=factors, mode="clip")
+        law += factors.reshape(-1)
     return law
 
 

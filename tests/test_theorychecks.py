@@ -1,7 +1,7 @@
 import json
 import math
 import tracemalloc
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -25,6 +25,7 @@ from pdslab.graphmodels import BipartiteGraph, Graph
 from pdslab.reduction import ReductionParams
 from pdslab.theorychecks import (
     CheckReport,
+    _overlap_counts,
     _reduced_law,
     battery_kernel,
     battery_lemmas,
@@ -249,10 +250,7 @@ class TestNegativeAssociation:
         # pairs, the number of orders of its balls
         for k in range(1, 4):
             for s in range(1, 7):
-                cells = np.array(list(combinations_with_replacement(range(k * k), s)))
-                counts = (cells[:, :, None] == np.arange(k * k)).sum(axis=1)
-                counts = counts[np.argsort(counts @ (s + 1) ** np.arange(k * k))]
-                mult = math.factorial(s) // np.array([math.factorial(c) for c in range(s + 1)])[counts].prod(axis=1)
+                counts, mult = _overlap_counts(k, s)
                 want_counts, want_mult = unique_key_multiplicities(k, s)
                 assert np.array_equal(counts, want_counts), (k, s)
                 assert np.array_equal(mult, want_mult), (k, s)
@@ -269,6 +267,18 @@ class TestNegativeAssociation:
         finally:
             tracemalloc.stop()
         assert peak <= 15e6
+
+    def test_enumerated_case_memory(self):
+        # (3, 6) without its 531,441 pair keys: the 3,003 count vectors and
+        # the battery's table over them, ~2.1 MB; the pair-key count
+        # peaked near 9.6 MB
+        tracemalloc.start()
+        try:
+            check_negative_association(3, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
 
 
 class TestHyperMgf:
@@ -416,8 +426,10 @@ class TestOraclePin:
 
     @pytest.mark.parametrize("oracle", [reduction_null_tv_bipartite_exact, reduction_alt_tv_bipartite_exact])
     def test_bipartite_battery_call_memory(self, oracle):
-        # over the 2^16 masks: the law, its target, and one side's index and
-        # gathered weights at a time, ~41 bytes a mask
+        # over the 2^16 masks: the oracle holds the law, one buffer of side
+        # factors and a small block of gathered table rows, ~26 bytes a
+        # mask; the peak, ~41.5, comes after it, with the law held while
+        # the target's popcounts and powers are built
         params = ReductionParams(n=2, k=2, gamma=0.5, ell=2, q=0.01)
         oracle(params)
         tracemalloc.start()
