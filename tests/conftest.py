@@ -13,6 +13,7 @@ and the string-formatting edge-list writer for every byte the array writer
 writes.
 The per-mask reduced law is the reference for the exact reduction oracles'
 floats, the per-mask planted law for the exact planted laws', the
+two-power product law for the product laws', the
 count-cube negative-association check for the battery's, and the pair-key
 count for its count vectors and their multiplicities.  The float
 pair-index inversion the samplers used first is the reference for the
@@ -448,6 +449,19 @@ def per_mask_planted_law(N: int, size: int, p: float, q: float, fixed: bool) -> 
         weight = rho ** len(subset) * (1.0 - rho) ** (N - len(subset))
         law += weight * _per_mask_planted_given_set(masks, pairs, subset, p, q)
     return law
+
+
+def power_product_law(n_slots: int, rate: float) -> np.ndarray:
+    """The product Bernoulli(rate) law as first written: an int64 popcount
+    of every mask, grown one bit at a time, raised as two float powers.
+
+    Reference for `theorychecks._product_law`, which must give the same
+    floats, byte for byte.
+    """
+    pop = np.zeros(1, dtype=np.int64)
+    for _ in range(n_slots):
+        pop = np.concatenate((pop, pop + 1))
+    return rate**pop * (1.0 - rate) ** (n_slots - pop)
 
 
 _CUBE_NA_BATTERY = (

@@ -12,6 +12,7 @@ from conftest import (
     count_cube_negative_association,
     per_mask_planted_law,
     per_mask_reduced_law,
+    power_product_law,
     unique_key_multiplicities,
 )
 from pdslab import reduction, theorychecks
@@ -463,6 +464,14 @@ class TestOraclePin:
                         largest = max(largest, N * N if bipartite else N * (N - 1) // 2)
         assert largest == 25  # a 5 x 5 bipartite graph at n = 1
         assert largest < 32
+
+    # the batteries' rates (q and p = 2q of the reduction oracles, the
+    # chi-square brute force's q), the tests' and both ends
+    @pytest.mark.parametrize("rate", [0.0, 0.001, 0.002, 0.01, 0.02, 0.1, 0.2, 0.25, 1 / 3, 0.5, 1.0])
+    def test_product_law_matches_two_power_reference(self, rate):
+        for n_slots in range(17):
+            got = theorychecks._product_law(n_slots, rate)
+            assert got.tobytes() == power_product_law(n_slots, rate).tobytes(), n_slots
 
     def test_planted_laws_on_one_vertex(self):
         # no pair: the one empty graph has probability one
