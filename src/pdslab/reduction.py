@@ -185,9 +185,9 @@ class ReductionParams:
         return problems
 
 
-def _kernel_laws(ls: int, lt: int, q: float, gamma, plain=None) -> tuple:
+def _kernel_laws(ls: int, lt: int, q: float, gamma, binom=None) -> tuple:
     """(P', Q', a) for a block with ls * lt slots, from one Binom(n, 2q) and
-    one Binom(n, q), the latter `plain(n)` when a memo of them is given.
+    one Binom(n, q), each `binom(n, rate)` when a memo of them is given.
 
     Fails with ValidityViolationError if any entry of P' or Q' would be
     more negative than -1e-12; that signals the caller broke the validity
@@ -198,8 +198,9 @@ def _kernel_laws(ls: int, lt: int, q: float, gamma, plain=None) -> tuple:
         raise InvalidParameterError("part sizes must be nonnegative")
     m0 = m0_of(gamma)
     g = float(gamma)
-    p_pmf = binom_pmf(n, 2.0 * q)
-    q_pmf = binom_pmf(n, q) if plain is None else plain(n)
+    binom = binom or binom_pmf
+    p_pmf = binom(n, 2.0 * q)
+    q_pmf = binom(n, q)
     p_prime, a = p_pmf, 0.0
     if m0 < n:
         probs = p_pmf.probs.copy()
@@ -255,27 +256,31 @@ class KernelTable:
         self.ell = int(ell)
         self.m0 = m0_of(gamma)
         self._cells: dict = {}
-        self._plain: dict = {}
+        self._binoms: dict = {}
         self._mixed: dict = {}
 
     def cell(self, ls: int, lt: int) -> tuple:
-        """(P', Q', a) for a block with ls * lt slots; its Binom(slots, q)
-        is the one `plain` keeps."""
+        """(P', Q', a) for a block with ls * lt slots; its binomials are the
+        ones `binom` keeps."""
         slots = int(ls) * int(lt)
         hit = self._cells.get(slots)
         if hit is None:
-            hit = _kernel_laws(ls, lt, self.q, self.gamma, self.plain)
+            hit = _kernel_laws(ls, lt, self.q, self.gamma, self.binom)
             self._cells[slots] = hit
+        return hit
+
+    def binom(self, slots: int, rate: float) -> Pmf:
+        """Binom(slots, rate), built once per table."""
+        key = (int(slots), float(rate))
+        hit = self._binoms.get(key)
+        if hit is None:
+            hit = binom_pmf(*key)
+            self._binoms[key] = hit
         return hit
 
     def plain(self, slots: int) -> Pmf:
         """Unmodified Binom(slots, q), used for oversize blocks and diagonals."""
-        slots = int(slots)
-        hit = self._plain.get(slots)
-        if hit is None:
-            hit = binom_pmf(slots, self.q)
-            self._plain[slots] = hit
-        return hit
+        return self.binom(slots, self.q)
 
     def law(self, route: int, slots: int) -> Pmf:
         """The count law of a block with `slots` slots on a `block_routes`

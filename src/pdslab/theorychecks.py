@@ -124,7 +124,7 @@ def _kernel_memo() -> tuple:
     """(binom, cell), the laws the kernel checks take as `memo`, each built
     once: Binom(slots, rate), and (P', Q', a) by (slots, q, gamma)."""
     binom = functools.cache(lambda slots, rate: binom_pmf(slots, rate))
-    cell = functools.cache(lambda slots, q, gamma: _kernel_laws(slots, 1, q, gamma))
+    cell = functools.cache(lambda slots, q, gamma: _kernel_laws(slots, 1, q, gamma, binom))
     return binom, cell
 
 
@@ -199,19 +199,15 @@ def _graph_space(N: int):
     return pairs, n_pairs
 
 
-def _popcount(n_bits: int) -> np.ndarray:
-    """Number of set bits of every integer in range(2^n_bits)."""
-    pop = np.zeros(1, dtype=np.int64)
-    for _ in range(n_bits):
+def _product_law(n_slots: int, rate: float) -> np.ndarray:
+    """Product Bernoulli(rate) law over all 2^n_slots edge masks, by mask:
+    rate^k (1-rate)^(n_slots-k) once for each k, gathered by popcount."""
+    pop = np.zeros(1, dtype=np.uint8)
+    for _ in range(n_slots):
         # setting the next bit adds one to the count of every lower value
         pop = np.concatenate((pop, pop + 1))
-    return pop
-
-
-def _product_law(n_slots: int, rate: float) -> np.ndarray:
-    """Product Bernoulli(rate) law over all 2^n_slots edge masks, by mask."""
-    pop = _popcount(n_slots)
-    return rate**pop * (1.0 - rate) ** (n_slots - pop)
+    k = np.arange(n_slots + 1)
+    return (rate**k * (1.0 - rate) ** (n_slots - k))[pop]
 
 
 def er_law_exact(N: int, q: float) -> np.ndarray:
@@ -425,8 +421,9 @@ def _side_layout(weight: float, sizes: list, table, graph) -> tuple:
     return weights, np.repeat(s, slots), np.repeat(t, slots), idx, np.repeat(radix, slots)
 
 
-def _reduced_law(params: ReductionParams, graph, bipartite: bool) -> np.ndarray:
-    """Exact output law of the reduction as a vector over all edge masks.
+def _reduced_laws(cases: list, bipartite: bool) -> list:
+    """Exact output laws of the reduction, one vector over all edge masks
+    for each (params, graph) case; the cases must share n and ell.
 
     Sums over every parent assignment (of both sides for a bipartite
     graph); the blocks, their count laws and their slots come from the
@@ -434,18 +431,21 @@ def _reduced_law(params: ReductionParams, graph, bipartite: bool) -> np.ndarray:
     graph `block_routes` takes, None for an Erdos-Renyi(gamma) input.
 
     A side's factor depends on a mask only through its blocks' edge counts,
-    so it is an entry of the side's weight table (`_side_layout`).  The
-    table index is linear in the mask's bits, each slot's coefficient its
-    block's radix, so it is the sum of one index over the high bits and one
-    over the low bits.  The high-half index takes at most prod_b (high
+    so it is an entry of the case's weight table for the side
+    (`_side_layout`).  The table index is linear in the mask's bits, each
+    slot's coefficient its block's radix: one index over the high bits plus
+    one over the low bits.  The high-half index takes at most prod_b (high
     slots of block b + 1) distinct values, at most 81 of the 256 high
     halves on the battery's 16-slot bipartite shapes, so a side gathers one
     row of table entries per distinct value and copies it to every high
-    half that shares it.  The sides are added to the law in side order, the
-    same table entries in the same order, so the floats are those of a
-    per-mask product in `block_routes` order.
+    half that shares it.  None of this index work depends on q, gamma or
+    the input, so one pass does it once a side for every case.  Each law
+    takes the sides in side order, the same entries in the same order, so
+    its floats are those of a per-mask product in `block_routes` order.
     """
-    n, N = params.n, params.N
+    if len({(params.n, params.ell) for params, _ in cases}) != 1:
+        raise InvalidParameterError("the cases of one pass need one n and one ell")
+    n, N = cases[0][0].n, cases[0][0].N
     if bipartite:
         n_slots = N * N
         if (n**N) ** 2 * (1 << n_slots) > 20 * _ENUMERATION_CAP:
@@ -461,40 +461,69 @@ def _reduced_law(params: ReductionParams, graph, bipartite: bool) -> np.ndarray:
     splits = [_split_parents(np.array(assignment), n) for assignment in product(range(n), repeat=N)]
     sides = list(product(splits, repeat=2)) if bipartite else [(split,) for split in splits]
     weight = 1.0 / len(sides)
-    table = params.kernel_table
     # the bits of every half-width mask, one row per mask
     low = n_slots // 2
     low_bits, high_bits = ((np.arange(1 << w)[:, None] >> np.arange(w)) & 1 for w in (low, n_slots - low))
-    # many sides share their part sizes, and with them their layout
+    # many sides share their part sizes, and with them their layouts
     layouts = {}
     coef = np.zeros(n_slots, dtype=np.int64)
     factors = np.empty((len(high_bits), len(low_bits)))
-    law = np.zeros(factors.size)
+    laws = [np.zeros(factors.size) for _ in cases]
     for side in sides:
         sizes = tuple(tuple(size.tolist()) for _, _, size in side)
         if sizes not in layouts:
-            layouts[sizes] = _side_layout(weight, [size for _, _, size in side], table, graph)
-        weights, s, t, idx, radix = layouts[sizes]
+            sized = [size for _, _, size in side]
+            layouts[sizes] = [_side_layout(weight, sized, params.kernel_table, graph) for params, graph in cases]
+        # the cases' layouts differ only in their weight tables
+        weights, s, t, idx, radix = layouts[sizes][0]
         # every slot lies in one block, so each side sets every coefficient
         pairs = block_pairs(side, s, t, idx)
         coef[slot_of[pairs[:, 0], pairs[:, 1]]] = radix
         high = high_bits @ coef[low:]
         distinct = np.zeros(weights.size, dtype=bool)
         distinct[high] = True
-        block = weights.take(np.flatnonzero(distinct)[:, None] + low_bits @ coef[:low])
+        at = np.flatnonzero(distinct)[:, None] + low_bits @ coef[:low]
         rows = np.cumsum(distinct)[high] - 1
         # "clip" lets take write straight into `factors`, where "raise"
         # would buffer the copy; this check stands for the bounds check
-        if rows.max() >= len(block):
+        if rows.max() >= len(at):
             raise IndexError("row rank outside the gathered block")
-        block.take(rows, axis=0, out=factors, mode="clip")
-        law += factors.reshape(-1)
-    return law
+        for law, (weights, *_) in zip(laws, layouts[sizes]):
+            weights.take(at).take(rows, axis=0, out=factors, mode="clip")
+            law += factors.reshape(-1)
+    return laws
+
+
+def _reduced_law(params: ReductionParams, graph, bipartite: bool) -> np.ndarray:
+    """Exact output law of the reduction for one input: a one-case pass."""
+    return _reduced_laws([(params, graph)], bipartite)[0]
 
 
 def _tv(law: np.ndarray, target: np.ndarray) -> float:
     """Total variation distance between two laws over the same edge masks."""
-    return 0.5 * float(np.abs(law - target).sum())
+    diff = law - target
+    return 0.5 * float(np.abs(diff, out=diff).sum())
+
+
+def _reduction_tvs(cases: list, bipartite: bool) -> list:
+    """Exact TV of each (params, full) case's reduced law, all from one
+    `_reduced_laws` pass, to its target.  For the Erdos-Renyi(gamma) input
+    that is G(N, q), every pair at q; for the full clique on [n] (the full
+    n x n bi-clique) it is the planted law with K = N."""
+    n = cases[0][0].n
+    edges = list(product(range(n), repeat=2)) if bipartite else list(combinations(range(n), 2))
+    full = BipartiteGraph(n, n, edges) if bipartite else Graph(n, edges)
+    laws = _reduced_laws([(params, full if is_full else None) for params, is_full in cases], bipartite)
+    tvs = []
+    for (params, is_full), law in zip(cases, laws):
+        if is_full and not bipartite:
+            target = pds_law_exact(params.N, params.K, params.p, params.q)
+        else:
+            # er_law_exact's law, for the unipartite null
+            n_slots = params.N**2 if bipartite else math.comb(params.N, 2)
+            target = _product_law(n_slots, params.p if is_full else params.q)
+        tvs.append(_tv(law, target))
+    return tvs
 
 
 def reduced_law_exact(g_in: Graph, params: ReductionParams) -> np.ndarray:
@@ -514,7 +543,7 @@ def reduction_null_tv_exact(params: ReductionParams) -> float:
     distinct input edge, so mixing over the input replaces each block law
     by (1-gamma) Q' + gamma P' analytically; no input enumeration needed.
     """
-    return _tv(_reduced_law(params, None, bipartite=False), er_law_exact(params.N, params.q))
+    return _reduction_tvs([(params, False)], bipartite=False)[0]
 
 
 def reduction_alt_tv_exact(params: ReductionParams) -> float:
@@ -528,17 +557,13 @@ def reduction_alt_tv_exact(params: ReductionParams) -> float:
     """
     if params.k != params.n:
         raise InvalidParameterError("the exact alternative oracle needs k = n (clique on all of [n])")
-    n = params.n
-    complete = Graph(n, list(combinations(range(n), 2)))
-    law = reduced_law_exact(complete, params)
-    return _tv(law, pds_law_exact(params.N, params.K, params.p, params.q))
+    return _reduction_tvs([(params, True)], bipartite=False)[0]
 
 
 def reduction_null_tv_bipartite_exact(params: ReductionParams) -> float:
     """Bipartite analogue of the null exactness oracle (same analytic
     mixing over input edges; every block is off-diagonal)."""
-    law = _reduced_law(params, None, bipartite=True)
-    return _tv(law, _product_law(params.N**2, params.q))
+    return _reduction_tvs([(params, False)], bipartite=True)[0]
 
 
 def reduction_alt_tv_bipartite_exact(params: ReductionParams) -> float:
@@ -548,10 +573,7 @@ def reduction_alt_tv_bipartite_exact(params: ReductionParams) -> float:
     trend isolates the (8 q ell^2)^(m0+1) term."""
     if params.k != params.n:
         raise InvalidParameterError("the exact bipartite alternative oracle needs k = n")
-    n = params.n
-    complete = BipartiteGraph(n, n, list(product(range(n), repeat=2)))
-    law = _reduced_law(params, complete, bipartite=True)
-    return _tv(law, _product_law(params.N**2, params.p))
+    return _reduction_tvs([(params, True)], bipartite=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -593,54 +615,26 @@ def battery_lemmas() -> list:
 
 
 def battery_reduction_exact() -> list:
-    reports = []
+    # one pass per shape over its three laws: the Erdos-Renyi input at
+    # q = 0.01, and the full input at q = 0.01 and at q = 0.001
     params = ReductionParams(n=2, k=2, gamma=0.5, ell=2, q=0.01)
-    reports.append(
-        CheckReport(
-            name="reduction-null-exactness",
-            params={"n": 2, "ell": 2, "gamma": 0.5, "q": 0.01},
-            lhs=reduction_null_tv_exact(params),
-            rhs=1e-12,
-        )
-    )
-    # the reduced alternative law tightens as q shrinks; the O(q^2) kernel
-    # scaling is only isolated in the bipartite variant (no diagonal blocks)
     params_lo = ReductionParams(n=2, k=2, gamma=0.5, ell=2, q=0.001)
-    tv_hi = reduction_alt_tv_exact(params)
-    tv_lo = reduction_alt_tv_exact(params_lo)
-    reports.append(
+    cases = [(params, False), (params, True), (params_lo, True)]
+    (null, tv_hi, tv_lo), (null_bip, bip_hi, bip_lo) = (_reduction_tvs(cases, b) for b in (False, True))
+    point = {"n": 2, "ell": 2, "gamma": 0.5, "q": 0.01}
+    ratio = bip_hi / bip_lo
+    bounds = {"q_hi": 0.01, "q_lo": 0.001, "ratio": ratio}
+    return [
+        CheckReport(name="reduction-null-exactness", params=point, lhs=null, rhs=1e-12),
+        # the reduced alternative law tightens as q shrinks; the O(q^2) kernel
+        # scaling is only isolated in the bipartite variant (no diagonal blocks)
         CheckReport(
             name="reduction-alt-tv-decreasing",
             params={"q_hi": 0.01, "q_lo": 0.001, "tv_hi": tv_hi, "tv_lo": tv_lo},
             lhs=tv_lo,
             rhs=tv_hi,
-        )
-    )
-    bip_hi = reduction_alt_tv_bipartite_exact(params)
-    bip_lo = reduction_alt_tv_bipartite_exact(params_lo)
-    ratio = bip_hi / bip_lo
-    reports.append(
-        CheckReport(
-            name="reduction-alt-fidelity-ratio-bipartite-upper",
-            params={"q_hi": 0.01, "q_lo": 0.001, "ratio": ratio},
-            lhs=ratio,
-            rhs=200.0,
-        )
-    )
-    reports.append(
-        CheckReport(
-            name="reduction-alt-fidelity-ratio-bipartite-lower",
-            params={"q_hi": 0.01, "q_lo": 0.001, "ratio": ratio},
-            lhs=50.0,
-            rhs=ratio,
-        )
-    )
-    reports.append(
-        CheckReport(
-            name="reduction-null-exactness-bipartite",
-            params={"n": 2, "ell": 2, "gamma": 0.5, "q": 0.01},
-            lhs=reduction_null_tv_bipartite_exact(params),
-            rhs=1e-12,
-        )
-    )
-    return reports
+        ),
+        CheckReport(name="reduction-alt-fidelity-ratio-bipartite-upper", params=bounds, lhs=ratio, rhs=200.0),
+        CheckReport(name="reduction-alt-fidelity-ratio-bipartite-lower", params=bounds, lhs=50.0, rhs=ratio),
+        CheckReport(name="reduction-null-exactness-bipartite", params=point, lhs=null_bip, rhs=1e-12),
+    ]

@@ -423,8 +423,8 @@ class TestCli:
         from pdslab.randkit import Pmf
         from pdslab.reduction import _kernel_laws as real_kernel_laws
 
-        def corrupted(ls, lt, q, gamma):
-            pmf, q_prime, a = real_kernel_laws(ls, lt, q, gamma)
+        def corrupted(ls, lt, q, gamma, binom=None):
+            pmf, q_prime, a = real_kernel_laws(ls, lt, q, gamma, binom)
             probs = pmf.probs.copy()
             if probs.size >= 2:
                 shift = min(1e-6, probs[0] / 2)

@@ -28,6 +28,7 @@ from pdslab.theorychecks import (
     CheckReport,
     _overlap_counts,
     _reduced_law,
+    _reduced_laws,
     battery_kernel,
     battery_lemmas,
     battery_reduction_exact,
@@ -259,8 +260,8 @@ class TestNegativeAssociation:
 
     def test_largest_case_memory(self):
         # one float64 pair x cell table at (3, 6) is 38 MB; the count-cube
-        # evaluation peaked near 90 MB, and the multiplicity-weighted one
-        # peaks near 10 MB
+        # evaluation peaked near 90 MB, and the enumerated one peaks at
+        # 2.06 MB
         tracemalloc.start()
         try:
             check_negative_association(3, 6)
@@ -427,10 +428,10 @@ class TestOraclePin:
 
     @pytest.mark.parametrize("oracle", [reduction_null_tv_bipartite_exact, reduction_alt_tv_bipartite_exact])
     def test_bipartite_battery_call_memory(self, oracle):
-        # over the 2^16 masks: the oracle holds the law, one buffer of side
-        # factors and a small block of gathered table rows, ~26 bytes a
-        # mask; the peak, ~41.5, comes after it, with the law held while
-        # the target's popcounts and powers are built
+        # over the 2^16 masks, ~25 bytes a mask at two points: in the pass,
+        # the law, one buffer of side factors and a small block of gathered
+        # table rows; after it, the law, the target gathered by its uint8
+        # popcounts, and the one difference array the TV takes
         params = ReductionParams(n=2, k=2, gamma=0.5, ell=2, q=0.01)
         oracle(params)
         tracemalloc.start()
@@ -440,6 +441,34 @@ class TestOraclePin:
         finally:
             tracemalloc.stop()
         assert peak <= 48 * 2**16
+
+    # the battery's two passes, then passes that mix inputs, q and gamma
+    @pytest.mark.parametrize("n,ell,bipartite,points", [
+        (2, 2, False, [("er", 0.01, 0.5), ("complete", 0.01, 0.5), ("complete", 0.001, 0.5)]),
+        (2, 2, True, [("er", 0.01, 0.5), ("all", 0.01, 0.5), ("all", 0.001, 0.5)]),
+        (3, 1, False, [("path", 0.0, 0.25), ("er", 1 / 16, 0.5), ("empty", 0.01, 0.25), ("complete", 0.001, 0.5)]),
+        (3, 1, True, [("alternate", 0.01, 0.25), ("er", 0.001, 0.5), ("all", 1 / 16, 0.25)]),
+    ])
+    def test_one_pass_matches_per_mask_reference(self, n, ell, bipartite, points):
+        cases = [
+            (ReductionParams(n=n, k=n, gamma=gamma, ell=ell, q=q), _input_graph(n, bipartite, label))
+            for label, q, gamma in points
+        ]
+        laws = _reduced_laws(cases, bipartite)
+        assert len(laws) == len(cases)
+        for (params, graph), got, point in zip(cases, laws, points):
+            want = per_mask_reduced_law(params, graph, bipartite)
+            assert got.tobytes() == want.tobytes(), point
+
+    def test_one_pass_needs_one_n_and_one_ell(self):
+        params = ReductionParams(n=2, k=2, gamma=0.5, ell=2, q=0.01)
+        for other in (ReductionParams(n=3, k=2, gamma=0.5, ell=2, q=0.01),
+                      ReductionParams(n=2, k=2, gamma=0.5, ell=1, q=0.01)):
+            for bipartite in (False, True):
+                with pytest.raises(InvalidParameterError):
+                    _reduced_laws([(params, None), (other, None)], bipartite)
+        with pytest.raises(InvalidParameterError):
+            _reduced_laws([], False)
 
     def test_caps_admit_fewer_than_32_slots(self, monkeypatch):
         # the assignment enumeration starts once the caps have passed
@@ -504,8 +533,43 @@ class TestBatteries:
         assert len(set(calls)) == 42
         assert len(calls) <= 210
 
+    def test_kernel_battery_draws_each_binomial_once(self, monkeypatch):
+        # the kernel cells take their Binom(slots, q) and Binom(slots, 2q)
+        # from the battery's one binomial memo, which the targets share
+        calls = []
+        for module in (theorychecks, reduction):
+            build = module.binom_pmf
+            monkeypatch.setattr(module, "binom_pmf", lambda *args, build=build: calls.append(args) or build(*args))
+        battery_kernel()
+        assert len(calls) == 42
+
     def test_lemmas_battery(self):
         assert all(r.satisfied for r in battery_lemmas())
 
     def test_reduction_battery(self):
         assert all(r.satisfied for r in battery_reduction_exact())
+
+    def test_reduction_battery_makes_one_pass_per_shape(self, monkeypatch):
+        passes = []
+        one_pass = theorychecks._reduced_laws
+        monkeypatch.setattr(
+            theorychecks,
+            "_reduced_laws",
+            lambda cases, bipartite: passes.append((len(cases), bipartite)) or one_pass(cases, bipartite),
+        )
+        battery_reduction_exact()
+        assert passes == [(3, False), (3, True)]
+
+    def test_reduction_battery_memory(self):
+        # over the bipartite 2^16 masks: the pass holds its three laws, one
+        # buffer of side factors and a small block of gathered table rows,
+        # ~43 bytes a mask; after it, the three laws, one target and one
+        # difference array, ~41
+        battery_reduction_exact()
+        tracemalloc.start()
+        try:
+            battery_reduction_exact()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 50 * 2**16
