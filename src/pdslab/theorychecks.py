@@ -201,7 +201,8 @@ def _graph_space(N: int):
 
 def _product_law(n_slots: int, rate: float) -> np.ndarray:
     """Product Bernoulli(rate) law over all 2^n_slots edge masks, by mask:
-    rate^k (1-rate)^(n_slots-k) once for each k, gathered by popcount."""
+    rate^k (1-rate)^(n_slots-k) once for each k, gathered by popcount (a
+    uint8, as the enumeration caps keep n_slots far below 256)."""
     pop = np.zeros(1, dtype=np.uint8)
     for _ in range(n_slots):
         # setting the next bit adds one to the count of every lower value
@@ -516,12 +517,12 @@ def _reduction_tvs(cases: list, bipartite: bool) -> list:
     laws = _reduced_laws([(params, full if is_full else None) for params, is_full in cases], bipartite)
     tvs = []
     for (params, is_full), law in zip(cases, laws):
-        if is_full and not bipartite:
+        if bipartite:
+            target = _product_law(params.N**2, params.p if is_full else params.q)
+        elif is_full:
             target = pds_law_exact(params.N, params.K, params.p, params.q)
         else:
-            # er_law_exact's law, for the unipartite null
-            n_slots = params.N**2 if bipartite else math.comb(params.N, 2)
-            target = _product_law(n_slots, params.p if is_full else params.q)
+            target = er_law_exact(params.N, params.q)
         tvs.append(_tv(law, target))
     return tvs
 

@@ -523,24 +523,14 @@ class TestBatteries:
         assert all(r.satisfied for r in battery_kernel())
 
     def test_kernel_battery_builds_each_law_once(self, monkeypatch):
-        # its 80 grid points need 42 distinct Binom(slots, rate); with one
-        # memo for the battery, each kernel cell and each target is built once
+        # its 80 grid points need 42 distinct Binom(slots, rate); the kernel
+        # cells and the targets draw them from the battery's one memo
         calls = []
         for module in (theorychecks, reduction):
             build = module.binom_pmf
             monkeypatch.setattr(module, "binom_pmf", lambda *args, build=build: calls.append(args) or build(*args))
         battery_kernel()
         assert len(set(calls)) == 42
-        assert len(calls) <= 210
-
-    def test_kernel_battery_draws_each_binomial_once(self, monkeypatch):
-        # the kernel cells take their Binom(slots, q) and Binom(slots, 2q)
-        # from the battery's one binomial memo, which the targets share
-        calls = []
-        for module in (theorychecks, reduction):
-            build = module.binom_pmf
-            monkeypatch.setattr(module, "binom_pmf", lambda *args, build=build: calls.append(args) or build(*args))
-        battery_kernel()
         assert len(calls) == 42
 
     def test_lemmas_battery(self):
