@@ -19,7 +19,8 @@ count for its count vectors and their multiplicities.  The float
 pair-index inversion the samplers used first is the reference for the
 closed-form one at every vertex count where it was exact.  The sweep point
 that samples and decides one trial graph at a time is the reference for
-`sweep.run_point`'s rows.
+`sweep.run_point`'s rows, and the binary search over a graph's full key
+array for `row_marks`' one-slice read.
 """
 
 from __future__ import annotations
@@ -72,6 +73,19 @@ def recursive_scan_max(g, K: int):
         return 0, ()
     rec(0, [], 0)
     return best_value, best_set
+
+
+def has_edges(g, u, v) -> np.ndarray:
+    """Elementwise edge lookup over broadcast arrays of endpoints, by a
+    binary search of the graph's sorted keys; undirected ends in either
+    order.  The containers' lookup as first written, and the reference for
+    `row_marks`."""
+    u, v = g._orient(np.asarray(u), np.asarray(v))
+    height, width = g._dims[0], g._dims[-1]
+    # an end out of range would alias another row's key: it queries -1
+    inside = (u >= 0) & (u < height) & (v >= 0) & (v < width)
+    query = np.where(inside, u * width + v, -1)
+    return g._keys[np.searchsorted(g._keys, query)] == query
 
 
 def graph_law_tv(law_by_mask: np.ndarray, other: np.ndarray) -> float:

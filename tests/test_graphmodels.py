@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import float_pairs_from_flat, format_write_edge_list, line_by_line_read_edge_list
+from conftest import float_pairs_from_flat, format_write_edge_list, has_edges, line_by_line_read_edge_list
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,12 +34,12 @@ class TestGraphContainers:
     def test_normalization_and_lookup(self):
         g = Graph(4, [(2, 1), (0, 3)])
         assert g.edges.tolist() == [[0, 3], [1, 2]]
-        assert g.has_edge(1, 2) and g.has_edge(2, 1)
-        assert not g.has_edge(0, 1)
+        assert has_edges(g, 1, 2) and has_edges(g, 2, 1)
+        assert not has_edges(g, 0, 1)
         # out-of-range ends are absent, not aliased onto another flat key
-        assert not any(g.has_edge(u, v) for u, v in [(0, 6), (-1, 5), (1, -2), (4, 4), (-1, 3)])
-        assert g.has_edges(np.arange(4), 3).tolist() == [True, False, False, False]
-        assert not Graph(3).has_edge(0, 1)
+        assert not any(has_edges(g, u, v) for u, v in [(0, 6), (-1, 5), (1, -2), (4, 4), (-1, 3)])
+        assert has_edges(g, np.arange(4), 3).tolist() == [True, False, False, False]
+        assert not has_edges(Graph(3), 0, 1)
 
     def test_rejects_self_loops_and_duplicates(self):
         with pytest.raises(InvalidParameterError):
@@ -57,9 +57,9 @@ class TestGraphContainers:
     def test_bipartite_ranges(self):
         b = BipartiteGraph(2, 3, [(1, 2), (0, 0)])
         assert b.num_edges == 2
-        assert b.has_edge(1, 2) and not b.has_edge(2, 1)
-        assert not any(b.has_edge(u, v) for u, v in [(0, 5), (1, -3), (2, 0), (-1, 5)])
-        assert b.has_edges(1, np.arange(3)).tolist() == [False, False, True]
+        assert has_edges(b, 1, 2) and not has_edges(b, 2, 1)
+        assert not any(has_edges(b, u, v) for u, v in [(0, 5), (1, -3), (2, 0), (-1, 5)])
+        assert has_edges(b, 1, np.arange(3)).tolist() == [False, False, True]
         with pytest.raises(InvalidParameterError):
             BipartiteGraph(2, 3, [(2, 0)])
 
@@ -67,15 +67,15 @@ class TestGraphContainers:
         # above 3037000499 a flat key u*width + v can pass 2**63 - 1 and wrap
         # onto a stored key: both lookups here once answered True
         with pytest.raises(InvalidParameterError, match="3037000499"):
-            Graph(10**10, [(0, 1)]).has_edge(1844674407, 3709551617)
+            has_edges(Graph(10**10, [(0, 1)]), 1844674407, 3709551617)
         with pytest.raises(InvalidParameterError, match="3037000499"):
-            BipartiteGraph(10**10, 10**10, [(0, 0)]).has_edge(1844674407, 3709551616)
+            has_edges(BipartiteGraph(10**10, 10**10, [(0, 0)]), 1844674407, 3709551616)
         with pytest.raises(InvalidParameterError, match="3037000499"):
             BipartiteGraph(3, 3_037_000_500)
         # at the limit every key fits, and a top end out of range is absent
         # rather than wrapped onto key 1
         b = BipartiteGraph(3_037_000_499, 3_037_000_499, [(0, 1)])
-        assert b.has_edge(0, 1) and not b.has_edge(1880594865473421322, 3)
+        assert has_edges(b, 0, 1) and not has_edges(b, 1880594865473421322, 3)
 
     NON_INTEGER_INPUT = {
         "float-end": (Graph, 3, [(0, 1.5)]),
@@ -236,7 +236,7 @@ class TestBipartite:
         top, bottom = inst.planted
         assert len(top) == len(bottom) == 5
         assert inst.graph.num_edges == 25
-        assert all(inst.graph.has_edge(u, v) for u in top for v in bottom)
+        assert all(has_edges(inst.graph, u, v) for u in top for v in bottom)
 
 
 def _probe_indices(n: int, count: int = 2000, seed: int = 0) -> np.ndarray:

@@ -6,7 +6,7 @@ from itertools import combinations, count, product
 
 import numpy as np
 import pytest
-from conftest import per_block_reduce_edges
+from conftest import has_edges, per_block_reduce_edges
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -381,8 +381,8 @@ def _row_edges(g, lo: int, hi: int) -> np.ndarray:
     rows = np.arange(lo, hi)[:, None]
     if isinstance(g, Graph):
         cols = np.arange(lo, g.num_vertices)
-        return g.has_edges(rows, cols) & (cols > rows)
-    return g.has_edges(rows, np.arange(g.num_bottom))
+        return has_edges(g, rows, cols) & (cols > rows)
+    return has_edges(g, rows, np.arange(g.num_bottom))
 
 
 class TestReduceGraph:
@@ -548,7 +548,7 @@ class TestReduceGraph:
                 assert np.array_equal(graph.row_marks(lo, hi), _row_edges(graph, lo, hi)), (lo, hi)
                 kernel = routes != reduction.ROUTE_PLAIN
                 assert not (kernel & diagonal).any()
-                assert np.array_equal(routes[kernel] - reduction.ROUTE_QPRIME, graph.has_edges(s[kernel], t[kernel]))
+                assert np.array_equal(routes[kernel] - reduction.ROUTE_QPRIME, has_edges(graph, s[kernel], t[kernel]))
                 chunks_seen.append(kernel.sum())
                 yield chunk
 

@@ -96,6 +96,11 @@ class TestKernelChecks:
         (report,) = check_pprime_tv([(1, 1, 0.01, 0.5, 1)])
         assert report.lhs <= 1e-15
 
+    def test_battery_is_both_checks_over_the_default_grid(self):
+        grid = default_kernel_grid()
+        want = check_mixture_identity(grid) + check_pprime_tv(grid)
+        assert [r.to_json_line() for r in battery_kernel()] == [r.to_json_line() for r in want]
+
 
 class TestChi2Identity:
     def test_p_equals_q(self):
