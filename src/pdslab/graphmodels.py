@@ -6,11 +6,11 @@ u*width + v: construction validates the rows and keys them; rows in
 strictly increasing key order pass one order check, and others are sorted
 and checked for duplicates.  The public (M, 2) ``edges`` rows are derived
 from the keys on each access, so a caller that reads them twice holds
-them in a local.  Lookups binary-search the keys, or only one row's slice
-of them.  The edge-list writer and the canonical-file reader work on byte
-and digit arrays, with no Python object per edge.  Instances are safe to
-share read-only across parallel Monte Carlo trials; generation itself is
-single-threaded per instance.
+them in a local.  A run of rows is read as one slice of the keys
+(`row_marks`).  The edge-list writer and the canonical-file reader work
+on byte and digit arrays, with no Python object per edge.  Instances are
+safe to share read-only across parallel Monte Carlo trials; generation
+itself is single-threaded per instance.
 
 All seven generators are one planted sampler.  G(N, q) is the planted
 model with nothing planted, and the planted clique is the planted model
@@ -192,23 +192,12 @@ class _SortedKeyGraph:
     def num_edges(self) -> int:
         return self._keys.size - 1
 
-    def has_edges(self, u, v) -> np.ndarray:
-        """Elementwise has_edge over broadcast arrays of endpoints."""
-        u, v = self._orient(np.asarray(u), np.asarray(v))
-        height, width = self._dims[0], self._dims[-1]
-        # an end out of range would alias another row's key: it queries -1
-        inside = (u >= 0) & (u < height) & (v >= 0) & (v < width)
-        query = np.where(inside, u * width + v, -1)
-        return self._keys[np.searchsorted(self._keys, query)] == query
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.has_edges(u, v))
-
     def row_marks(self, lo: int, hi: int) -> np.ndarray:
         """The edges of rows lo..hi-1 as a dense boolean matrix: entry
-        (u - lo, v - first) is has_edge(u, v).  In a BipartiteGraph first
-        is 0; in a Graph it is lo, and entries with v <= u are False, since
-        a row u holds only the edges (u, v) with v > u.
+        (u - lo, v - first) is True iff (u, v) is an edge.  In a
+        BipartiteGraph first is 0; in a Graph it is lo, and entries with
+        v <= u are False, since a row u holds only the edges (u, v) with
+        v > u.
 
         Those edges are one slice of the sorted keys, so only the slice is
         read.
@@ -263,7 +252,7 @@ class Graph(_SortedKeyGraph):
 class BipartiteGraph(_SortedKeyGraph):
     """Bipartite graph with disjoint top/bottom vertex sets, indexed from 0.
 
-    Rows are (top, bottom) pairs; ``has_edges`` takes top ends first.
+    Rows are (top, bottom) pairs, top end first.
     """
 
     __slots__ = ("num_top", "num_bottom")

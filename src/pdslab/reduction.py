@@ -244,7 +244,7 @@ class KernelTable:
     """Memoized block distributions for one (q, gamma, ell) triple.
 
     P' and Q' depend on the part sizes only through the slot count
-    ls * lt, so cells are keyed by that product.  Part sizes concentrate
+    ls * lt, so a cell is taken by that product.  Part sizes concentrate
     near ell, so only a handful of cells ever materialize.  Cells fill on
     first use; `ReductionParams.kernel_table` keeps one table per params
     instance, so every reduction with those params shares them.
@@ -259,13 +259,13 @@ class KernelTable:
         self._binoms: dict = {}
         self._mixed: dict = {}
 
-    def cell(self, ls: int, lt: int) -> tuple:
-        """(P', Q', a) for a block with ls * lt slots; its binomials are the
+    def cell(self, slots: int) -> tuple:
+        """(P', Q', a) for a block with `slots` slots; its binomials are the
         ones `binom` keeps."""
-        slots = int(ls) * int(lt)
+        slots = int(slots)
         hit = self._cells.get(slots)
         if hit is None:
-            hit = _kernel_laws(ls, lt, self.q, self.gamma, self.binom)
+            hit = _kernel_laws(slots, 1, self.q, self.gamma, self.binom)
             self._cells[slots] = hit
         return hit
 
@@ -287,7 +287,7 @@ class KernelTable:
         route: plain, Q', P' or the gamma-mixture (1-gamma) Q' + gamma P'."""
         if route == ROUTE_PLAIN:
             return self.plain(slots)
-        p_prime, q_prime, _ = self.cell(slots, 1)
+        p_prime, q_prime, _ = self.cell(slots)
         if route == ROUTE_PPRIME:
             return p_prime
         if route == ROUTE_QPRIME:

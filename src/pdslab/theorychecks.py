@@ -120,51 +120,44 @@ def default_kernel_grid(
     return grid
 
 
-def _kernel_memo() -> tuple:
-    """(binom, cell), the laws the kernel checks take as `memo`, each built
-    once: Binom(slots, rate), and (P', Q', a) by (slots, q, gamma)."""
+def _kernel_checks(grid) -> tuple:
+    """(mixture, pprime): both kernel checks' reports over `grid`, from one
+    walk that builds each Binom(slots, rate) and each (P', Q', a) by
+    (slots, q, gamma) once; the cells draw their binomials from the same
+    memo."""
     binom = functools.cache(lambda slots, rate: binom_pmf(slots, rate))
     cell = functools.cache(lambda slots, q, gamma: _kernel_laws(slots, 1, q, gamma, binom))
-    return binom, cell
-
-
-def check_mixture_identity(grid, memo=None) -> list:
-    """Pointwise deviation of (1-gamma) Q' + gamma P' from Binom(ls*lt, q)."""
-    binom, cell = memo or _kernel_memo()
-    reports = []
-    for ls, lt, q, gamma, _ell in grid:
+    mixture, pprime = [], []
+    for ls, lt, q, gamma, ell in grid:
         p_prime, q_prime, _ = cell(ls * lt, q, gamma)
-        target = binom(ls * lt, q)
         mix = (1.0 - gamma) * q_prime.probs + gamma * p_prime.probs
-        deviation = float(np.max(np.abs(mix - target.probs)))
-        reports.append(
+        mixture.append(
             CheckReport(
                 name="kernel-mixture-identity",
                 params={"ls": ls, "lt": lt, "q": q, "gamma": gamma},
-                lhs=deviation,
+                lhs=float(np.max(np.abs(mix - binom(ls * lt, q).probs))),
                 rhs=1e-12,
             )
         )
-    return reports
-
-
-def check_pprime_tv(grid, memo=None) -> list:
-    """tv(P', Binom(ls*lt, 2q)) against the 4 (8 q ell^2)^(m0+1) bound."""
-    binom, cell = memo or _kernel_memo()
-    reports = []
-    for ls, lt, q, gamma, ell in grid:
-        p_prime = cell(ls * lt, q, gamma)[0]
-        target = binom(ls * lt, 2.0 * q)
-        bound = 4.0 * (8.0 * q * ell**2) ** (m0_of(gamma) + 1)
-        reports.append(
+        pprime.append(
             CheckReport(
                 name="kernel-pprime-tv",
                 params={"ls": ls, "lt": lt, "q": q, "gamma": gamma, "ell": ell},
-                lhs=tv_distance(p_prime, target),
-                rhs=bound,
+                lhs=tv_distance(p_prime, binom(ls * lt, 2.0 * q)),
+                rhs=4.0 * (8.0 * q * ell**2) ** (m0_of(gamma) + 1),
             )
         )
-    return reports
+    return mixture, pprime
+
+
+def check_mixture_identity(grid) -> list:
+    """Pointwise deviation of (1-gamma) Q' + gamma P' from Binom(ls*lt, q)."""
+    return _kernel_checks(grid)[0]
+
+
+def check_pprime_tv(grid) -> list:
+    """tv(P', Binom(ls*lt, 2q)) against the 4 (8 q ell^2)^(m0+1) bound."""
+    return _kernel_checks(grid)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +488,6 @@ def _reduced_laws(cases: list, bipartite: bool) -> list:
     return laws
 
 
-def _reduced_law(params: ReductionParams, graph, bipartite: bool) -> np.ndarray:
-    """Exact output law of the reduction for one input: a one-case pass."""
-    return _reduced_laws([(params, graph)], bipartite)[0]
-
-
 def _tv(law: np.ndarray, target: np.ndarray) -> float:
     """Total variation distance between two laws over the same edge masks."""
     diff = law - target
@@ -533,7 +521,7 @@ def reduced_law_exact(g_in: Graph, params: ReductionParams) -> np.ndarray:
     assignment; only viable for tiny n and ell."""
     if g_in.num_vertices != params.n:
         raise InvalidParameterError("input graph size does not match params.n")
-    return _reduced_law(params, g_in, bipartite=False)
+    return _reduced_laws([(params, g_in)], False)[0]
 
 
 def reduction_null_tv_exact(params: ReductionParams) -> float:
@@ -583,9 +571,8 @@ def reduction_alt_tv_bipartite_exact(params: ReductionParams) -> float:
 
 
 def battery_kernel() -> list:
-    grid = default_kernel_grid()
-    memo = _kernel_memo()
-    return check_mixture_identity(grid, memo) + check_pprime_tv(grid, memo)
+    mixture, pprime = _kernel_checks(default_kernel_grid())
+    return mixture + pprime
 
 
 def battery_lemmas() -> list:

@@ -149,7 +149,7 @@ def per_block_reduce_edges(g, params, seed) -> list:
             if diagonal or max(len(vs), len(vt)) > 2 * params.ell:
                 law = table.plain(slots)
             else:
-                p_prime, q_prime, _ = table.cell(len(vs), len(vt))
+                p_prime, q_prime, _ = table.cell(len(vs) * len(vt))
                 law = p_prime if (s, t) in present else q_prime
             m = min(int(np.searchsorted(law.cdf(), edge_rng.random(), side="right")), law.max_value)
             if m == 0:
@@ -395,7 +395,7 @@ def per_mask_reduced_law(params, graph, bipartite: bool) -> np.ndarray:
     block: a bit plane per slot, and every block factor gathered over all
     2^n_slots edge masks and multiplied into the running factor.
 
-    Reference for `theorychecks._reduced_law`, which must give the same
+    Reference for `theorychecks._reduced_laws`, which must give the same
     floats, byte for byte.  The enumeration caps are left out.
     """
     n, N = params.n, params.N

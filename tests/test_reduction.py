@@ -113,8 +113,8 @@ class TestKernelConstruction:
 
     def test_kernel_table_memoizes_by_product(self):
         table = KernelTable(0.01, 0.5, 2)
-        assert table.cell(1, 4)[0] is table.cell(2, 2)[0]
-        assert table.cell(2, 2)[0] is not table.cell(2, 1)[0]
+        assert table.cell(1 * 4)[0] is table.cell(2 * 2)[0]
+        assert table.cell(2 * 2)[0] is not table.cell(2 * 1)[0]
 
     def test_new_cell_builds_two_binomials(self, monkeypatch):
         # P' and Q' of a new cell share one Binom(n, 2q) and one Binom(n, q)
@@ -122,7 +122,7 @@ class TestKernelConstruction:
         build = reduction.binom_pmf
         monkeypatch.setattr(reduction, "binom_pmf", lambda *args: calls.append(args) or build(*args))
         table = KernelTable(0.01, 0.5, 2)
-        p_prime, q_prime, a = table.cell(2, 2)
+        p_prime, q_prime, a = table.cell(4)
         assert calls == [(4, 0.02), (4, 0.01)]
         # the same laws, to the bit, as the public builders give
         assert np.array_equal(p_prime.probs, build_pprime(2, 2, 0.01, 0.5)[0].probs)
@@ -193,7 +193,7 @@ class TestSampleEdgeCount:
         on, off = law(6, 2, 1), law(6, 2, 0)  # max part > 2*ell
         assert np.array_equal(on.probs, off.probs)
         assert np.allclose(on.probs, binom_pmf(12, 0.01).probs, atol=1e-15)
-        p_prime, q_prime, _ = table.cell(2, 2)
+        p_prime, q_prime, _ = table.cell(4)
         assert law(2, 2, 1) is p_prime and law(2, 2, 0) is q_prime
 
     @settings(max_examples=80, deadline=None)
@@ -245,7 +245,7 @@ class TestSampleEdgeCount:
 
         params = ReductionParams(n=4, k=4, gamma=0.5, ell=2, q=0.01)
         table = params.kernel_table
-        p_prime, q_prime, _ = table.cell(2, 2)
+        p_prime, q_prime, _ = table.cell(4)
         rng = Seed(43).rng()
         n_draws = 1_000_000
         bit = rng.random(n_draws) < params.gamma
@@ -267,7 +267,7 @@ class TestSampleEdgeCount:
 
         params = ReductionParams(n=2, k=2, gamma=0.25, ell=2, q=0.01)
         table = params.kernel_table
-        p_prime, _, _ = table.cell(2, 2)
+        p_prime, _, _ = table.cell(4)
         rng = Seed(44).rng()
         n_draws = 100_000
         draws = np.searchsorted(p_prime.cdf(), rng.random(n_draws), side="right")

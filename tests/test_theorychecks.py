@@ -27,7 +27,6 @@ from pdslab.reduction import ReductionParams
 from pdslab.theorychecks import (
     CheckReport,
     _overlap_counts,
-    _reduced_law,
     _reduced_laws,
     battery_kernel,
     battery_lemmas,
@@ -413,7 +412,7 @@ class TestOraclePin:
         for n, ell, bipartite, label, q, gamma in _oracle_cases():
             params = ReductionParams(n=n, k=n, gamma=gamma, ell=ell, q=q)
             graph = _input_graph(n, bipartite, label)
-            got = _reduced_law(params, graph, bipartite)
+            got = _reduced_laws([(params, graph)], bipartite)[0]
             want = per_mask_reduced_law(params, graph, bipartite)
             assert got.tobytes() == want.tobytes(), (n, ell, bipartite, label, q, gamma)
 
@@ -427,7 +426,7 @@ class TestOraclePin:
         params = ReductionParams(n=2, k=2, gamma=0.5, ell=2, q=0.01)
         for label in ("all", "alternate"):
             graph = _input_graph(2, True, label)
-            got = _reduced_law(params, graph, True)
+            got = _reduced_laws([(params, graph)], True)[0]
             want = per_mask_reduced_law(params, graph, True)
             assert got.tobytes() == want.tobytes(), label
 
@@ -491,7 +490,7 @@ class TestOraclePin:
                     params = ReductionParams(n=n, k=1, gamma=0.5, ell=ell, q=0.0)
                     N = params.N
                     try:
-                        _reduced_law(params, None, bipartite)
+                        _reduced_laws([(params, None)], bipartite)
                     except TooLargeError:
                         continue
                     except Admitted:
