@@ -65,6 +65,7 @@ __all__ = [
     "prop2_bound_lin",
     "dks_detector",
     "recovery_detector",
+    "recovery_threshold",
     "estimate_errors",
     "trial_seeds",
     "is_monotone",

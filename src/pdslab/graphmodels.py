@@ -82,8 +82,9 @@ def _check_expected_edges(expected: float) -> None:
 
 
 # Largest vertex count a path that holds arrays of one entry a vertex takes:
-# the membership draw, the CSR and the heuristic scan's restarts.  At 8
-# bytes an entry each such array is then 0.4 GB, as the edge cap's keys are.
+# the membership draw, the CSR, the heuristic scan's restarts and the
+# reduction's parent draw.  At 8 bytes an entry each such array is then
+# 0.4 GB, as the edge cap's keys are.
 _MAX_VERTEX_ARRAY = 50_000_000
 
 

@@ -25,7 +25,10 @@ import numpy as np
 from .errors import InvalidParameterError, InvalidPmfError, InvalidProbabilityError
 
 __all__ = [
+    "mix64",
+    "derive_key",
     "Seed",
+    "as_seed",
     "Pmf",
     "binom_pmf",
     "hyper_pmf",

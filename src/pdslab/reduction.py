@@ -62,7 +62,14 @@ from .errors import (
     ValidityViolationError,
     VertexCountMismatchError,
 )
-from .graphmodels import _MAX_EXPECTED_EDGES, BipartiteGraph, Graph, _check_expected_edges, _integer
+from .graphmodels import (
+    _MAX_EXPECTED_EDGES,
+    BipartiteGraph,
+    Graph,
+    _check_expected_edges,
+    _check_vertex_arrays,
+    _integer,
+)
 from .randkit import Pmf, as_seed, binom_pmf
 
 __all__ = [
@@ -493,15 +500,17 @@ def _sample_blocks(g, params: ReductionParams, seed) -> np.ndarray:
     indices collect in flat buffers and become vertex pairs in one
     `block_pairs` call.
 
-    Refused with a TooLargeError, before the parent split, when the output
+    Refused with a TooLargeError, before the parent draw, when the output
     of an Erdos-Renyi(gamma) input, exactly G(N, q), would expect more
-    edges than the samplers' cap, or there are more parent blocks to walk
-    than that cap; and, after the split and before any law is built, when
-    the largest block has more than _MAX_BLOCK_SLOTS slots.
+    edges than the samplers' cap, N is above the cap on per-vertex arrays
+    (each side's parents are one), or there are more parent blocks to walk
+    than the edge cap; and, after the split and before any law is built,
+    when the largest block has more than _MAX_BLOCK_SLOTS slots.
     """
     n, N = params.n, params.N
     bipartite = isinstance(g, BipartiteGraph)
     _check_expected_edges((N * N if bipartite else N * (N - 1) // 2) * params.q)
+    _check_vertex_arrays(N)
     walk = n * n if bipartite else n * (n + 1) // 2
     if walk > _MAX_EXPECTED_EDGES:
         raise TooLargeError(f"{walk:,} parent blocks to walk, above the cap of {_MAX_EXPECTED_EDGES:,}")

@@ -58,6 +58,7 @@ __all__ = [
     "reduction_null_tv_exact",
     "reduction_alt_tv_exact",
     "reduction_null_tv_bipartite_exact",
+    "reduction_alt_tv_bipartite_exact",
     "battery_kernel",
     "battery_lemmas",
     "battery_reduction_exact",
@@ -519,6 +520,8 @@ def reduced_law_exact(g_in: Graph, params: ReductionParams) -> np.ndarray:
     """Exact output law of the reduction for one fixed input graph, as a
     vector over all 2^C(N,2) edge masks.  Sums over every parent
     assignment; only viable for tiny n and ell."""
+    if not isinstance(g_in, Graph):
+        raise InvalidParameterError(f"the exact oracle takes a Graph, got {type(g_in).__name__}")
     if g_in.num_vertices != params.n:
         raise InvalidParameterError("input graph size does not match params.n")
     return _reduced_laws([(params, g_in)], False)[0]

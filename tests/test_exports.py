@@ -1,7 +1,11 @@
 import importlib
+import inspect
 import pkgutil
 
 import pdslab
+
+
+_LIBRARY = ("randkit", "graphmodels", "detectors", "reduction", "theorychecks")
 
 
 def _modules():
@@ -21,5 +25,18 @@ def test_every_exported_name_resolves():
         assert not missing, f"{module.__name__}.__all__ names missing attributes: {missing}"
         assert len(set(names)) == len(names), f"{module.__name__}.__all__ repeats a name"
     # the library modules all declare their public surface
-    for name in ("randkit", "graphmodels", "detectors", "reduction", "theorychecks"):
+    for name in _LIBRARY:
         assert f"pdslab.{name}" in exporting
+
+
+def test_every_public_function_and_class_is_exported():
+    for name in _LIBRARY:
+        module = importlib.import_module(f"pdslab.{name}")
+        public = [
+            attr for attr, value in vars(module).items()
+            if not attr.startswith("_")
+            and (inspect.isfunction(value) or inspect.isclass(value))
+            and value.__module__ == module.__name__
+        ]
+        unexported = [attr for attr in public if attr not in module.__all__]
+        assert not unexported, f"{module.__name__} defines public names outside __all__: {unexported}"

@@ -378,6 +378,19 @@ class TestCli:
         assert code == 4
         assert not out.exists()
 
+    def test_reduce_too_many_vertices_exit_code(self, tmp_path):
+        # N = 4 * 10^9 output vertices: refused before the parent draw, whose
+        # one entry per output vertex would need ~30 GiB
+        src = str(tmp_path / "in.txt")
+        run_cli("generate", "pc", "--n", "2", "--k", "2", "--gamma", "0.5", "--seed", "3", "--out", src)
+        out = tmp_path / "red.txt"
+        code, _ = run_cli(
+            "reduce", src, "--k", "1", "--gamma", "0.5", "--ell", "2000000000", "--q", "0",
+            "--seed", "11", "--out", str(out),
+        )
+        assert code == 4
+        assert not out.exists()
+
     def test_reduce_and_strict(self, tmp_path):
         src = str(tmp_path / "in.txt")
         run_cli("generate", "pc", "--n", "2", "--k", "2", "--gamma", "0.5", "--seed", "3", "--out", src)

@@ -442,6 +442,25 @@ class TestReduceGraph:
         with pytest.raises(AssertionError, match="the reduction drew"):
             reduce_bipartite(BipartiteGraph(7_071, 7_071), params, Seed(0))
 
+    def test_parent_draw_refused_before_drawing(self, monkeypatch):
+        # at q = 0 on a 2-vertex input, the edge estimate and the block walk
+        # pass, but each side's parents are one array of N = n * ell entries
+        def drawn(*args):
+            raise AssertionError("the reduction drew")
+
+        monkeypatch.setattr(reduction, "as_seed", drawn)
+        params = ReductionParams(n=2, k=1, gamma=0.5, ell=2 * 10**9, q=0.0)
+        with pytest.raises(TooLargeError) as err:
+            reduce_graph(Graph(2, [(0, 1)]), params, Seed(0))
+        assert str(err.value) == "4,000,000,000 vertices, above the cap of 50,000,000 on per-vertex arrays"
+        params = ReductionParams(n=2, k=1, gamma=0.5, ell=25_000_001, q=0.0)
+        with pytest.raises(TooLargeError, match="^50,000,002 vertices"):
+            reduce_bipartite(BipartiteGraph(2, 2, [(0, 1)]), params, Seed(0))
+        # N = 5 * 10^7 is at the cap, so drawing starts
+        params = ReductionParams(n=2, k=1, gamma=0.5, ell=25_000_000, q=0.0)
+        with pytest.raises(AssertionError, match="the reduction drew"):
+            reduce_graph(Graph(2, [(0, 1)]), params, Seed(0))
+
     def test_largest_block_refused_before_any_law(self, monkeypatch):
         # parts near ell = 3000 give blocks of ~9e6 slots, each law a dense
         # vector over 0..slots; the slot cap fires before any law is built

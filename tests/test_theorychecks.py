@@ -323,6 +323,13 @@ class TestReductionOracles:
         assert law.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(law >= -1e-15)
 
+    def test_fixed_input_law_refuses_other_inputs(self):
+        for g_in in (BipartiteGraph(2, 2, [(0, 1)]), [(0, 1)], None):
+            with pytest.raises(InvalidParameterError, match="takes a Graph"):
+                reduced_law_exact(g_in, self.PARAMS)
+        with pytest.raises(InvalidParameterError, match="does not match"):
+            reduced_law_exact(Graph(3), self.PARAMS)
+
     def test_alternative_tv_scaling_regression(self):
         # unipartite: diagonal blocks keep the gap O(q) (frozen honest ratio);
         # bipartite: no diagonals, the kernel term makes it O(q^2)
