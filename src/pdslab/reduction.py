@@ -251,7 +251,7 @@ class KernelTable:
     """Memoized block distributions for one (q, gamma, ell) triple.
 
     P' and Q' depend on the part sizes only through the slot count
-    ls * lt, so a cell is taken by that product.  Part sizes concentrate
+    ls * lt, so `cell` takes that product alone.  Part sizes concentrate
     near ell, so only a handful of cells ever materialize.  Cells fill on
     first use; `ReductionParams.kernel_table` keeps one table per params
     instance, so every reduction with those params shares them.

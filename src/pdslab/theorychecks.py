@@ -126,7 +126,7 @@ def _kernel_checks(grid) -> tuple:
     walk that builds each Binom(slots, rate) and each (P', Q', a) by
     (slots, q, gamma) once; the cells draw their binomials from the same
     memo."""
-    binom = functools.cache(lambda slots, rate: binom_pmf(slots, rate))
+    binom = functools.cache(binom_pmf)
     cell = functools.cache(lambda slots, q, gamma: _kernel_laws(slots, 1, q, gamma, binom))
     mixture, pprime = [], []
     for ls, lt, q, gamma, ell in grid:
