@@ -86,7 +86,7 @@ def _write_graph(g, out: str, sidecar: dict) -> int:
     path to stdout."""
     write_edge_list(g, out)
     with open(out + ".json", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_dump_json({"format": "pdslab-sidecar-v1", **sidecar}))
+        fh.write(_dump_json(sidecar))
     print(out)
     return EXIT_OK
 
@@ -105,6 +105,7 @@ def cmd_generate(args) -> int:
         if isinstance(g, BipartiteGraph):
             planted = {"top": planted[0], "bottom": planted[1]}
     return _write_graph(g, args.out, {
+        "format": "pdslab-sidecar-v1",
         "model": args.model,
         "params": {
             flag: getattr(args, flag)
@@ -157,7 +158,9 @@ def cmd_reduce(args) -> int:
     reduced = (reduce_bipartite if bipartite else reduce_graph)(g, params, Seed(args.seed))
     keys = ("n", "k", "gamma", "ell", "q", "m0", "N", "K", "p", "kernel_condition",
             "size_condition")
+    # v2: the reduce stream's layout changed once, see `reduction`
     return _write_graph(reduced, args.out, {
+        "format": "pdslab-sidecar-v2",
         "reduction": {
             **{key: getattr(params, key) for key in keys},
             "strict": bool(args.strict),

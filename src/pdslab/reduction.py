@@ -17,11 +17,11 @@ what makes the planted side approximately correct.  Both modified vectors
 are genuine PMFs whenever part sizes stay below 2*ell and 16 q ell^2 <= 1;
 construction fails fast (rather than clamping) if a caller violates that.
 
-Given the block count, the concrete edges are placed uniformly at random
-among the block's slots with Floyd's sampling.  Slot indices are canonical:
-row-major over the sorted vertex lists for off-diagonal blocks, colex over
-within-part pairs for diagonal blocks.  The sampler collects the picked
-slots of all blocks and maps them to vertex pairs in one vectorised step.
+Given the block count, the concrete edges are placed on a uniform subset
+of the block's slots.  Slot indices are canonical: row-major over the
+sorted vertex lists for off-diagonal blocks, colex over within-part pairs
+for diagonal blocks.  The sampler places the edges of all blocks at once
+and maps them to vertex pairs in one vectorised step.
 
 `block_routes` is the one place that walks the parent blocks and routes
 each to its count law, in chunks of whole parent rows as flat arrays.
@@ -31,20 +31,17 @@ layout, row-major by `divmod` and colex by `_colex_pairs`: the samplers
 lay out all their picks in one call, and the oracles every slot of a
 parent assignment's blocks.
 
-The edge stream's layout is fixed: one uniform per block with at least one
-slot, in draw order (rows s, then columns t >= s, or every t when
-bipartite), inverted through the block's count law; when the count is
-nonzero, the block's Floyd placement draws follow at once.  The sampler
-reads the stream's words itself (`_WordStream`), taking the words numpy's
-Generator would take, so one look-ahead compares up to _WINDOW of a
-chunk's uniforms with their zero-count thresholds and no word is drawn
-twice; its output for a seed is that of a per-block loop, and the reduce
-sidecar format is unchanged.
+The reduce stream's layout (v2, the reduce sidecar's `pdslab-sidecar-v2`)
+is three child streams of the seed.  Stream 0 draws each side's parents.
+Stream 1 holds one uniform per block with at least one slot, in draw
+order (rows s, then columns t >= s, or every t when bipartite), inverted
+through the block's count law.  Stream 2 places the edges of every
+nonzero block after the walk (`_place`).  Numpy's Generator reads each as
+whole arrays, and no output depends on the chunk size.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from array import array
@@ -92,18 +89,15 @@ __all__ = [
     "hard_regime_upper",
 ]
 
-_PARENT_STREAM = 0
-_EDGE_STREAM = 1
+_PARENT_STREAM, _COUNT_STREAM, _PLACE_STREAM = range(3)
 
 # the most slots one parent block may have: its count laws are dense vectors
-# over 0..slots, and below 2**32 - 1 every Floyd bound takes numpy's 32-bit
-# draw, the one `_WordStream.below` reads
-_MAX_BLOCK_SLOTS = 1 << 20
+# over 0..slots.  A placement key is block << _SLOT_BITS | slot.
+_SLOT_BITS = 20
+_MAX_BLOCK_SLOTS = 1 << _SLOT_BITS
 
-# `block_routes` yields runs of whole parent rows with about this many blocks,
-# and the sampler's look-ahead reads at most this many count uniforms at once
+# `block_routes` yields runs of whole parent rows with about this many blocks
 _CHUNK_BLOCKS = 1 << 13
-_WINDOW = 512
 
 
 def m0_of(gamma) -> int:
@@ -307,16 +301,6 @@ class KernelTable:
         return hit
 
 
-def _floyd_sample(n_slots: int, m: int, draw: Callable[[int], int]) -> list:
-    """Uniform m-subset of range(n_slots) in O(m) draws (Floyd's algorithm);
-    `draw(high)` is a uniform integer in [0, high)."""
-    chosen = set()
-    for i in range(n_slots - m, n_slots):
-        t = draw(i + 1)
-        chosen.add(i if t in chosen else t)
-    return sorted(chosen)
-
-
 def _colex_pairs(idx: np.ndarray) -> tuple:
     """Invert colex enumeration of pairs i < j: index = C(j,2) + i.
 
@@ -422,59 +406,6 @@ def block_pairs(sides, s, t, idx) -> np.ndarray:
     return pairs
 
 
-class _WordStream:
-    """The 64-bit words of a fresh PCG64 generator, read the way its
-    `Generator` reads them.
-
-    `uniforms(n)` looks at the next n doubles without taking them, each
-    (word >> 11) * 2**-53 as `Generator.random` makes it, and `advance(n)`
-    takes them.  `below(high)` is `Generator.integers(0, high)` for
-    high < 2**32 - 1: Lemire's method with rejection on 32-bit draws.  A
-    32-bit draw takes a word's low half and keeps its high half for the
-    next 32-bit draw; doubles leave that half alone, and high = 1 takes
-    nothing.  Words come from `random_raw` in chunks, so the generator runs
-    ahead of the reader and serves no one else.
-    """
-
-    _CHUNK = 1 << 14
-
-    def __init__(self, bit_generator):
-        self._bit_generator = bit_generator
-        self._words = np.empty(0, dtype=np.uint64)
-        self._doubles = np.empty(0)
-        self._pos = 0
-        self._half = None
-
-    def _fill(self, n: int) -> None:
-        if self._pos + n > self._words.size:
-            more = self._bit_generator.random_raw(max(n, self._CHUNK))
-            self._words = np.concatenate((self._words[self._pos :], more))
-            self._doubles = np.concatenate((self._doubles[self._pos :], (more >> 11) * 2.0**-53))
-            self._pos = 0
-
-    def uniforms(self, n: int) -> np.ndarray:
-        self._fill(n)
-        return self._doubles[self._pos : self._pos + n]
-
-    def advance(self, n: int) -> None:
-        self._pos += n
-
-    def below(self, high: int) -> int:
-        threshold = (1 << 32) % high
-        while high > 1:
-            if self._half is None:
-                self._fill(1)
-                word = int(self._words[self._pos])
-                self._pos += 1
-                draw, self._half = word & 0xFFFFFFFF, word >> 32
-            else:
-                draw, self._half = self._half, None
-            m = draw * high
-            if m & 0xFFFFFFFF >= threshold:
-                return m >> 32
-        return 0
-
-
 def _largest_block(sizes: list) -> int:
     """Slots of the largest parent block, given each side's part sizes: the
     two largest parts' product, or C(ls, 2) within one part when
@@ -485,20 +416,56 @@ def _largest_block(sizes: list) -> int:
     return max(a * b, a * (a - 1) // 2)
 
 
+def _place(slots: np.ndarray, counts: np.ndarray, rng) -> np.ndarray:
+    """A uniform counts[b]-subset of range(slots[b]) for every block b, as
+    keys b << _SLOT_BITS | slot.
+
+    Block b draws k = min(counts[b], slots[b] - counts[b]) distinct slots,
+    and keeps the complement of its draws when 2 counts[b] > slots[b].  The
+    draws come in rounds of `integers(0, slots)` with replacement, every
+    block's in one array: each round keeps the distinct picks and redraws
+    only what each block still lacks.  Neither the draws nor the rule that
+    stops them tells one slot from another, so by symmetry a block ends
+    with a uniform subset; and with at most half its slots drawn, each
+    round at least halves, in expectation, what a block still lacks.
+    """
+    flip = 2 * counts > slots
+    want = np.where(flip, slots - counts, counts)
+    keys = np.empty(0, dtype=np.int64)
+    lacking = want
+    while (todo := np.flatnonzero(lacking)).size:
+        block = np.repeat(todo, lacking[todo])
+        picks = rng.integers(0, slots[block])
+        picks |= block << _SLOT_BITS
+        del block
+        keys = np.concatenate((keys, picks))
+        del picks
+        keys.sort()
+        keys = keys[np.append(True, keys[1:] != keys[:-1])]
+        lacking = want - np.bincount(keys >> _SLOT_BITS, minlength=slots.size)
+    flipped = np.flatnonzero(flip)
+    if flipped.size:
+        # every slot of the flipped blocks, less the ones they drew
+        size = slots[flipped]
+        every = np.repeat((flipped << _SLOT_BITS) - (np.cumsum(size) - size), size)
+        every += np.arange(every.size)
+        drawn = flip[keys >> _SLOT_BITS]
+        keys = np.concatenate((keys[~drawn], every[~np.isin(every, keys[drawn])]))
+    return keys
+
+
 def _sample_blocks(g, params: ReductionParams, seed) -> np.ndarray:
     """Edges of one reduced graph as an (M, 2) array: parents for each side
-    from the parent stream, then, per routed block in draw order, one
-    count uniform from the edge stream and, after a nonzero count, its
-    Floyd placement.
+    from stream 0, one count uniform per routed block from stream 1, then
+    the placements of every nonzero block from stream 2.
 
-    A block's count is 0 exactly when its uniform falls below its law's
-    P(0), and a zero count draws nothing more, so one look-ahead compares
-    the next _WINDOW of a chunk's uniforms with their thresholds at once.
-    The first block at or above its threshold inverts its count from that
-    same uniform through the law's CDF; its Floyd draws take the words that
-    follow, and the next look-ahead starts after them.  Blocks and slot
-    indices collect in flat buffers and become vertex pairs in one
-    `block_pairs` call.
+    The uniforms come a `block_routes` chunk at a time, as one array.  A
+    block's count is the number of its law's CDF entries at or below its
+    uniform: 0 exactly when the uniform falls below the law's P(0), so one
+    compare finds the nonzero blocks, and those invert their uniforms with
+    one `searchsorted` per law.  Nonzero blocks collect in int32 buffers;
+    after the walk `_place` picks all their slots, and they become vertex
+    pairs in one `block_pairs` call.
 
     Refused with a TooLargeError, before the parent draw, when the output
     of an Erdos-Renyi(gamma) input, exactly G(N, q), would expect more
@@ -522,13 +489,12 @@ def _sample_blocks(g, params: ReductionParams, seed) -> np.ndarray:
     if largest > _MAX_BLOCK_SLOTS:
         raise TooLargeError(f"the largest parent block has {largest:,} slots, above the cap of {_MAX_BLOCK_SLOTS:,}")
     table = params.kernel_table
-    # P(count = 0) by slots * 4 + route, grown and filled in as routes turn up,
-    # and the CDF as a list once a block with that code draws a nonzero count
+    # P(count = 0) by code slots * 4 + route, grown and filled in as codes
+    # turn up
     zero_mass = np.empty(0)
-    cdfs = {}
-    words = _WordStream(root.child(_EDGE_STREAM).rng().bit_generator)
-    # each nonzero block's parents (s, t) and count, and its slot indices
-    block_s, block_t, counts, picks = (array("q") for _ in range(4))
+    count_rng = root.child(_COUNT_STREAM).rng()
+    # each nonzero block's parents (s, t), slots and count
+    buffers = [array("i") for _ in range(4)]
     for s, t, slots, route in block_routes(sizes, table, g):
         code = slots * 4 + route
         grow = int(code.max()) + 1 - zero_mass.size
@@ -538,37 +504,25 @@ def _sample_blocks(g, params: ReductionParams, seed) -> np.ndarray:
         if missing.any():
             for c in np.unique(code[missing]).tolist():
                 zero_mass[c] = table.law(c % 4, c // 4).cdf()[0]
-        chunk_zero_mass = zero_mass[code]
-        start = 0
-        while start < code.size:
-            ahead = words.uniforms(min(_WINDOW, code.size - start))
-            nonzero = ahead >= chunk_zero_mass[start : start + ahead.size]
-            skip = int(nonzero.argmax())
-            if not nonzero[skip]:
-                words.advance(ahead.size)
-                start += ahead.size
-                continue
-            u = float(ahead[skip])
-            words.advance(skip + 1)
-            i = start + skip
-            c = int(code[i])
-            cdf = cdfs.get(c)
-            if cdf is None:
-                cdf = cdfs[c] = table.law(c % 4, c // 4).cdf().tolist()
-            # u >= P(0), and u < 1 = the CDF's last entry, so 1 <= m <= slots
-            m = bisect.bisect_right(cdf, u)
-            block_s.append(int(s[i]))
-            block_t.append(int(t[i]))
-            counts.append(m)
-            picks.extend(_floyd_sample(c // 4, m, words.below))
-            start = i + 1
-    # each slot's block, then the vertex pairs; the per-block buffers are let
-    # go once read, so no more than ~6 int64s an edge are held at once
-    counts = np.frombuffer(counts, dtype=np.int64)
-    s = np.repeat(np.frombuffer(block_s, dtype=np.int64), counts)
-    t = np.repeat(np.frombuffer(block_t, dtype=np.int64), counts)
-    del block_s, block_t, counts
-    return block_pairs(sides, s, t, np.frombuffer(picks, dtype=np.int64))
+        u = count_rng.random(code.size)
+        nonzero = np.flatnonzero(u >= zero_mass[code])
+        code, u = code[nonzero], u[nonzero]
+        # u >= P(0), and u < 1 = the CDF's last entry, so 1 <= count <= slots
+        count = np.empty(code.size, dtype=np.int32)
+        for c in np.unique(code).tolist():
+            at = code == c
+            count[at] = np.searchsorted(table.law(c % 4, c // 4).cdf(), u[at], side="right")
+        for buffer, column in zip(buffers, (s[nonzero], t[nonzero], slots[nonzero], count)):
+            buffer.frombytes(column.astype(np.int32).tobytes())
+    s, t, slots, counts = (np.frombuffer(buffer, dtype=np.int32) for buffer in buffers)
+    keys = _place(slots, counts, root.child(_PLACE_STREAM).rng())
+    # each pick's block, then its slot in place; the block fields are let go
+    # before the vertex pairs are built
+    block = keys >> _SLOT_BITS
+    keys &= _MAX_BLOCK_SLOTS - 1
+    s, t = s[block], t[block]
+    del block, slots, counts, buffers
+    return block_pairs(sides, s, t, keys)
 
 
 def reduce_graph(g: Graph, params: ReductionParams, seed) -> Graph:
@@ -577,7 +531,10 @@ def reduce_graph(g: Graph, params: ReductionParams, seed) -> Graph:
     Parents are assigned independently and uniformly; each block draws its
     edge count from the law `block_routes` gives it, and the drawn number
     of edges lands on uniformly chosen slots.  Deterministic given the seed.
+    A BipartiteGraph goes to `reduce_bipartite`, and is refused here.
     """
+    if not isinstance(g, Graph):
+        raise InvalidParameterError(f"reduce_graph takes a Graph, got {type(g).__name__}")
     if g.num_vertices != params.n:
         raise VertexCountMismatchError(
             f"input has {g.num_vertices} vertices, parameters say n = {params.n}"
@@ -587,6 +544,8 @@ def reduce_graph(g: Graph, params: ReductionParams, seed) -> Graph:
 
 def reduce_bipartite(g: BipartiteGraph, params: ReductionParams, seed) -> BipartiteGraph:
     """Bipartite analogue: parents per side, every block off-diagonal."""
+    if not isinstance(g, BipartiteGraph):
+        raise InvalidParameterError(f"reduce_bipartite takes a BipartiteGraph, got {type(g).__name__}")
     n = params.n
     if g.num_top != n or g.num_bottom != n:
         raise VertexCountMismatchError(

@@ -5,7 +5,7 @@ enumerator checks the branch-and-bound exact scan, the model-law evaluator
 checks the samplers' target distributions, the same-parent planted law
 is the reference for the reduction's kernel-controlled gap, and the
 per-block reduction loop is the reference for the vectorised reduction
-sampler's random stream.  The dense-matrix restart scan is the reference
+sampler's counts (v2) and, in law, for its placements (the v1 loop).  The dense-matrix restart scan is the reference
 for the sparse heuristic scan's swaps and tie rules, the one-restart-at-a-
 time sparse scan for the lockstep one's (value, set), and the per-line
 edge-list reader is the reference for every file the array parse reads,
@@ -26,6 +26,7 @@ array for `row_marks`' one-slice read.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import combinations, product
 
 import numpy as np
@@ -115,21 +116,15 @@ def same_parent_planted_law(n: int, N: int, p: float, q: float) -> np.ndarray:
     return law / n**N
 
 
-def per_block_reduce_edges(g, params, seed) -> list:
-    """The reduction's output edges from a plain loop over parent blocks.
-
-    One count draw per block with at least one slot, in draw order (rows s,
-    then columns t >= s, or every t when bipartite), and a Floyd placement
-    after each nonzero count.  Walk, routing and slot layout are written
-    out here, and so are the draws: a count inverts `rng.random()` through
-    the law's CDF with `np.searchsorted`, and Floyd's algorithm takes
-    `edge_rng.integers(0, i + 1)`, so the reference reads numpy's own
-    generator.  Only the kernel laws come from the library.
-    """
+def _per_block_laws(g, params, seed):
+    """The reduction's parent blocks with at least one slot, from a plain
+    loop in draw order (rows s, then columns t >= s, or every t when
+    bipartite): (s, t, vs, vt, diagonal, slots, law) for each, vs and vt
+    its parts' vertices in ascending order.  Parents come from stream 0 as
+    the reduction draws them; walk, routing and slot counts are written out
+    here, and only the kernel laws come from the library."""
     n = params.n
-    root = as_seed(seed)
-    parent_rng = root.child(0).rng()
-    edge_rng = root.child(1).rng()
+    parent_rng = as_seed(seed).child(0).rng()
     bipartite = isinstance(g, BipartiteGraph)
     sides = []
     for _ in range(2 if bipartite else 1):
@@ -138,7 +133,6 @@ def per_block_reduce_edges(g, params, seed) -> list:
     rows, cols = sides[0], sides[-1]
     present = set(map(tuple, g.edges.tolist()))
     table = KernelTable(params.q, params.gamma, params.ell)
-    edges = []
     for s in range(n):
         for t in range(0 if bipartite else s, n):
             vs, vt = rows[s], cols[t]
@@ -151,21 +145,68 @@ def per_block_reduce_edges(g, params, seed) -> list:
             else:
                 p_prime, q_prime, _ = table.cell(len(vs) * len(vt))
                 law = p_prime if (s, t) in present else q_prime
-            m = min(int(np.searchsorted(law.cdf(), edge_rng.random(), side="right")), law.max_value)
-            if m == 0:
-                continue
-            chosen = set()
-            for i in range(slots - m, slots):
-                pick = int(edge_rng.integers(0, i + 1))
-                chosen.add(i if pick in chosen else pick)
-            for k in sorted(chosen):
-                if diagonal:
-                    # colex: slot k is the pair (i, j), i < j, with k = C(j, 2) + i
-                    j = max(j for j in range(len(vs)) if math.comb(j, 2) <= k)
-                    edges.append((vs[k - math.comb(j, 2)], vs[j]))
-                else:
-                    edges.append((vs[k // len(vt)], vt[k % len(vt)]))
+            yield s, t, vs, vt, diagonal, slots, law
+
+
+def _count(law, u: float) -> int:
+    """A block's count from its uniform: the law's CDF entries <= u."""
+    return min(int(np.searchsorted(law.cdf(), u, side="right")), law.max_value)
+
+
+def per_block_reduce_edges(g, params, seed) -> list:
+    """The v1 reduce stream's output edges from a plain loop over parent
+    blocks.
+
+    One count draw per block with at least one slot, in draw order, and a
+    Floyd placement right after each nonzero count, both from stream 1: a
+    count inverts `rng.random()` through the law's CDF, and Floyd's
+    algorithm takes `edge_rng.integers(0, i + 1)`, so the reference reads
+    numpy's own generator.
+    """
+    edge_rng = as_seed(seed).child(1).rng()
+    edges = []
+    for _, _, vs, vt, diagonal, slots, law in _per_block_laws(g, params, seed):
+        m = _count(law, edge_rng.random())
+        if m == 0:
+            continue
+        chosen = set()
+        for i in range(slots - m, slots):
+            pick = int(edge_rng.integers(0, i + 1))
+            chosen.add(i if pick in chosen else pick)
+        for k in sorted(chosen):
+            if diagonal:
+                # colex: slot k is the pair (i, j), i < j, with k = C(j, 2) + i
+                j = max(j for j in range(len(vs)) if math.comb(j, 2) <= k)
+                edges.append((vs[k - math.comb(j, 2)], vs[j]))
+            else:
+                edges.append((vs[k // len(vt)], vt[k % len(vt)]))
     return edges
+
+
+def per_block_counts(g, params, seed) -> list:
+    """The v2 reduce stream's counts from a plain loop over parent blocks:
+    (s, t, count) for every block with a nonzero count, in draw order.
+
+    Stream 1 gives one `rng.random()` per block with at least one slot,
+    inverted through the block's law with `np.searchsorted`.
+    """
+    count_rng = as_seed(seed).child(1).rng()
+    counts = [(s, t, _count(law, count_rng.random())) for s, t, *_, law in _per_block_laws(g, params, seed)]
+    return [block for block in counts if block[2]]
+
+
+def block_counts(out, params, seed) -> list:
+    """An output graph's edges counted per parent block: (s, t, count) for
+    every block with an edge, in draw order.  Each side's parents come from
+    stream 0 as the reduction draws them."""
+    parent_rng = as_seed(seed).child(0).rng()
+    bipartite = isinstance(out, BipartiteGraph)
+    parents = [parent_rng.integers(0, params.n, size=params.N) for _ in range(2 if bipartite else 1)]
+    u, v = out.edges.T
+    s, t = parents[0][u], parents[-1][v]
+    if not bipartite:
+        s, t = np.minimum(s, t), np.maximum(s, t)
+    return [(s, t, c) for (s, t), c in sorted(Counter(zip(s.tolist(), t.tolist())).items())]
 
 
 def float_pairs_from_flat(n: int, t: np.ndarray) -> np.ndarray:

@@ -416,6 +416,17 @@ class TestCli:
             )
             assert code == 2
 
+    def test_sidecar_formats(self, tmp_path):
+        # generate sidecars stay v1; reduce sidecars are v2, the reduce
+        # stream's layout
+        src = str(tmp_path / "in.txt")
+        assert run_cli("generate", "pc", "--n", "4", "--k", "2", "--gamma", "0.5", "--seed", "3", "--out", src)[0] == 0
+        out = str(tmp_path / "red.txt")
+        assert run_cli("reduce", src, "--k", "2", "--gamma", "0.5", "--ell", "2", "--q", "0.01",
+                       "--seed", "11", "--out", out)[0] == 0
+        assert json.loads(Path(src + ".json").read_text())["format"] == "pdslab-sidecar-v1"
+        assert json.loads(Path(out + ".json").read_text())["format"] == "pdslab-sidecar-v2"
+
     def test_sweep_command(self, tmp_path):
         path, cfg = small_config(tmp_path)
         code, out = run_cli("sweep", path)

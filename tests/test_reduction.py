@@ -2,11 +2,11 @@ import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, count, product
+from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import has_edges, per_block_reduce_edges
+from conftest import block_counts, has_edges, per_block_counts, per_block_reduce_edges
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -40,9 +40,8 @@ from pdslab.reduction import (
     xi_bound,
     xi_bound_terms,
     _colex_pairs,
-    _floyd_sample,
     _largest_block,
-    _WordStream,
+    _place,
 )
 from pdslab.graphmodels import BipartiteGraph, gen_bipartite_pc
 
@@ -279,19 +278,6 @@ class TestSampleEdgeCount:
         assert chi2 < stats.chi2.ppf(1 - 1e-3, int(keep.sum()))
 
 
-class _ScriptedDraw:
-    """Stands in for a draw function: each `draw(high)` call takes the next
-    (high, value) of a script, checks the high and returns the value."""
-
-    def __init__(self, bounds, path):
-        self.calls = list(zip(bounds, path))
-
-    def __call__(self, high):
-        want_high, value = self.calls.pop(0)
-        assert high == want_high
-        return value
-
-
 class TestPlacement:
     def test_colex_inversion(self):
         # every index below 2e6, against the pairs walked in colex order:
@@ -311,68 +297,30 @@ class TestPlacement:
             got = _colex_pairs(base + offset)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
-    def test_floyd_uniformity(self):
-        # exact, not statistical: replay every sequence of draws Floyd's
-        # algorithm can make; each m-subset must come out on equally many
-        for n_slots in range(1, 9):
-            for m in range(n_slots + 1):
-                bounds = [i + 1 for i in range(n_slots - m, n_slots)]
-                counts = Counter()
-                for path in product(*map(range, bounds)):
-                    draw = _ScriptedDraw(bounds, path)
-                    counts[tuple(_floyd_sample(n_slots, m, draw))] += 1
-                    assert not draw.calls
-                assert sorted(counts) == list(combinations(range(n_slots), m))
-                assert set(counts.values()) == {math.prod(bounds) // math.comb(n_slots, m)}
+    def test_place_uniform(self):
+        # every m-subset of up to 6 slots, on the rounds side (2m <= slots)
+        # and the complement side: each block holds m distinct slots, and a
+        # chi-square over the C(slots, m) subsets at the 1e-4 level; one
+        # `_place` call draws all of a case's blocks at once
+        from scipy import stats
 
-    def test_floyd_sizes(self):
-        draw = _WordStream(Seed(1).rng().bit_generator).below
-        assert _floyd_sample(10, 0, draw) == []
-        assert _floyd_sample(5, 5, draw) == [0, 1, 2, 3, 4]
-
-
-class TestWordStream:
-    """`_WordStream` against numpy's own Generator on one seed: doubles and
-    bounded draws interleaved, the same values, then the same next word and
-    the same buffered half."""
-
-    # ("u", n): n doubles; ("b", high): one integers(0, high).  A bounded
-    # draw starts with no buffered half (first, and after an even number of
-    # 32-bit draws) and with one; high = 1 draws nothing; high = 2**31 + 1
-    # rejects about half of its 32-bit draws; 2**32 - 2 is the largest high
-    # on the 32-bit path; a look-ahead longer than a chunk refills mid-read
-    SCRIPT = [
-        ("b", 1), ("b", 10), ("u", 3), ("b", 7), ("b", 1), ("u", 1), ("b", 5), ("b", 6),
-        ("u", 2), *[("b", 2**31 + 1)] * 201, ("u", 5), ("b", 2**32 - 2), ("b", 3),
-        ("u", _WordStream._CHUNK + 7), ("b", 1), ("b", 2), ("u", 1),
-    ]
-
-    @pytest.mark.parametrize("seed", [0, 5, 123456789])
-    def test_matches_generator(self, seed):
-        rng = Seed(seed).rng()
-        stream = _WordStream(Seed(seed).rng().bit_generator)
-        for kind, x in self.SCRIPT:
-            if kind == "u":
-                got = stream.uniforms(x).copy()
-                stream.advance(x)
-                assert np.array_equal(got, rng.random(x))
-            else:
-                assert stream.below(x) == int(rng.integers(0, x))
-        # the same next word; the script ends with the high half of a word
-        # buffered on both sides, and the next 32-bit draw takes it
-        stream.uniforms(1)
-        assert int(stream._words[stream._pos]) == int(rng.bit_generator.random_raw())
-        stream.advance(1)
-        assert stream.below(2**31 + 1) == int(rng.integers(0, 2**31 + 1))
-
-    def test_rejection_fires(self):
-        # 200 draws below 2**31 + 1 would take 100 words without a rejection
-        stream = _WordStream(Seed(5).rng().bit_generator)
-        for _ in range(200):
-            stream.below(2**31 + 1)
-        stream.uniforms(1)
-        words = Seed(5).rng().bit_generator.random_raw(1000).tolist()
-        assert words.index(int(stream._words[stream._pos])) >= 150
+        rng = Seed(12).rng()
+        for slots in range(1, 7):
+            for m in range(slots + 1):
+                cells = math.comb(slots, m)
+                reps = 200 * cells
+                keys = _place(np.full(reps, slots, dtype=np.int32), np.full(reps, m, dtype=np.int32), rng)
+                block, slot = keys >> reduction._SLOT_BITS, keys & (reduction._MAX_BLOCK_SLOTS - 1)
+                assert np.unique(keys).size == keys.size and (slot < slots).all()
+                assert np.array_equal(np.bincount(block, minlength=reps), np.full(reps, m))
+                masks = np.zeros(reps, dtype=np.int64)
+                np.add.at(masks, block, 1 << slot)
+                observed = Counter(masks.tolist())
+                assert set(observed) <= {sum(1 << i for i in c) for c in combinations(range(slots), m)}
+                if cells > 1:
+                    counts = np.array(list(observed.values()) + [0] * (cells - len(observed)))
+                    chi2 = ((counts - 200.0) ** 2 / 200.0).sum()
+                    assert chi2 < stats.chi2.ppf(1 - 1e-4, cells - 1), (slots, m, chi2)
 
 
 def _row_edges(g, lo: int, hi: int) -> np.ndarray:
@@ -402,6 +350,11 @@ class TestReduceGraph:
         params = ReductionParams(n=3, k=2, gamma=0.5, ell=2, q=0.01)
         with pytest.raises(VertexCountMismatchError):
             reduce_graph(Graph(4, []), params, Seed(0))
+
+    def test_refuses_a_bipartite_input(self):
+        params = ReductionParams(n=2, k=2, gamma=0.5, ell=2, q=0.01)
+        with pytest.raises(InvalidParameterError, match="^reduce_graph takes a Graph, got BipartiteGraph$"):
+            reduce_graph(BipartiteGraph(2, 2, [(0, 1)]), params, Seed(0))
 
     def test_too_large_output_refused_before_drawing(self, monkeypatch):
         # the estimate is G(N, q)'s expected edge count: C(N, 2) q, or N^2 q
@@ -478,8 +431,8 @@ class TestReduceGraph:
             reduce_graph(Graph(10), params, Seed(0))
 
     def test_largest_block(self):
-        # every Floyd bound stays on numpy's 32-bit draw
-        assert reduction._MAX_BLOCK_SLOTS < 2**32 - 1
+        # every slot index fits a placement key's low bits
+        assert reduction._MAX_BLOCK_SLOTS == 1 << reduction._SLOT_BITS
         assert _largest_block([np.array([3, 5, 0])]) == 15
         assert _largest_block([np.array([7, 2])]) == 21
         assert _largest_block([np.array([4])]) == 6
@@ -487,7 +440,7 @@ class TestReduceGraph:
         assert _largest_block([np.array([2, 4]), np.array([3, 1])]) == 12
 
     def test_memory_per_output_edge(self):
-        # flat int64 buffers, not a tuple per edge: the output graph from an
+        # flat buffers, not a tuple per edge: the output graph from an
         # (M, 2) array alone costs ~9 bytes an edge
         params = ReductionParams(n=1000, k=60, gamma=0.5, ell=2, q=0.05)
         g = gen_er(1000, 0.5, Seed(8))
@@ -612,6 +565,11 @@ class TestReduceBipartite:
         with pytest.raises(VertexCountMismatchError):
             reduce_bipartite(BipartiteGraph(3, 2, []), params, Seed(0))
 
+    def test_refuses_a_unipartite_input(self):
+        params = ReductionParams(n=2, k=2, gamma=0.5, ell=2, q=0.01)
+        with pytest.raises(InvalidParameterError, match="^reduce_bipartite takes a BipartiteGraph, got Graph$"):
+            reduce_bipartite(Graph(2, [(0, 1)]), params, Seed(0))
+
 
 class TestFrozenStreams:
     # (n, k, ell, q, seed, reduce_graph fingerprint, reduce_bipartite
@@ -663,33 +621,57 @@ class TestFrozenStreams:
     @example(n=5, ell=1, q_frac=1.0, gamma=0.5, seed=25, mask=0x5A5A5A)
     @example(n=4, ell=2, q_frac=1.0, gamma=0.25, seed=83, mask=0xF0F0)
     def test_matches_per_block_loop(self, n, ell, q_frac, gamma, seed, mask):
+        # every nonzero block's (s, t, count), read off the output through
+        # the parents, is the per-block loop's
         # q_frac scales q to the kernel condition's edge, 16 q ell^2 = 1
         params = ReductionParams(n=n, k=n, gamma=gamma, ell=ell, q=q_frac / (16 * ell * ell))
         pairs = [(u, v) for u in range(n) for v in range(n) if mask >> (u * n + v) & 1]
         g = Graph(n, [(u, v) for u, v in pairs if u < v])
         b = BipartiteGraph(n, n, pairs)
-        N = params.N
-        want = Graph(N, per_block_reduce_edges(g, params, Seed(seed)))
-        assert reduce_graph(g, params, Seed(seed)).fingerprint() == want.fingerprint()
-        want = BipartiteGraph(N, N, per_block_reduce_edges(b, params, Seed(seed)))
-        assert reduce_bipartite(b, params, Seed(seed)).fingerprint() == want.fingerprint()
+        for reduce, graph in ((reduce_graph, g), (reduce_bipartite, b)):
+            out = reduce(graph, params, Seed(seed))
+            assert block_counts(out, params, Seed(seed)) == per_block_counts(graph, params, Seed(seed))
 
     @pytest.mark.parametrize("chunk", [1, 3, 7])
     def test_chunk_seams(self, monkeypatch, chunk):
-        # chunks cut between any two rows, and look-aheads of any width,
-        # read the edge stream as the default chunks do
+        # chunks cut between any two rows read the count stream as the
+        # default chunks do, and the placements follow the walk
         for n, k, ell, q, seed, uni, bip in self.POINTS[:3]:
             params = ReductionParams(n=n, k=k, gamma=0.5, ell=ell, q=q)
             for bipartite, fingerprint in ((False, uni), (True, bip)):
                 g = self.reduced(n, k, ell, q, seed, bipartite)
                 assert g.fingerprint() == fingerprint
-                want = per_block_reduce_edges(self.reduced_input(n, k, bipartite), params, Seed(seed))
-                assert g == type(g)(*g._dims, want)
-                for window in (reduction._WINDOW, 2):
-                    with monkeypatch.context() as patch:
-                        patch.setattr(reduction, "_CHUNK_BLOCKS", chunk)
-                        patch.setattr(reduction, "_WINDOW", window)
-                        assert self.reduced(n, k, ell, q, seed, bipartite) == g, (n, bipartite, window)
+                want = per_block_counts(self.reduced_input(n, k, bipartite), params, Seed(seed))
+                assert block_counts(g, params, Seed(seed)) == want
+                with monkeypatch.context() as patch:
+                    patch.setattr(reduction, "_CHUNK_BLOCKS", chunk)
+                    assert self.reduced(n, k, ell, q, seed, bipartite) == g, (n, bipartite)
+
+    def test_v1_and_v2_agree_in_law(self):
+        # the v1 per-block loop and the v2 sampler on one input, seed by
+        # seed, so with the same parents: a paired z-test on the number of
+        # nonzero blocks, and a chi-square homogeneity test on how often
+        # each output pair, a slot of its block, holds an edge
+        from scipy import stats
+
+        n, k, ell = 16, 6, 2
+        params = ReductionParams(n=n, k=k, gamma=0.5, ell=ell, q=1 / (16 * ell * ell))
+        g = self.reduced_input(n, k, False)
+        N, runs = params.N, 1000
+        diffs = []
+        hits = np.zeros((2, N * N), dtype=np.int64)
+        for seed in range(runs):
+            pair = [Graph(N, per_block_reduce_edges(g, params, Seed(seed))), reduce_graph(g, params, Seed(seed))]
+            diffs.append(len(block_counts(pair[0], params, Seed(seed))) - len(block_counts(pair[1], params, Seed(seed))))
+            for row, out in zip(hits, pair):
+                u, v = out.edges.T
+                row += np.bincount(u * N + v, minlength=N * N)
+        z = np.mean(diffs) / (np.std(diffs, ddof=1) / math.sqrt(runs))
+        assert abs(z) < 4, z
+        used = hits.sum(axis=0) > 0
+        assert used.sum() > 0.9 * N * (N - 1) / 2
+        chi2 = ((hits[0] - hits[1])[used] ** 2 / hits.sum(axis=0)[used]).sum()
+        assert chi2 < stats.chi2.ppf(1 - 1e-3, int(used.sum())), chi2
 
     def test_points_cover_empty_and_oversize_parts(self):
         # part sizes from the documented parent stream: one draw per side
