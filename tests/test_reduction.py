@@ -600,7 +600,9 @@ class TestFrozenStreams:
         reduce = reduce_bipartite if bipartite else reduce_graph
         return reduce(cls.reduced_input(n, k, bipartite), params, Seed(seed))
 
-    @pytest.mark.parametrize("n,k,ell,q,seed,uni,bip", POINTS)
+    # each point's id names its inputs alone, so a re-derived fingerprint
+    # keeps the test's name
+    @pytest.mark.parametrize("n,k,ell,q,seed,uni,bip", POINTS, ids=["-".join(map(str, p[:5])) for p in POINTS])
     def test_fingerprints(self, n, k, ell, q, seed, uni, bip):
         assert self.reduced(n, k, ell, q, seed, False).fingerprint() == uni
         if bip is not None:
