@@ -43,7 +43,7 @@ from .errors import (
     TooLargeError,
     VertexCountMismatchError,
 )
-from .graphmodels import Graph, PdsParams, _check_vertex_arrays, _integer, subgraph_edge_count
+from .graphmodels import _MAX_VERTEX_ARRAY, Graph, PdsParams, _check_vertex_arrays, _integer, subgraph_edge_count
 from .randkit import Seed, as_seed
 
 __all__ = [
@@ -175,6 +175,27 @@ def scan_subset_count(N: int, K: int, budget: int) -> int:
     return count
 
 
+def _check_exact_scan(N: int, K: int, budget: int) -> None:
+    """Refuse an exact scan before any array: a BudgetExceededError when
+    C(N, K) exceeds `budget`, then, when K > 1 and the scan's arrays would
+    hold more than _MAX_VERTEX_ARRAY entries, a TooLargeError.  Those
+    arrays are the N x N adjacency matrix and each stacked frame's two
+    N-entry rows, with at most K + 1 frames stacked at once.
+    """
+    total = scan_subset_count(N, K, budget)
+    if total > budget:
+        relation = "=" if min(K, N - K) <= _COUNT_CAP else ">="
+        raise BudgetExceededError(
+            f"C({N},{K}) {relation} {total} subsets exceeds the budget of {budget}"
+        )
+    entries = N * (N + 2 * (K + 1))
+    if K > 1 and entries > _MAX_VERTEX_ARRAY:
+        raise TooLargeError(
+            f"the exact scan at N = {N:,}, K = {K:,} holds {entries:,} matrix and row entries, "
+            f"above the cap of {_MAX_VERTEX_ARRAY:,}"
+        )
+
+
 def t_scan_exact(g: Graph, K: int, budget: int = DEFAULT_SCAN_BUDGET, threshold=None):
     """Maximum edge count over all K-subsets, plus the first argmax; given a
     `threshold`, only whether some K-subset has more edges than it.
@@ -185,7 +206,9 @@ def t_scan_exact(g: Graph, K: int, budget: int = DEFAULT_SCAN_BUDGET, threshold=
     maximises: the bound starts at floor(threshold), as if a set of that
     many edges had been seen, and the walk stops at the first leaf above
     it.  Raises BudgetExceededError when C(N, K) exceeds the budget, which
-    caps subsets, not search nodes, so the check comes first either way.
+    caps subsets, not search nodes, so the check comes first either way;
+    then TooLargeError when its N x N matrix and frame rows would pass the
+    cap on per-vertex arrays (`_check_exact_scan`).
     """
     N = g.num_vertices
     K = _integer(K, "K")
@@ -194,12 +217,7 @@ def t_scan_exact(g: Graph, K: int, budget: int = DEFAULT_SCAN_BUDGET, threshold=
         raise InvalidParameterError(f"need 0 <= K <= N, got K={K}, N={N}")
     if K <= 1:
         return (0, tuple(range(K))) if threshold is None else 0 > threshold
-    total = scan_subset_count(N, K, budget)
-    if total > budget:
-        relation = "=" if min(K, N - K) <= _COUNT_CAP else ">="
-        raise BudgetExceededError(
-            f"C({N},{K}) {relation} {total} subsets exceeds the budget of {budget}"
-        )
+    _check_exact_scan(N, K, budget)
     # uint8 rows: the degree vectors are int64, so every sum is exact
     A = g.adjacency_matrix()
     best = -1 if threshold is None else math.floor(threshold)
@@ -576,6 +594,8 @@ def recovery_detector(
     """
     if not epsilon < 1.0:  # NaN fails the gate too
         raise PreconditionViolationError("need epsilon < 1")
+    # each test draws a permutation of N and N-entry rows
+    _check_vertex_arrays(params.N)
     tau = recovery_threshold(params.q, params.p, epsilon)
     cutoff = tau * _comb2(params.K)
     root = as_seed(seed)

@@ -498,14 +498,14 @@ def gen_bipartite_pc(n: int, k: int, gamma: float, seed) -> PlantedInstance:
 
 def subgraph_edge_count(g: Graph, S: Iterable[int]) -> int:
     """Number of edges with both endpoints in S; a member that is not an
-    integer vertex is refused, not truncated."""
+    integer vertex is refused, not truncated.  Membership is looked up in
+    S's own sorted members, so no array spans the vertex range."""
     members = [_integer(v, "subset member") for v in S]
     if not all(0 <= v < g.num_vertices for v in members):
         raise InvalidParameterError("subset is not within the vertex range")
-    inside = np.zeros(g.num_vertices, dtype=bool)
-    inside[members] = True
+    members = np.unique(np.array(members, dtype=np.int64))
     u, v = g.edges.T
-    return int(np.count_nonzero(inside[u] & inside[v]))
+    return int(np.count_nonzero(np.isin(u, members) & np.isin(v, members)))
 
 
 # the edge-list writer formats this many edges at a time

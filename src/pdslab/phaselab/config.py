@@ -12,8 +12,8 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, fields
 
-from ..detectors import DEFAULT_SCAN_BUDGET, scan_subset_count
-from ..errors import ConfigError
+from ..detectors import DEFAULT_SCAN_BUDGET, _check_exact_scan
+from ..errors import BudgetExceededError, ConfigError, TooLargeError
 from ..graphmodels import _MAX_VERTEX_COUNT, PdsParams
 
 _TESTS = ("lin", "scan", "combined")
@@ -89,12 +89,19 @@ class SweepConfig:
         params = [self.point_params(a, b) for a, b in self.points]  # fail loudly, never clip
         if self.test != "lin" and self.scan_mode == "exact":
             for (alpha, beta), point in zip(self.points, params):
-                if scan_subset_count(self.N, point.K, DEFAULT_SCAN_BUDGET) > DEFAULT_SCAN_BUDGET:
+                try:
+                    _check_exact_scan(self.N, point.K, DEFAULT_SCAN_BUDGET)
+                except BudgetExceededError:
                     raise ConfigError(
                         f"grid point alpha={alpha}, beta={beta} gives C(N, K) = "
                         f"C({self.N}, {point.K}) > {DEFAULT_SCAN_BUDGET}, the exact scan's "
                         "budget; use scan_mode heuristic or move the grid"
-                    )
+                    ) from None
+                except TooLargeError as err:
+                    raise ConfigError(
+                        f"grid point alpha={alpha}, beta={beta}: {err}; use scan_mode heuristic "
+                        "or move the grid"
+                    ) from None
 
     def point_params(self, alpha: float, beta: float) -> PdsParams:
         """Derived (N, K, p, q) at one grid point; p > 1 is an error."""

@@ -611,8 +611,9 @@ class TestMonotone:
 
 
 class TestVertexArrayCap:
-    """The CSR and the heuristic scan's restarts hold arrays of N entries,
-    so N above the cap is refused by estimate, before any is built."""
+    """The CSR, the heuristic scan's restarts and the recovery detector's
+    draws hold arrays of N entries, and the exact scan an N x N matrix, so
+    each is refused by estimate above the cap, before any is built."""
 
     MESSAGE = "1,000,000,000 vertices, above the cap of 50,000,000 on per-vertex arrays"
 
@@ -634,6 +635,47 @@ class TestVertexArrayCap:
 
         with pytest.raises(TooLargeError, match=self.MESSAGE):
             scan_heuristic_batch(graphs(), 10**9, 10, 3)
+
+    def test_exact_scan_matrix_refused_before_building(self, monkeypatch):
+        # C(N, N - 1) = N passes the budget, but the N x N matrix and the
+        # frames' N-entry rows would not fit the cap
+        def no_matrix(self):
+            raise AssertionError("adjacency_matrix reached")
+
+        monkeypatch.setattr(Graph, "adjacency_matrix", no_matrix)
+        with pytest.raises(TooLargeError) as err:
+            t_scan_exact(Graph(10**6), 999_999)
+        assert str(err.value) == (
+            "the exact scan at N = 1,000,000, K = 999,999 holds 3,000,000,000,000 matrix and row "
+            "entries, above the cap of 50,000,000"
+        )
+        # 4100 * (4100 + 2 * 4100) entries are above the cap, 4000 * (4000 + 2 * 4000) within it
+        with pytest.raises(TooLargeError, match="^the exact scan at N = 4,100, K = 4,099 holds 50,430,000 "):
+            t_scan_exact(Graph(4100), 4099)
+        with pytest.raises(AssertionError, match="adjacency_matrix reached"):
+            t_scan_exact(Graph(4000), 3999)
+        # K <= 1 builds no matrix and is answered at any N
+        assert t_scan_exact(Graph(10**6), 1) == (0, (0,))
+
+    def test_recovery_detector_refused_when_built(self):
+        params = PdsParams(10**9, 10, 0.5, 0.1)
+        with pytest.raises(TooLargeError, match=self.MESSAGE):
+            recovery_detector(lambda g: range(10), params, 0.5, Seed(0))
+
+    def test_dks_detector_holds_no_vertex_array(self):
+        # membership is counted over the set's own members: an empty graph
+        # of 3e9 vertices costs no 3 GB mask
+        params = PdsParams(3_000_000_000, 3, 0.5, 0.1)
+        det = dks_detector(lambda g: [0, 7, 2_999_999_999], eta=1.2, epsilon=0.2, params=params)
+        g = Graph(3_000_000_000)
+        det(g)
+        tracemalloc.start()
+        try:
+            assert det(g) == H0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestDksDetector:

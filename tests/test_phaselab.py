@@ -124,14 +124,37 @@ class TestConfig:
         for overrides in ({"test": "lin"}, {"test": "scan", "scan_mode": "heuristic"}):
             path, _ = small_config(tmp_path, **{**grid, **overrides})
             assert load_config(path).points == [(0.5, 0.4), (0.5, 0.9)]
-        # at the largest N the check stays quick: one subset loads, many do not
+        # at the largest N the check stays quick: one subset passes the
+        # budget, and its N x N matrix is refused; many subsets fail the budget
         path, _ = small_config(tmp_path, test="scan", N=3037000499, alpha_grid=[2.0],
                                beta_grid=[1.0])
-        assert load_config(path).point_params(2.0, 1.0).K == 3037000499
+        with pytest.raises(ConfigError, match=r"^grid point alpha=2\.0, beta=1\.0: the exact scan at "
+                                              r"N = 3,037,000,499, K = 3,037,000,499 holds "):
+            load_config(path)
         path, _ = small_config(tmp_path, test="scan", N=3037000499, alpha_grid=[2.0],
                                beta_grid=[0.5])
         with pytest.raises(ConfigError, match=r"C\(3037000499, 55109\)"):
             load_config(path)
+
+    def test_exact_scan_matrix(self, tmp_path, monkeypatch, capsys):
+        # C(10^6, 10^6) = 1 passes the budget; the scan's N x N matrix is
+        # refused when the config loads, exit 3, before any graph is drawn
+        from pdslab.graphmodels import Graph
+
+        def no_matrix(self):
+            raise AssertionError("adjacency_matrix reached")
+
+        monkeypatch.setattr(Graph, "adjacency_matrix", no_matrix)
+        path, _ = small_config(tmp_path, test="scan", scan_mode="exact", N=10**6, alpha_grid=[2.0],
+                               beta_grid=[1.0])
+        with pytest.raises(ConfigError, match=r"K = 1,000,000 holds 3,000,002,000,000 matrix and row entries, "
+                                              r"above the cap of 50,000,000; use scan_mode heuristic"):
+            load_config(path)
+        assert run_cli("sweep", str(path)) == (3, "")
+        assert "3,000,002,000,000 matrix and row entries" in capsys.readouterr().err
+        # at N = 60 the exact sweep's matrix fits, and its points load
+        path, _ = small_config(tmp_path, test="scan", alpha_grid=[2.0], beta_grid=[1.0])
+        assert load_config(path).point_params(2.0, 1.0).K == 60
 
     def test_every_field_is_type_checked(self, tmp_path):
         # each field's check comes from its annotation, so a JSON object,
@@ -799,6 +822,24 @@ class TestExitCodes:
                        "--q", "0.1") == (4, "")
         err = capsys.readouterr().err
         assert err.startswith("error: C(1000000,500000) >= ") and len(err) < 400
+
+    def test_exact_scan_matrix_on_a_huge_graph(self, tmp_path, monkeypatch, capsys):
+        # C(10^6, 999999) = 10^6 passes the budget; the N x N matrix is
+        # refused, exit 4, before it is built
+        from pdslab.graphmodels import Graph
+
+        def no_matrix(self):
+            raise AssertionError("adjacency_matrix reached")
+
+        monkeypatch.setattr(Graph, "adjacency_matrix", no_matrix)
+        path = tmp_path / "empty.txt"
+        path.write_text("1000000 0\n", encoding="utf-8")
+        assert run_cli("test", str(path), "--test", "scan", "--K", "999999", "--p", "0.5",
+                       "--q", "0.1") == (4, "")
+        assert capsys.readouterr().err == (
+            "error: the exact scan at N = 1,000,000, K = 999,999 holds 3,000,000,000,000 matrix and "
+            "row entries, above the cap of 50,000,000\n"
+        )
 
     def test_per_vertex_arrays_on_a_huge_graph(self, tmp_path, monkeypatch, capsys):
         # at 10^9 vertices G(N, 0) and the lin test hold no array of N
