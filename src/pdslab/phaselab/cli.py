@@ -158,7 +158,7 @@ def cmd_reduce(args) -> int:
     reduced = (reduce_bipartite if bipartite else reduce_graph)(g, params, Seed(args.seed))
     keys = ("n", "k", "gamma", "ell", "q", "m0", "N", "K", "p", "kernel_condition",
             "size_condition")
-    # v2: the reduce stream's layout changed once, see `reduction`
+    # v2 names the reduce stream's layout, see `reduction`
     return _write_graph(reduced, args.out, {
         "format": "pdslab-sidecar-v2",
         "reduction": {
