@@ -519,7 +519,11 @@ class TestOraclePin:
                     pds_fixed_law_exact(1, 0, 0.5, 0.2), pds_fixed_law_exact(1, 1, 0.5, 0.2)):
             assert law.tolist() == [1.0]
 
-    @pytest.mark.parametrize("p,q", [(0.25, 0.25), (0.5, 0.25), (0.9, 0.1), (0.002, 0.001), (1 / 3, 0.1)])
+    # the rates `verify` feeds the planted oracles (the chi-square brute
+    # force's four (p, q), the reduction-exact battery's (0.02, 0.01) and
+    # (0.002, 0.001)), then others
+    @pytest.mark.parametrize("p,q", [(0.25, 0.25), (0.5, 0.25), (0.25, 0.5), (0.5, 0.5), (0.02, 0.01),
+                                     (0.002, 0.001), (0.9, 0.1), (1 / 3, 0.1)])
     def test_planted_laws_match_per_mask_reference(self, p, q):
         for N in range(2, 6):
             for size in range(N + 1):
