@@ -308,7 +308,9 @@ def scan_heuristic_batch(graphs, N: int, K: int, restarts: int, threshold=None) 
     with one row per (graph, restart) pair, and a row leaves the matrix
     when its restart stops.  A swap only raises a restart's count, so with
     a threshold a graph is decided as soon as one of its counts exceeds
-    it, and all its rows leave the matrix then.  With a threshold the
+    it.  The iteration checks the counts its swaps start from, and all the
+    decided graph's rows leave where stopped rows do, before any of its
+    swaps lands.  With a threshold the
     restarts also start in waves: restart 0 of every graph first, then the
     others of the graphs it left undecided.  Restart r always draws from
     seed child r, so no result depends on the order restarts start in.
@@ -393,17 +395,6 @@ def _lockstep_scan(run: list, N: int, K: int, restarts: int, threshold) -> list:
         vbase = np.array([j for j, _ in block]) * N  # its graph's in ptr
         flat = keys.reshape(-1)
         while len(keys):
-            if threshold is not None:
-                # a count above the threshold decides its graph, whose
-                # rows all leave
-                decided[vbase[counts > threshold] // N] = True
-                live = ~decided[vbase // N]
-                if not live.all():
-                    keys, counts, vbase = keys[live], counts[live], vbase[live]
-                    base = base[:len(keys)]
-                    flat = keys.reshape(-1)
-                    if not len(keys):
-                        break
             D = keys.max(axis=1)
             u = keys.argmin(axis=1)  # the first member of least degree
             # no swap gains more than D - d_u; with K = N, D is a member's key
@@ -446,8 +437,12 @@ def _lockstep_scan(run: list, N: int, K: int, restarts: int, threshold) -> list:
             # a restart stops at its first gain <= 0.  Its members are the keys
             # below -1 even with u's edges still off: members at -3 or below,
             # outside vertices at -1 or above; its graph's best is the larger
-            # count, then the smaller set.  A threshold keeps no sets
+            # count, then the smaller set.  A threshold keeps no sets: a
+            # count above it decides its graph, whose rows all stop
             done = gain <= 0
+            if threshold is not None:
+                decided[vbase[counts > threshold] // N] = True
+                done |= decided[vbase // N]
             if done.any():
                 for i in done.nonzero()[0] if threshold is None else ():
                     j = vbase[i] // N

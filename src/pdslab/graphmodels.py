@@ -169,10 +169,7 @@ class _SortedKeyGraph:
         height, width = self._dims[0], self._dims[-1]
         if u.size and (u.min() < 0 or u.max() >= height or v.min() < 0 or v.max() >= width):
             raise InvalidParameterError("edge endpoint out of range")
-        # closed by a sentinel above any key, so a lookup never runs off the end
-        self._keys = np.empty(u.size + 1, dtype=np.int64)
-        self._keys[-1] = np.iinfo(np.int64).max
-        keys = np.multiply(u, width, out=self._keys[:-1])
+        keys = u * width
         keys += v
         if not (keys[1:] > keys[:-1]).all():
             # stable is timsort: linear on nearly sorted rows
@@ -180,18 +177,19 @@ class _SortedKeyGraph:
             repeat = np.flatnonzero(keys[1:] == keys[:-1])
             if repeat.size:
                 raise InvalidParameterError("duplicate edge (%d, %d)" % divmod(keys[repeat[0]], width))
+        self._keys = keys
 
     @property
     def edges(self) -> np.ndarray:
         """The (M, 2) int64 rows in key order, read-only, derived anew on each access."""
         rows = np.empty((self.num_edges, 2), dtype=np.int64)
-        np.divmod(self._keys[:-1], self._dims[-1], out=(rows[:, 0], rows[:, 1]))
+        np.divmod(self._keys, self._dims[-1], out=(rows[:, 0], rows[:, 1]))
         rows.flags.writeable = False
         return rows
 
     @property
     def num_edges(self) -> int:
-        return self._keys.size - 1
+        return self._keys.size
 
     def row_marks(self, lo: int, hi: int) -> np.ndarray:
         """The edges of rows lo..hi-1 as a dense boolean matrix: entry
@@ -312,16 +310,28 @@ def _pair_start(n: int, i):
     return i * (2 * n - i - 1) // 2
 
 
+def _colex_pairs(idx: np.ndarray) -> tuple:
+    """Invert colex enumeration of pairs i < j: index = C(j,2) + i.
+
+    j is the largest with C(j, 2) <= idx.  The float root of 8 idx + 1
+    misses it by at most one either way, and the integer checks settle it
+    for every idx below C(_MAX_VERTEX_COUNT, 2), where every product here
+    still fits int64.
+    """
+    j = ((np.sqrt(8.0 * idx + 1.0) + 1.0) * 0.5).astype(np.int64)
+    j -= (j * (j - 1)) >> 1 > idx
+    j += ((j + 1) * j) >> 1 <= idx
+    return idx - ((j * (j - 1)) >> 1), j
+
+
 def _pairs_from_flat(n: int, t: np.ndarray) -> np.ndarray:
     """Invert lexicographic pair enumeration: ascending flat indices ->
     rows (i, j), i < j.
 
     With no more rows than indices, one searchsorted of the n row starts
-    into t splits t into its rows' runs.  Otherwise each index is inverted
-    on its own: counted from the last pair, k = C(n, 2) - 1 - t lies in row
-    n - 2 - r for the largest r with r(r + 1)/2 <= k.  The float root is off
-    by at most one, and every product here fits int64 up to the vertex
-    limit.
+    into t splits t into its rows' runs.  Otherwise each index goes
+    through `_colex_pairs` with the labels reversed: lex index t of (i, j)
+    is colex index C(n, 2) - 1 - t of (n - 1 - j, n - 1 - i).
     """
     t = np.asarray(t, dtype=np.int64)
     if n <= t.size:
@@ -329,11 +339,8 @@ def _pairs_from_flat(n: int, t: np.ndarray) -> np.ndarray:
         starts = _pair_start(n, rows)
         runs = np.diff(np.searchsorted(t, starts), append=t.size)
         return np.column_stack([np.repeat(rows, runs), t - np.repeat(starts - rows - 1, runs)])
-    k = _pair_count(n) - 1 - t
-    r = ((np.sqrt(8.0 * k + 1.0) - 1.0) // 2).astype(np.int64)
-    r += (r + 1) * (r + 2) // 2 <= k
-    r -= r * (r + 1) // 2 > k
-    return np.column_stack([n - 2 - r, n - 1 - k + r * (r + 1) // 2])
+    i, j = _colex_pairs(_pair_count(n) - 1 - t)
+    return np.column_stack([n - 1 - j, n - 1 - i])
 
 
 def _bernoulli_flat(total: int, prob: float, rng: np.random.Generator) -> np.ndarray:

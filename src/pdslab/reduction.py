@@ -65,6 +65,7 @@ from .graphmodels import (
     Graph,
     _check_expected_edges,
     _check_vertex_arrays,
+    _colex_pairs,
     _integer,
 )
 from .randkit import Pmf, as_seed, binom_pmf
@@ -299,19 +300,6 @@ class KernelTable:
             hit = Pmf((1.0 - self.gamma) * q_prime.probs + self.gamma * p_prime.probs)
             self._mixed[slots] = hit
         return hit
-
-
-def _colex_pairs(idx: np.ndarray) -> tuple:
-    """Invert colex enumeration of pairs i < j: index = C(j,2) + i.
-
-    j is the largest with C(j, 2) <= idx.  The float root of 8 idx + 1
-    misses it by at most one either way, and the integer checks settle it
-    for every idx below C(3e9 + 1, 2).
-    """
-    j = ((np.sqrt(8.0 * idx + 1.0) + 1.0) * 0.5).astype(np.int64)
-    j -= (j * (j - 1)) >> 1 > idx
-    j += ((j + 1) * j) >> 1 <= idx
-    return idx - ((j * (j - 1)) >> 1), j
 
 
 def block_routes(sizes, table: KernelTable, graph):

@@ -42,8 +42,7 @@ from .reduction import (
 __all__ = [
     "CheckReport",
     "CHECK_TOL",
-    "check_mixture_identity",
-    "check_pprime_tv",
+    "check_kernel",
     "default_kernel_grid",
     "chi2_planted_vs_null_exact",
     "chi2_bruteforce",
@@ -121,11 +120,13 @@ def default_kernel_grid(
     return grid
 
 
-def _kernel_checks(grid) -> tuple:
-    """(mixture, pprime): both kernel checks' reports over `grid`, from one
-    walk that builds each Binom(slots, rate) and each (P', Q', a) by
-    (slots, q, gamma) once; the cells draw their binomials from the same
-    memo."""
+def check_kernel(grid) -> list:
+    """Both kernel checks over `grid`: first each point's pointwise
+    deviation of (1-gamma) Q' + gamma P' from Binom(ls*lt, q), then each
+    point's tv(P', Binom(ls*lt, 2q)) against the 4 (8 q ell^2)^(m0+1)
+    bound.  One walk builds each Binom(slots, rate) and each (P', Q', a)
+    by (slots, q, gamma) once; the cells draw their binomials from the
+    same memo."""
     binom = functools.cache(binom_pmf)
     cell = functools.cache(lambda slots, q, gamma: _kernel_laws(slots, 1, q, gamma, binom))
     mixture, pprime = [], []
@@ -148,17 +149,7 @@ def _kernel_checks(grid) -> tuple:
                 rhs=4.0 * (8.0 * q * ell**2) ** (m0_of(gamma) + 1),
             )
         )
-    return mixture, pprime
-
-
-def check_mixture_identity(grid) -> list:
-    """Pointwise deviation of (1-gamma) Q' + gamma P' from Binom(ls*lt, q)."""
-    return _kernel_checks(grid)[0]
-
-
-def check_pprime_tv(grid) -> list:
-    """tv(P', Binom(ls*lt, 2q)) against the 4 (8 q ell^2)^(m0+1) bound."""
-    return _kernel_checks(grid)[1]
+    return mixture + pprime
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +218,18 @@ def pds_law_exact(N: int, K: int, p: float, q: float) -> np.ndarray:
 
 
 def _planted_law(N: int, p: float, q: float, weighted_sets) -> np.ndarray:
-    """Sum over (weight, set) of weight times the law given the set: a
-    chain of factors [1-r, r] in pair order, pair i on axis n_pairs-1-i and
-    r = p on pairs inside the set, q elsewhere."""
+    """Sum over (weight, set) of weight times the law given the set: an
+    outer-product chain of factors [1-r, r] in pair order, so pair i is
+    bit i of the mask, with r = p on pairs inside the set and q elsewhere."""
     pairs, n_pairs = _graph_space(N)
-    law = np.zeros((2,) * n_pairs)
+    law = np.zeros(1 << n_pairs)
     for weight, subset in weighted_sets:
-        given = 1.0
-        for i, (u, v) in enumerate(pairs):
+        given = np.ones(1)
+        for u, v in pairs:
             r = p if u in subset and v in subset else q
-            given = given * _slot_tensor(n_pairs, [i], np.array([1.0 - r, r]))
+            given = np.multiply.outer((1.0 - r, r), given).ravel()
         law += weight * given
-    return law.reshape(-1)
+    return law
 
 
 def chi2_bruteforce(N: int, Kp: int, p: float, q: float) -> float:
@@ -383,16 +374,6 @@ def hyper_mgf(pop: int, m: int, lam: float) -> float:
 # ---------------------------------------------------------------------------
 # exact reduction-law oracles
 # ---------------------------------------------------------------------------
-
-
-def _slot_tensor(n_slots: int, slot_ids: list, values: np.ndarray) -> np.ndarray:
-    """`values` over the given slots' bits as a tensor that broadcasts
-    against a law: slot i is axis n_slots-1-i, of length 2 for the given
-    slots and 1 for every other."""
-    shape = [1] * n_slots
-    for slot in slot_ids:
-        shape[n_slots - 1 - slot] = 2
-    return values.reshape(shape)
 
 
 def _side_layout(weight: float, sizes: list, table, graph) -> tuple:
@@ -574,8 +555,7 @@ def reduction_alt_tv_bipartite_exact(params: ReductionParams) -> float:
 
 
 def battery_kernel() -> list:
-    mixture, pprime = _kernel_checks(default_kernel_grid())
-    return mixture + pprime
+    return check_kernel(default_kernel_grid())
 
 
 def battery_lemmas() -> list:

@@ -77,16 +77,15 @@ def recursive_scan_max(g, K: int):
 
 
 def has_edges(g, u, v) -> np.ndarray:
-    """Elementwise edge lookup over broadcast arrays of endpoints, by a
-    binary search of the graph's sorted keys; undirected ends in either
-    order.  The containers' lookup as first written, and the reference for
-    `row_marks`."""
+    """Elementwise edge lookup over broadcast arrays of endpoints, as
+    membership among the graph's keys; undirected ends in either order.
+    The reference for `row_marks`."""
     u, v = g._orient(np.asarray(u), np.asarray(v))
     height, width = g._dims[0], g._dims[-1]
     # an end out of range would alias another row's key: it queries -1
     inside = (u >= 0) & (u < height) & (v >= 0) & (v < width)
     query = np.where(inside, u * width + v, -1)
-    return g._keys[np.searchsorted(g._keys, query)] == query
+    return np.isin(query, g._keys)
 
 
 def graph_law_tv(law_by_mask: np.ndarray, other: np.ndarray) -> float:

@@ -33,9 +33,8 @@ from pdslab.theorychecks import (
     battery_reduction_exact,
     check_binom_dominance,
     check_decoupling,
-    check_mixture_identity,
+    check_kernel,
     check_negative_association,
-    check_pprime_tv,
     chi2_bruteforce,
     chi2_planted_vs_null_exact,
     default_kernel_grid,
@@ -73,32 +72,40 @@ class TestKernelChecks:
         assert all(max(ls, lt) <= 2 for ls, lt, q, _, _ in grid if q == 1e-2)
 
     def test_mixture_identity_all_satisfied(self):
-        for report in check_mixture_identity(default_kernel_grid()):
+        for report in _kernel_half(check_kernel(default_kernel_grid()), "kernel-mixture-identity"):
             assert report.satisfied
             assert report.lhs <= 1e-12
 
     def test_mixture_exact_at_point(self):
-        (report,) = check_mixture_identity([(1, 1, 0.01, 0.5, 1)])
+        (report,) = _kernel_half(check_kernel([(1, 1, 0.01, 0.5, 1)]), "kernel-mixture-identity")
         assert report.lhs == 0.0
 
     def test_violated_precondition_raises_not_passes(self):
         with pytest.raises(ValidityViolationError):
-            check_mixture_identity([(4, 4, 0.2, 0.5, 4)])
+            check_kernel([(4, 4, 0.2, 0.5, 4)])
 
     def test_pprime_tv_bound(self):
-        reports = check_pprime_tv(default_kernel_grid())
+        reports = _kernel_half(check_kernel(default_kernel_grid()), "kernel-pprime-tv")
         assert all(r.satisfied and r.lhs >= 0 for r in reports)
-        (point,) = check_pprime_tv([(2, 2, 0.01, 0.5, 2)])
+        (point,) = _kernel_half(check_kernel([(2, 2, 0.01, 0.5, 2)]), "kernel-pprime-tv")
         assert point.rhs == pytest.approx(4 * (8 * 0.01 * 4) ** 2, rel=1e-12)  # 0.4096
 
     def test_trivial_support_zero_distance(self):
-        (report,) = check_pprime_tv([(1, 1, 0.01, 0.5, 1)])
+        (report,) = _kernel_half(check_kernel([(1, 1, 0.01, 0.5, 1)]), "kernel-pprime-tv")
         assert report.lhs <= 1e-15
 
     def test_battery_is_both_checks_over_the_default_grid(self):
+        # every mixture report, then every P' report, one of each per point
         grid = default_kernel_grid()
-        want = check_mixture_identity(grid) + check_pprime_tv(grid)
-        assert [r.to_json_line() for r in battery_kernel()] == [r.to_json_line() for r in want]
+        reports = check_kernel(grid)
+        names = ["kernel-mixture-identity"] * len(grid) + ["kernel-pprime-tv"] * len(grid)
+        assert [r.name for r in reports] == names
+        assert [r.to_json_line() for r in battery_kernel()] == [r.to_json_line() for r in reports]
+
+
+def _kernel_half(reports: list, name: str) -> list:
+    """The reports of one kernel check, by name, in grid order."""
+    return [r for r in reports if r.name == name]
 
 
 class TestChi2Identity:
