@@ -308,9 +308,9 @@ def scan_heuristic_batch(graphs, N: int, K: int, restarts: int, threshold=None) 
     with one row per (graph, restart) pair, and a row leaves the matrix
     when its restart stops.  A swap only raises a restart's count, so with
     a threshold a graph is decided as soon as one of its counts exceeds
-    it.  The iteration checks the counts its swaps start from, and all the
-    decided graph's rows leave where stopped rows do, before any of its
-    swaps lands.  With a threshold the
+    it.  Each iteration checks the counts its swaps start from, and a
+    decided graph's rows all leave with that iteration's stopped rows,
+    before their swaps land.  With a threshold the
     restarts also start in waves: restart 0 of every graph first, then the
     others of the graphs it left undecided.  Restart r always draws from
     seed child r, so no result depends on the order restarts start in.
