@@ -19,19 +19,23 @@ count for its count vectors and their multiplicities.  The float
 pair-index inversion the samplers used first is the reference for the
 closed-form one at every vertex count where it was exact.  The sweep point
 that samples and decides one trial graph at a time is the reference for
-`sweep.run_point`'s rows, and the binary search over a graph's full key
-array for `row_marks`' one-slice read.
+`sweep.run_point`'s rows, and membership in a graph's full key array
+for `row_marks`' one-slice read.  `pdslab_modules` lists every module
+for the surface and module-state checks.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
+import pkgutil
 from collections import Counter
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+import pdslab
 from pdslab.detectors import H0, H1, ErrorEstimate, scan_statistic, t_lin, tau_lin, tau_scan
 from pdslab.errors import EdgeListParseError, InvalidParameterError
 from pdslab.graphmodels import (
@@ -46,6 +50,13 @@ from pdslab.graphmodels import (
 from pdslab.randkit import Seed, as_seed
 from pdslab.reduction import KernelTable, _split_parents, block_pairs, block_routes, regime_classify
 from pdslab.theorychecks import CheckReport
+
+
+def pdslab_modules():
+    """The pdslab package and every module in it, imported."""
+    yield pdslab
+    for info in pkgutil.walk_packages(pdslab.__path__, prefix="pdslab."):
+        yield importlib.import_module(info.name)
 
 
 def recursive_scan_max(g, K: int):

@@ -1,22 +1,15 @@
 import importlib
 import inspect
-import pkgutil
 
-import pdslab
+from conftest import pdslab_modules
 
 
 _LIBRARY = ("randkit", "graphmodels", "detectors", "reduction", "theorychecks")
 
 
-def _modules():
-    yield pdslab
-    for info in pkgutil.walk_packages(pdslab.__path__, prefix="pdslab."):
-        yield importlib.import_module(info.name)
-
-
 def test_every_exported_name_resolves():
     exporting = []
-    for module in _modules():
+    for module in pdslab_modules():
         names = getattr(module, "__all__", None)
         if names is None:
             continue

@@ -2,26 +2,18 @@
 state as it found it."""
 
 import copy
-import importlib
 import io
-import pkgutil
 from contextlib import redirect_stdout
 
-import pdslab
+from conftest import pdslab_modules
 from pdslab.phaselab.cli import main
-
-
-def _modules():
-    yield pdslab
-    for info in pkgutil.walk_packages(pdslab.__path__, prefix="pdslab."):
-        yield importlib.import_module(info.name)
 
 
 def _containers() -> dict:
     """A deep copy of every module-level dict, list and set, by (module, name)."""
     return {
         (module.__name__, name): copy.deepcopy(value)
-        for module in _modules()
+        for module in pdslab_modules()
         for name, value in vars(module).items()
         if isinstance(value, (dict, list, set)) and not name.startswith("__")
     }
@@ -42,7 +34,7 @@ def test_commands_leave_module_state_unchanged(tmp_path):
         with redirect_stdout(io.StringIO()):
             assert main(argv) == 0, argv
     assert _containers() == before
-    for module in _modules():
+    for module in pdslab_modules():
         for name, value in vars(module).items():
             if hasattr(value, "cache_info"):
                 assert value.cache_info().currsize == 0, f"{module.__name__}.{name} keeps a cache"
