@@ -282,6 +282,20 @@ def dense_scan_heuristic(g: Graph, K: int, restarts: int, seed):
     return best_count, best_set
 
 
+def per_graph_csr(g: Graph) -> tuple:
+    """g's adjacency as CSR (ptr, nbrs), both directions of every edge: the
+    neighbours of x are nbrs[ptr[x]:ptr[x + 1]], in increasing order.
+
+    Reference for the lockstep scan's run CSR, which stacks these rows for
+    every graph of a run."""
+    N = g.num_vertices
+    lo, hi = g.edges.T
+    heads, nbrs = np.divmod(np.sort(np.concatenate([lo * N + hi, hi * N + lo])), N)
+    ptr = np.zeros(N + 1, dtype=np.int64)
+    np.cumsum(np.bincount(heads, minlength=N), out=ptr[1:])
+    return ptr, nbrs
+
+
 def _rows(ptr: np.ndarray, nbrs: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """The CSR rows of the vertices `vs`, concatenated."""
     starts = ptr[vs]
@@ -319,11 +333,7 @@ def sequential_scan_heuristic(g: Graph, K: int, restarts: int, seed):
         raise InvalidParameterError("need at least one restart")
     if K == 1:
         return 0, (0,)
-    # both directions of every edge; row x is nbrs[ptr[x]:ptr[x + 1]]
-    lo, hi = g.edges.T
-    heads, nbrs = np.divmod(np.sort(np.concatenate([lo * N + hi, hi * N + lo])), N)
-    ptr = np.zeros(N + 1, dtype=np.int64)
-    np.cumsum(np.bincount(heads, minlength=N), out=ptr[1:])
+    ptr, nbrs = per_graph_csr(g)
     # key[x] is x's degree into the set, less `off` for members: members sit
     # at or below -2 and outside vertices at or above 0
     off = N + 1

@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import dense_scan_heuristic, recursive_scan_max, sequential_scan_heuristic
+from conftest import dense_scan_heuristic, per_graph_csr, recursive_scan_max, sequential_scan_heuristic
 from pdslab import detectors
 from pdslab.detectors import (
     H0,
@@ -49,6 +49,15 @@ from pdslab.randkit import Seed
 
 PATH4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 K4 = Graph(4, list(combinations(range(4), 2)))
+
+
+def _run_csr(graphs, n):
+    """One lockstep run's CSR over `graphs`, stacked from each graph's
+    `csr_adjacency` as `_lockstep_scan` stacks them."""
+    csrs = [csr_adjacency(g) for g in graphs]
+    ptr = np.zeros(len(csrs) * n + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([np.diff(p) for p, _ in csrs]), out=ptr[1:])
+    return ptr, np.concatenate([nbrs for _, nbrs in csrs])
 
 
 def _frozen_scan_input(alpha, k, arm):
@@ -229,6 +238,26 @@ class TestScanHeuristic:
                         assert runs == [6]
                     else:
                         assert runs[0] >= 2 and runs[-1] == 1, runs
+
+    def test_run_csr_stacks_each_graphs_csr(self):
+        # a lockstep run's CSR holds its graphs one after another: graph j's
+        # vertex x is row j*N + x, its entries follow those of the graphs
+        # before it, and nbrs keeps each graph's own vertex ids.  Runs of one
+        # graph and of several, with empty and complete graphs among them
+        for n in (1, 2, 12, 30):
+            graphs = [Graph(n, []), Graph(n, list(combinations(range(n), 2))),
+                      gen_er(n, 0.05, Seed(49).child(n)), gen_er(n, 0.5, Seed(50).child(n))]
+            for run in [[g] for g in graphs] + [graphs, graphs[::-1]]:
+                ptr, nbrs = _run_csr(run, n)
+                assert ptr.dtype == nbrs.dtype == np.int64
+                assert ptr.shape == (len(run) * n + 1,)
+                start = 0
+                for j, g in enumerate(run):
+                    own_ptr, own_nbrs = per_graph_csr(g)
+                    assert np.array_equal(ptr[j * n:(j + 1) * n + 1], own_ptr + start), (n, j)
+                    assert np.array_equal(nbrs[start:start + own_nbrs.size], own_nbrs), (n, j)
+                    start += own_nbrs.size
+                assert nbrs.size == start
 
     def test_batch_checks_its_graphs(self):
         # every CSR must have the batch's vertex count; an empty batch is
