@@ -789,7 +789,8 @@ class TestRecoveryDetector:
         (60, 8, 0.05, 32, H0, 60, "43a06f98b843af13"),
     ]
 
-    @pytest.mark.parametrize("n,k,q,seed,decision,steps,digest", FROZEN)
+    @pytest.mark.parametrize("n,k,q,seed,decision,steps,digest", FROZEN,
+                             ids=["-".join(map(str, case[:4])) for case in FROZEN])
     def test_frozen_resampling_stream(self, n, k, q, seed, decision, steps, digest):
         seen = []
 
