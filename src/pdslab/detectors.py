@@ -16,7 +16,8 @@ to the restart hill-climbing heuristic, whose value never exceeds the true
 maximum.  The heuristic has one engine, `scan_heuristic_batch`: it runs
 the restarts of several graphs with the same N and K in lockstep, each
 graph with its own seed and its own result, and `t_scan_heuristic` hands
-it one graph.  Both engines take an optional threshold: with it they
+it one graph.  It reads the graphs' sorted keys once, into one CSR
+adjacency per lockstep run, a layout no other module sees.  Both engines take an optional threshold: with it they
 decide, not maximise, reporting only whether their value would exceed
 it, and they stop at the first K-set that does.  Derived detectors wrap
 user-supplied subgraph finders: one thresholds the density of a
@@ -57,7 +58,6 @@ __all__ = [
     "tau_lin",
     "t_scan_exact",
     "t_scan_heuristic",
-    "csr_adjacency",
     "scan_heuristic_batch",
     "scan_statistic",
     "tau_scan",
@@ -263,16 +263,18 @@ def _gather(ptr: np.ndarray, nbrs: np.ndarray, vs: np.ndarray, offsets=None) -> 
     return nbrs[index] if offsets is None else nbrs[index] + offsets.repeat(lens)
 
 
-def csr_adjacency(g: Graph) -> tuple:
-    """g's adjacency as CSR (ptr, nbrs), both directions of every edge: the
-    neighbours of x are nbrs[ptr[x]:ptr[x + 1]], in increasing order.
-    Refused with a TooLargeError when N is above the per-vertex array cap."""
-    N = g.num_vertices
-    _check_vertex_arrays(N)
-    lo, hi = g.edges.T
-    heads, nbrs = np.divmod(np.sort(np.concatenate([lo * N + hi, hi * N + lo])), N)
-    ptr = np.zeros(N + 1, dtype=np.int64)
-    np.cumsum(np.bincount(heads, minlength=N), out=ptr[1:])
+def _run_csr(graphs: list, N: int) -> tuple:
+    """One CSR (ptr, nbrs) over `graphs`, each on N vertices, read from
+    their sorted keys: graph j's vertex x is row j*N + x, and its
+    neighbours nbrs[ptr[j*N + x]:ptr[j*N + x + 1]] are its own vertex ids,
+    in increasing order, both directions of every edge."""
+    # keys j*N*N + x*N + y, sorted: a run holds a second graph only when its
+    # N + 2M entries sum to at most _BLOCK = 2^20, so j*N^2 < 2^40
+    nbrs = np.concatenate([np.sort(np.concatenate([k, k % N * N + k // N])) + j * N * N
+                           for j, k in enumerate(g._keys for g in graphs)])
+    ptr = np.zeros(len(graphs) * N + 1, dtype=np.int64)
+    np.cumsum(np.bincount(nbrs // N, minlength=len(graphs) * N), out=ptr[1:])
+    nbrs %= N
     return ptr, nbrs
 
 
@@ -287,15 +289,14 @@ def t_scan_heuristic(g: Graph, K: int, restarts: int, seed):
     across restarts the larger count wins, then the smaller set.  The
     search itself is `scan_heuristic_batch`'s, on this one graph.
     """
-    return scan_heuristic_batch([(csr_adjacency(g), seed)], g.num_vertices, K, restarts)[0]
+    return scan_heuristic_batch([(g, seed)], g.num_vertices, K, restarts)[0]
 
 
 def scan_heuristic_batch(graphs, N: int, K: int, restarts: int, threshold=None) -> list:
-    """`t_scan_heuristic`'s (value, set) for each (CSR, seed) in `graphs`,
-    in order: graphs on N vertices as `csr_adjacency` gives them, each with
-    its own restart seed.  Given a `threshold`, each graph's entry is
-    instead whether that value exceeds it, found without running every
-    restart to its stop.
+    """`t_scan_heuristic`'s (value, set) for each (Graph, seed) in
+    `graphs`, in order: graphs on N vertices, each with its own restart
+    seed.  Given a `threshold`, each graph's entry is instead whether that
+    value exceeds it, found without running every restart to its stop.
 
     The best swap has a closed form.  With D the largest d outside the set
     and T the outside vertices at D, member u's best gain is D - d_u, less 1
@@ -317,7 +318,9 @@ def scan_heuristic_batch(graphs, N: int, K: int, restarts: int, threshold=None) 
 
     `graphs` is read one graph at a time, and graphs join one lockstep run
     while their N + 2M entries sum to at most _BLOCK, so a lazy iterable of
-    any length keeps memory bounded.  A run's rows go in blocks of
+    any length keeps memory bounded.  Each run's CSR adjacency is built
+    once, from its graphs' keys (`_run_csr`), and the run drops its
+    references to the graphs before its scan starts.  A run's rows go in blocks of
     _BLOCK // N, and at most _BLOCK // max(N, 2M) rows of a block gather
     T's neighbour lists at once, M the most edges of a graph in the run, so
     the matrix and every gather stay within _BLOCK entries: no N x N or
@@ -335,34 +338,30 @@ def scan_heuristic_batch(graphs, N: int, K: int, restarts: int, threshold=None) 
     _check_vertex_arrays(N)
     results = []
     run, size = [], 0
-    for csr, seed in graphs:
-        if csr[0].size != N + 1:
-            raise VertexCountMismatchError(f"a CSR has {csr[0].size - 1} vertices, the batch {N}")
-        if run and size + N + csr[1].size > _BLOCK:
+    for g, seed in graphs:
+        if g.num_vertices != N:
+            raise VertexCountMismatchError(f"a graph has {g.num_vertices} vertices, the batch {N}")
+        if run and size + N + 2 * g.num_edges > _BLOCK:
             results += _lockstep_scan(run, N, K, restarts, threshold)  # empties run
             size = 0
-        run.append((csr, as_seed(seed)))
-        size += N + csr[1].size
+        run.append((g, as_seed(seed)))
+        size += N + 2 * g.num_edges
     if run:
         results += _lockstep_scan(run, N, K, restarts, threshold)
     return results
 
 
 def _lockstep_scan(run: list, N: int, K: int, restarts: int, threshold) -> list:
-    """The (value, set) of each (CSR, Seed) in `run`, or whether the value
+    """The (value, set) of each (Graph, Seed) in `run`, or whether the value
     exceeds `threshold` if one is given, by one lockstep run; `run` is left
-    empty."""
+    empty, so the graphs go before the scan starts."""
     seeds = [seed for _, seed in run]
-    # one CSR over all the graphs: graph j's vertex x is row j*N + x, and
-    # nbrs keeps each graph's own vertex ids.  The graphs' own CSRs go
-    # before the scan starts
-    ptr = np.zeros(len(run) * N + 1, dtype=np.int64)
-    np.cumsum(np.concatenate([np.diff(p) for (p, _), _ in run]), out=ptr[1:])
-    nbrs = np.concatenate([n for (_, n), _ in run])
-    per_gather = max(1, _BLOCK // max(N, *(n.size for (_, n), _ in run)))
-    run.clear()
     if K == 1:
+        run.clear()
         return [(0, (0,)) if threshold is None else 0 > threshold] * len(seeds)
+    per_gather = max(1, _BLOCK // max(N, *(2 * g.num_edges for g, _ in run)))
+    ptr, nbrs = _run_csr([g for g, _ in run], N)
+    run.clear()
     # key[x] is x's degree into the set, less `off` for members: members sit
     # at or below -2 and outside vertices at or above 0
     off = N + 1

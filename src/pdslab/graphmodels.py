@@ -82,8 +82,8 @@ def _check_expected_edges(expected: float) -> None:
 
 
 # Largest vertex count a path that holds arrays of one entry a vertex takes:
-# the membership draw, the CSR, the heuristic scan's restarts and the
-# reduction's parent draw.  At 8 bytes an entry each such array is then
+# the membership draw, the heuristic scan's adjacency rows and restarts and
+# the reduction's parent draw.  At 8 bytes an entry each such array is then
 # 0.4 GB, as the edge cap's keys are.
 _MAX_VERTEX_ARRAY = 50_000_000
 

@@ -8,10 +8,10 @@ Within a point, every trial graph the edge count decides is decided as it
 is drawn.  The others are decided, not maximised: each scan gets tau_scan
 as its threshold and answers only whether some K-set has more edges, the
 answer ``value > tau_scan`` of the full scan would give.  In heuristic
-scan mode they go to one batch of lockstep heuristic scans as CSR
-adjacency, read as the batch goes; graphs run together only while their
-N + 2M entries sum to at most ``detectors._BLOCK``, so a point's memory
-does not grow with ``trials``.  In exact scan mode each of them gets its
+scan mode they go to one batch of lockstep heuristic scans, read as the
+batch goes; graphs run together only while their N + 2M adjacency
+entries sum to at most ``detectors._BLOCK``, so a point's memory does
+not grow with ``trials``.  In exact scan mode each of them gets its
 own exact scan.
 
 The CSV schema is fixed and versioned by its header line, ``CSV_HEADER``.
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from ..detectors import (
     ErrorEstimate,
-    csr_adjacency,
     scan_heuristic_batch,
     t_lin,
     t_scan_exact,
@@ -61,9 +60,9 @@ def run_point(config: SweepConfig, index: int, alpha: float, beta: float) -> dic
     scanned = []  # the arm of each graph left to the heuristic scan
 
     def undecided():
-        # decides every graph it can at once and yields the others' CSR and
-        # scan seed, so that all of them run in one batch of heuristic scans
-        # with no Graph kept; the batch reads them as it goes
+        # decides every graph it can at once and yields the others with their
+        # scan seed, so that all of them run in one batch of heuristic scans;
+        # the batch reads them as it goes
         for arm, seed in trial_seeds(point_seed, config.trials):
             g = samplers[arm](seed)
             if config.test != "scan" and t_lin(g) > t1:
@@ -73,9 +72,7 @@ def run_point(config: SweepConfig, index: int, alpha: float, beta: float) -> dic
                     h1[arm] += t_scan_exact(g, params.K, threshold=t2)
                 else:
                     scanned.append(arm)
-                    item = csr_adjacency(g), scan_root.child(g.fingerprint())
-                    del g
-                    yield item
+                    yield g, scan_root.child(g.fingerprint())
 
     decisions = scan_heuristic_batch(undecided(), params.N, params.K, config.restarts, threshold=t2)
     for arm, decision in zip(scanned, decisions):

@@ -23,7 +23,6 @@ from pdslab.detectors import (
     scan_statistic,
     scan_heuristic_batch,
     scan_subset_count,
-    csr_adjacency,
     t_lin,
     t_scan_exact,
     t_scan_heuristic,
@@ -49,15 +48,6 @@ from pdslab.randkit import Seed
 
 PATH4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 K4 = Graph(4, list(combinations(range(4), 2)))
-
-
-def _run_csr(graphs, n):
-    """One lockstep run's CSR over `graphs`, stacked from each graph's
-    `csr_adjacency` as `_lockstep_scan` stacks them."""
-    csrs = [csr_adjacency(g) for g in graphs]
-    ptr = np.zeros(len(csrs) * n + 1, dtype=np.int64)
-    np.cumsum(np.concatenate([np.diff(p) for p, _ in csrs]), out=ptr[1:])
-    return ptr, np.concatenate([nbrs for _, nbrs in csrs])
 
 
 def _frozen_scan_input(alpha, k, arm):
@@ -226,14 +216,13 @@ class TestScanHeuristic:
                       gen_er(n, 0.5, Seed(39).child(n)), Graph(n, list(combinations(range(n), 2))),
                       gen_er(n, 0.95, Seed(40).child(n))]
             seeds = [Seed(41).child(n).child(i) for i in range(len(graphs))]
-            csrs = [csr_adjacency(g) for g in graphs]
             for k in (2, n // 3, n - 1, n):
                 want = [sequential_scan_heuristic(g, k, 5, s) for g, s in zip(graphs, seeds)]
                 assert [t_scan_heuristic(g, k, 5, s) for g, s in zip(graphs, seeds)] == want
                 for block in (whole, 4 * n):
                     monkeypatch.setattr(detectors, "_BLOCK", block)
                     runs.clear()
-                    assert scan_heuristic_batch(zip(csrs, seeds), n, k, 5) == want, (n, k, block)
+                    assert scan_heuristic_batch(zip(graphs, seeds), n, k, 5) == want, (n, k, block)
                     if block == whole:
                         assert runs == [6]
                     else:
@@ -248,7 +237,7 @@ class TestScanHeuristic:
             graphs = [Graph(n, []), Graph(n, list(combinations(range(n), 2))),
                       gen_er(n, 0.05, Seed(49).child(n)), gen_er(n, 0.5, Seed(50).child(n))]
             for run in [[g] for g in graphs] + [graphs, graphs[::-1]]:
-                ptr, nbrs = _run_csr(run, n)
+                ptr, nbrs = detectors._run_csr(run, n)
                 assert ptr.dtype == nbrs.dtype == np.int64
                 assert ptr.shape == (len(run) * n + 1,)
                 start = 0
@@ -260,12 +249,11 @@ class TestScanHeuristic:
                 assert nbrs.size == start
 
     def test_batch_checks_its_graphs(self):
-        # every CSR must have the batch's vertex count; an empty batch is
+        # every graph must have the batch's vertex count; an empty batch is
         # fine, and K and the restarts are checked all the same
-        csr = csr_adjacency(K4)
         assert scan_heuristic_batch([], 4, 2, 1) == []
         with pytest.raises(VertexCountMismatchError):
-            scan_heuristic_batch([(csr, Seed(0))], 5, 2, 1)
+            scan_heuristic_batch([(K4, Seed(0))], 5, 2, 1)
         for n, k, restarts in ((4, 0, 1), (4, 5, 1), (4, 2, 0), (4, 2.0, 1), (4.0, 2, 1)):
             with pytest.raises(InvalidParameterError):
                 scan_heuristic_batch([], n, k, restarts)
@@ -301,6 +289,19 @@ class TestScanHeuristic:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+
+    def test_memory_per_edge(self):
+        # the run's CSR is built once, from the graph's keys: about four
+        # int64 entries an edge at the peak, where building the graph's own
+        # CSR and then stacking it into the run's took eight (64.0 bytes)
+        g = gen_er(2000, 0.06, Seed(3))
+        tracemalloc.start()
+        try:
+            t_scan_heuristic(g, 120, 16, Seed(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * g.num_edges, peak / g.num_edges
 
     def test_deterministic(self):
         g = gen_er(40, 0.3, Seed(22))
@@ -453,12 +454,11 @@ class TestScanDecisions:
                 t_scan_exact(g, 10, budget=100_000, threshold=tau)
 
     def test_rejects_bad_thresholds(self):
-        csr = csr_adjacency(K4)
         for tau in (float("nan"), float("inf"), -float("inf"), True, np.bool_(False), "3", 1j):
             with pytest.raises(InvalidParameterError, match="threshold must be a finite number"):
                 t_scan_exact(K4, 3, threshold=tau)
             with pytest.raises(InvalidParameterError, match="threshold must be a finite number"):
-                scan_heuristic_batch([(csr, Seed(0))], 4, 3, 2, threshold=tau)
+                scan_heuristic_batch([(K4, Seed(0))], 4, 3, 2, threshold=tau)
 
     def test_heuristic_decisions(self):
         for n in (12, 40):
@@ -467,12 +467,11 @@ class TestScanDecisions:
                 graphs = [g for g, gk in cases if gk == k]
                 seeds = [Seed(44).child(n).child(k).child(i) for i in range(len(graphs))]
                 want = [sequential_scan_heuristic(g, k, 5, s)[0] for g, s in zip(graphs, seeds)]
-                csrs = [csr_adjacency(g) for g in graphs]
-                got = [value for value, _ in scan_heuristic_batch(zip(csrs, seeds), n, k, 5)]
+                got = [value for value, _ in scan_heuristic_batch(zip(graphs, seeds), n, k, 5)]
                 assert got == want
                 for tau in sorted({t for v in want for t in _taus_around(v)} | set(self.SWEEP_TAUS)):
                     assert [v > tau for v in got] == [v > tau for v in want], (n, k, tau)
-                    decided = scan_heuristic_batch(zip(csrs, seeds), n, k, 5, threshold=tau)
+                    decided = scan_heuristic_batch(zip(graphs, seeds), n, k, 5, threshold=tau)
                     assert decided == [v > tau for v in want], (n, k, tau)
 
     def test_exact_matrix_is_one_byte_an_entry(self):
@@ -501,10 +500,9 @@ class TestScanWaves:
             return child(seed, index)
 
         monkeypatch.setattr(Seed, "child", spy)
-        csrs = [csr_adjacency(g) for g in graphs]
         n = graphs[0].num_vertices
         try:
-            out = scan_heuristic_batch(zip(csrs, seeds), n, k, restarts, threshold=threshold)
+            out = scan_heuristic_batch(zip(graphs, seeds), n, k, restarts, threshold=threshold)
         finally:
             monkeypatch.setattr(Seed, "child", child)
         return out, started
@@ -640,7 +638,7 @@ class TestMonotone:
 
 
 class TestVertexArrayCap:
-    """The CSR, the heuristic scan's restarts and the recovery detector's
+    """The heuristic scan's adjacency rows and restarts and the recovery detector's
     draws hold arrays of N entries, and the exact scan an N x N matrix, so
     each is refused by estimate above the cap, before any is built."""
 
@@ -652,8 +650,7 @@ class TestVertexArrayCap:
 
         g = Graph(10**9, [])
         monkeypatch.setattr(Graph, "edges", property(read))
-        with pytest.raises(TooLargeError, match=self.MESSAGE):
-            csr_adjacency(g)
+        monkeypatch.setattr(Graph, "_keys", property(read))
         with pytest.raises(TooLargeError, match=self.MESSAGE):
             t_scan_heuristic(g, 10, 3, Seed(1))
 
