@@ -17,9 +17,10 @@ maximum.  The heuristic has one engine, `scan_heuristic_batch`: it runs
 the restarts of several graphs with the same N and K in lockstep, each
 graph with its own seed and its own result, and `t_scan_heuristic` hands
 it one graph.  It reads the graphs' sorted keys once, into one CSR
-adjacency per lockstep run, a layout no other module sees.  Both engines take an optional threshold: with it they
-decide, not maximise, reporting only whether their value would exceed
-it, and they stop at the first K-set that does.  Derived detectors wrap
+adjacency per lockstep run, a layout no other module sees.  Both engines
+take an optional threshold: with it they decide, not maximise, reporting
+only whether their value would exceed it, and they stop at the first
+K-set that does.  Derived detectors wrap
 user-supplied subgraph finders: one thresholds the density of a
 densest-K-subgraph approximation, the other runs a recovery algorithm
 over a sequence of progressively resampled graphs and scans the
@@ -44,8 +45,8 @@ from .errors import (
     TooLargeError,
     VertexCountMismatchError,
 )
-from .graphmodels import _MAX_VERTEX_ARRAY, Graph, PdsParams, _check_vertex_arrays, _integer, subgraph_edge_count
-from .randkit import Seed, as_seed
+from .graphmodels import _MAX_VERTEX_ARRAY, Graph, PdsParams, _check_vertex_arrays, subgraph_edge_count
+from .randkit import Seed, _integer, as_seed
 
 __all__ = [
     "H0",
@@ -537,8 +538,11 @@ def dks_detector(
     """Turn any densest-K-subgraph approximation into a detector.
 
     The wrapped algorithm must return a K-vertex set; H1 is declared when
-    the density of that set strictly exceeds (1 + epsilon) q.
+    the density of that set strictly exceeds (1 + epsilon) q.  A set of
+    K < 2 vertices holds no pair and has no density, so it is refused.
     """
+    if params.K < 2:
+        raise InvalidParameterError(f"dks detector needs K >= 2, got K={params.K}")
     if params.q <= 0.0:
         raise InvalidParameterError("dks detector needs q > 0")
     c = params.p / params.q

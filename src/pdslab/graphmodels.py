@@ -30,7 +30,6 @@ before anything is drawn.
 from __future__ import annotations
 
 import hashlib
-import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -42,7 +41,7 @@ from .errors import (
     InvalidProbabilityError,
     TooLargeError,
 )
-from .randkit import as_seed
+from .randkit import _integer, as_seed
 
 __all__ = [
     "Graph",
@@ -96,16 +95,6 @@ def _check_vertex_arrays(N: int) -> None:
 def _check_prob(x, name="probability"):
     if not (0.0 <= x <= 1.0):
         raise InvalidProbabilityError(f"{name} {x!r} outside [0, 1]")
-
-
-def _integer(n, name: str) -> int:
-    """n as a Python int; a bool, float, string or other non-integer is refused, not truncated."""
-    if not isinstance(n, (bool, np.bool_)):
-        try:
-            return operator.index(n)
-        except TypeError:
-            pass
-    raise InvalidParameterError(f"{name} must be an integer, got {n!r}")
 
 
 # Largest vertex count W with W*W - 1 <= 2**63 - 1: every flat key u*width + v

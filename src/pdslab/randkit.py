@@ -18,6 +18,7 @@ such PMF never loads scipy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +88,18 @@ class Seed:
         return np.random.Generator(np.random.PCG64(self.key()))
 
 
+def _integer(n, name: str) -> int:
+    """n as a Python int; a bool, float, string or other non-integer is refused, not truncated."""
+    if not isinstance(n, (bool, np.bool_)):
+        try:
+            return operator.index(n)
+        except TypeError:
+            pass
+    raise InvalidParameterError(f"{name} must be an integer, got {n!r}")
+
+
 def as_seed(seed: "Seed | int") -> Seed:
-    return seed if isinstance(seed, Seed) else Seed(int(seed))
+    return seed if isinstance(seed, Seed) else Seed(_integer(seed, "seed"))
 
 
 class Pmf:
@@ -146,7 +157,7 @@ class Pmf:
 
 def binom_pmf(n: int, p: float) -> Pmf:
     """Binomial(n, p) as an explicit PMF, built in log-space."""
-    n = int(n)
+    n = _integer(n, "binomial n")
     if n < 0:
         raise InvalidParameterError(f"binomial needs n >= 0, got {n}")
     if not (0.0 <= p <= 1.0):
@@ -161,7 +172,7 @@ def binom_pmf(n: int, p: float) -> Pmf:
 
 def hyper_pmf(pop: int, successes: int, draws: int) -> Pmf:
     """Hypergeometric PMF: draws without replacement from a two-type urn."""
-    pop, successes, draws = int(pop), int(successes), int(draws)
+    pop, successes, draws = _integer(pop, "pop"), _integer(successes, "successes"), _integer(draws, "draws")
     if not (0 <= successes <= pop and 0 <= draws <= pop):
         raise InvalidParameterError(
             f"need 0 <= successes, draws <= pop; got pop={pop}, successes={successes}, draws={draws}"

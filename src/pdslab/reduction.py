@@ -66,9 +66,8 @@ from .graphmodels import (
     _check_expected_edges,
     _check_vertex_arrays,
     _colex_pairs,
-    _integer,
 )
-from .randkit import Pmf, as_seed, binom_pmf
+from .randkit import Pmf, _integer, as_seed, binom_pmf
 
 __all__ = [
     "ReductionParams",

@@ -557,6 +557,13 @@ class TestScanStatistic:
         with pytest.raises(InvalidParameterError):
             scan_statistic(K4, 2, "greedy", 4, Seed(9))
 
+    def test_rejects_non_integer_seeds(self):
+        # a seed of None once ended in a raw TypeError, and 1.5 ran as 1
+        for seed in (None, 1.5, True, "12"):
+            with pytest.raises(InvalidParameterError, match="seed must be an integer"):
+                scan_statistic(K4, 2, "heuristic", 4, seed)
+        assert scan_statistic(K4, 2, "heuristic", 4, np.int64(9)) == scan_statistic(K4, 2, "heuristic", 4, 9)
+
 
 class TestCombined:
     def test_empty_graph(self):
@@ -708,6 +715,15 @@ class TestDksDetector:
     def test_parameter_gate(self):
         with pytest.raises(InvalidParameterError):
             dks_detector(lambda g: range(4), eta=3.0, epsilon=0.2, params=PdsParams(10, 4, 0.2, 0.1))
+
+    def test_refuses_sets_without_pairs(self):
+        # a one-vertex set has C(1, 2) = 0 pairs, so no density: every call
+        # once ended in ZeroDivisionError; now the detector is not built
+        with pytest.raises(InvalidParameterError, match="needs K >= 2"):
+            dks_detector(lambda g: [0], eta=1.2, epsilon=0.2, params=PdsParams(5, 1, 0.9, 0.1))
+        det = dks_detector(lambda g: [0, 1], eta=1.2, epsilon=0.2, params=PdsParams(5, 2, 0.9, 0.1))
+        assert det(Graph(5, [(0, 1)])) == H1
+        assert det(Graph(5, [(1, 2)])) == H0
 
     def test_complete_graph_fires(self):
         params = PdsParams(6, 3, 0.6, 0.3)

@@ -13,6 +13,7 @@ from pdslab.errors import (
 from pdslab.randkit import (
     Pmf,
     Seed,
+    as_seed,
     binom_pmf,
     hyper_pmf,
     mix64,
@@ -75,6 +76,13 @@ class TestBinomPmf:
         assert binom_pmf(5, 0.0)[0] == 1.0
         assert binom_pmf(5, 1.0)[5] == 1.0
 
+    def test_rejects_non_integer_n(self):
+        # binom_pmf(2.5, 0.5) once returned Binom(2, 0.5)
+        for n in (2.5, 2.0, True, "3", None):
+            with pytest.raises(InvalidParameterError, match="binomial n must be an integer"):
+                binom_pmf(n, 0.5)
+        assert binom_pmf(np.int64(3), 0.5) == binom_pmf(3, 0.5)
+
     def test_invalid_probability(self):
         with pytest.raises(InvalidProbabilityError):
             binom_pmf(3, 1.5)
@@ -112,6 +120,27 @@ class TestHyperPmf:
             hyper_pmf(4, 5, 2)
         with pytest.raises(InvalidParameterError):
             hyper_pmf(4, 2, 5)
+
+    def test_rejects_non_integer_sizes(self):
+        # hyper_pmf(5.9, 2.2, 2.7) once returned Hypergeometric(5, 2, 2)
+        for args in ((5.9, 2.2, 2.7), (5, 2, 2.0), (5, True, 2), ("5", 2, 2)):
+            with pytest.raises(InvalidParameterError, match="must be an integer"):
+                hyper_pmf(*args)
+        assert hyper_pmf(np.int64(5), np.int32(2), np.uint8(2)) == hyper_pmf(5, 2, 2)
+
+
+class TestAsSeed:
+    def test_rejects_non_integers(self):
+        # 1.5 and True once gave Seed(1), "12" Seed(12), and None a TypeError
+        for seed in (1.5, 1.0, True, np.bool_(True), "12", None, np.float64(3)):
+            with pytest.raises(InvalidParameterError, match="seed must be an integer"):
+                as_seed(seed)
+
+    def test_integers_and_seeds(self):
+        assert as_seed(12) == Seed(12)
+        assert as_seed(np.uint64(2**64 - 1)) == Seed(2**64 - 1)
+        seed = Seed(3, 4)
+        assert as_seed(seed) is seed
 
 
 class TestSampling:
