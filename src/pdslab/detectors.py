@@ -20,11 +20,10 @@ it one graph.  It reads the graphs' sorted keys once, into one CSR
 adjacency per lockstep run, a layout no other module sees.  Both engines
 take an optional threshold: with it they decide, not maximise, reporting
 only whether their value would exceed it, and they stop at the first
-K-set that does.  Derived detectors wrap
-user-supplied subgraph finders: one thresholds the density of a
-densest-K-subgraph approximation, the other runs a recovery algorithm
-over a sequence of progressively resampled graphs and scans the
-recovered sets' edge counts.
+K-set that does.  Derived detectors wrap user-supplied subgraph finders:
+one thresholds the density of a densest-K-subgraph approximation, the
+other runs a recovery algorithm over a sequence of progressively
+resampled graphs and scans the recovered sets' edge counts.
 """
 
 from __future__ import annotations
@@ -269,13 +268,15 @@ def _run_csr(graphs: list, N: int) -> tuple:
     their sorted keys: graph j's vertex x is row j*N + x, and its
     neighbours nbrs[ptr[j*N + x]:ptr[j*N + x + 1]] are its own vertex ids,
     in increasing order, both directions of every edge."""
-    # keys j*N*N + x*N + y, sorted: a run holds a second graph only when its
+    # graph j's entries as keys j*N*N + x*N + y, both directions, sorted.
+    # They fit int64: a run holds a second graph only when the graphs'
     # N + 2M entries sum to at most _BLOCK = 2^20, so j*N^2 < 2^40
     nbrs = np.concatenate([np.sort(np.concatenate([k, k % N * N + k // N])) + j * N * N
                            for j, k in enumerate(g._keys for g in graphs)])
-    ptr = np.zeros(len(graphs) * N + 1, dtype=np.int64)
-    np.cumsum(np.bincount(nbrs // N, minlength=len(graphs) * N), out=ptr[1:])
-    nbrs %= N
+    # row r's keys start at r*N, so a binary search finds each row
+    starts = np.arange(0, (len(graphs) * N + 1) * N, N)
+    ptr = np.searchsorted(nbrs, starts)
+    nbrs -= starts[:-1].repeat(np.diff(ptr))
     return ptr, nbrs
 
 
@@ -321,11 +322,11 @@ def scan_heuristic_batch(graphs, N: int, K: int, restarts: int, threshold=None) 
     while their N + 2M entries sum to at most _BLOCK, so a lazy iterable of
     any length keeps memory bounded.  Each run's CSR adjacency is built
     once, from its graphs' keys (`_run_csr`), and the run drops its
-    references to the graphs before its scan starts.  A run's rows go in blocks of
-    _BLOCK // N, and at most _BLOCK // max(N, 2M) rows of a block gather
-    T's neighbour lists at once, M the most edges of a graph in the run, so
-    the matrix and every gather stay within _BLOCK entries: no N x N or
-    K x (N - K) array is built.
+    references to the graphs before its scan starts.  A run's rows go in
+    blocks of _BLOCK // N, and at most _BLOCK // max(N, 2M) rows of a block
+    gather T's neighbour lists at once, M the most edges of a graph in the
+    run, so the matrix and every gather stay within _BLOCK entries: no
+    N x N or K x (N - K) array is built.
     """
     N = _integer(N, "N")
     K = _integer(K, "K")
@@ -357,12 +358,11 @@ def _lockstep_scan(run: list, N: int, K: int, restarts: int, threshold) -> list:
     exceeds `threshold` if one is given, by one lockstep run; `run` is left
     empty, so the graphs go before the scan starts."""
     seeds = [seed for _, seed in run]
-    if K == 1:
-        run.clear()
-        return [(0, (0,)) if threshold is None else 0 > threshold] * len(seeds)
-    per_gather = max(1, _BLOCK // max(N, *(2 * g.num_edges for g, _ in run)))
     ptr, nbrs = _run_csr([g for g, _ in run], N)
+    per_gather = max(1, _BLOCK // max(N, *(2 * g.num_edges for g, _ in run)))
     run.clear()
+    if K == 1:
+        return [(0, (0,)) if threshold is None else 0 > threshold] * len(seeds)
     # key[x] is x's degree into the set, less `off` for members: members sit
     # at or below -2 and outside vertices at or above 0
     off = N + 1
