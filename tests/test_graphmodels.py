@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import re
@@ -409,6 +410,73 @@ class TestFrozenSamples:
         graph, planted = (out, None) if isinstance(out, (Graph, BipartiteGraph)) else (out.graph, out.planted)
         digest = hashlib.blake2b(repr(planted).encode(), digest_size=8).hexdigest()
         assert (f"{graph.fingerprint():016x}", digest) == (fingerprint, planted_digest)
+
+
+class TestSampledKeys:
+    """Every generator's graph holds the keys its public constructor builds
+    from its own rows: int64, strictly increasing, in range, and u < v in
+    a Graph.  The grid spans the empty and complete graphs, K = N, p = q,
+    q on both sides of the 0.1 switch, and random-size plants with an
+    empty side (Seed(1): the only side, or the top; Seed(11): the bottom)."""
+
+    P = PdsParams
+    GRID = {
+        "er-empty": (gen_er, (30, 0.0)),
+        "er-one-vertex": (gen_er, (1, 0.7)),
+        "er-sparse": (gen_er, (60, 0.03)),
+        "er-dense": (gen_er, (60, 0.4)),
+        "er-complete": (gen_er, (30, 1.0)),
+        "pds-sparse": (gen_pds_random_size, (P(60, 8, 0.3, 0.03),)),
+        "pds-dense": (gen_pds_random_size, (P(60, 8, 0.9, 0.4),)),
+        "pds-p-eq-q": (gen_pds_random_size, (P(60, 8, 0.2, 0.2),)),
+        "pds-k-eq-n": (gen_pds_random_size, (P(40, 40, 0.5, 0.05),)),
+        "pds-empty-plant": (gen_pds_random_size, (P(12, 1, 0.9, 0.2),)),
+        "pds-fixed-sparse": (gen_pds_fixed_size, (P(60, 8, 0.3, 0.03),)),
+        "pds-fixed-empty-background": (gen_pds_fixed_size, (P(60, 8, 0.5, 0.0),)),
+        "pds-fixed-k-eq-n": (gen_pds_fixed_size, (P(40, 40, 0.5, 0.3),)),
+        "pc-sparse": (gen_planted_clique, (60, 7, 0.02)),
+        "pc-gamma-0": (gen_planted_clique, (60, 7, 0.0)),
+        "pc-k-eq-n": (gen_planted_clique, (30, 30, 0.3)),
+        "ber-empty": (gen_bipartite_er, (30, 0.0)),
+        "ber-sparse": (gen_bipartite_er, (60, 0.03)),
+        "ber-dense": (gen_bipartite_er, (60, 0.4)),
+        "bpds-sparse": (gen_bipartite_pds, (P(60, 8, 0.3, 0.03),)),
+        "bpds-p-eq-q": (gen_bipartite_pds, (P(60, 8, 0.2, 0.2),)),
+        "bpds-k-eq-n": (gen_bipartite_pds, (P(40, 40, 0.5, 0.3),)),
+        "bpds-fixed-dense": (functools.partial(gen_bipartite_pds, fixed_size=True), (P(60, 8, 0.9, 0.4),)),
+        "bpc-sparse": (gen_bipartite_pc, (60, 7, 0.02)),
+        "bpc-k-eq-n": (gen_bipartite_pc, (30, 30, 0.3)),
+    }
+
+    @staticmethod
+    def check_keys(g):
+        assert g == type(g)(*g._dims, g.edges)
+        keys = g._keys
+        assert keys.dtype == np.int64 and keys.ndim == 1
+        assert (keys[1:] > keys[:-1]).all()
+        height, width = g._dims[0], g._dims[-1]
+        assert keys.size == 0 or (keys[0] >= 0 and keys[-1] < height * width)
+        u, v = np.divmod(keys, width)
+        if isinstance(g, Graph):
+            assert (u < v).all()
+
+    @pytest.mark.parametrize("seed", [0, 1, 11])
+    @pytest.mark.parametrize("case", sorted(GRID))
+    def test_keys_match_rows(self, case, seed):
+        generate, args = self.GRID[case]
+        out = generate(*args, Seed(seed))
+        self.check_keys(out if isinstance(out, (Graph, BipartiteGraph)) else out.graph)
+
+    @pytest.mark.parametrize("seed", [1, 11])
+    def test_random_size_plant_with_an_empty_side(self, seed):
+        out = gen_bipartite_pds(PdsParams(12, 2, 0.9, 0.2), Seed(seed))
+        assert sorted(map(len, out.planted))[0] == 0 < len(out.planted[0] + out.planted[1])
+        self.check_keys(out.graph)
+
+    @pytest.mark.parametrize("generate", [gen_er, gen_bipartite_er])
+    def test_vertex_count_above_the_key_limit_refused(self, generate):
+        with pytest.raises(InvalidParameterError, match="3037000499"):
+            generate(graphmodels._MAX_VERTEX_COUNT + 1, 0.0, Seed(0))
 
 
 class TestSubgraphEdgeCount:
