@@ -19,12 +19,13 @@ into a *membership* stream (which vertices are planted) and an *edge*
 stream, so a planted set can be held fixed while edges are resampled.
 Edge sampling is exact for every q: per-pair Bernoulli for dense graphs,
 geometric skip-sampling over the flat pair index space for sparse ones
-(q < 0.1).  Background and planted extras are merged as flat indices and
-turned into rows once; the inversion from flat index to pair is exact for
-every vertex count up to the limit.  A request expecting more than
-_MAX_EXPECTED_EDGES edges, or planting a set among more than
-_MAX_VERTEX_ARRAY vertices, is refused with a TooLargeError (exit 4)
-before anything is drawn.
+(q < 0.1).  The sampler builds the container's keys and hands them to
+the graph with no rows in between: one side's background is drawn as
+lexicographic pair indices and keyed once, exactly for every vertex
+count up to the limit, and the planted extras are drawn as keys.  A
+request expecting more than _MAX_EXPECTED_EDGES edges, or planting a set
+among more than _MAX_VERTEX_ARRAY vertices, is refused with a
+TooLargeError (exit 4) before anything is drawn.
 """
 
 from __future__ import annotations
@@ -137,9 +138,9 @@ class _SortedKeyGraph:
     def _store(self, edges) -> None:
         """Validate the edge rows, then keep them as sorted flat keys.
 
-        Keys of rows in strictly increasing key order, as the samplers and
-        edge-list files give them, pass one order check; any others are
-        sorted and checked for duplicates.
+        Keys of rows in strictly increasing key order, as edge-list files
+        give them, pass one order check; any others are sorted and checked
+        for duplicates.
         """
         arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
         if arr.size == 0:
@@ -313,23 +314,23 @@ def _colex_pairs(idx: np.ndarray) -> tuple:
     return idx - ((j * (j - 1)) >> 1), j
 
 
-def _pairs_from_flat(n: int, t: np.ndarray) -> np.ndarray:
-    """Invert lexicographic pair enumeration: ascending flat indices ->
-    rows (i, j), i < j.
+def _lex_keys(n: int, t: np.ndarray) -> np.ndarray:
+    """Ascending lexicographic pair indices t -> the container's keys
+    i*n + j of their pairs (i, j), i < j.
 
     With no more rows than indices, one searchsorted of the n row starts
-    into t splits t into its rows' runs.  Otherwise each index goes
-    through `_colex_pairs` with the labels reversed: lex index t of (i, j)
-    is colex index C(n, 2) - 1 - t of (n - 1 - j, n - 1 - i).
+    into t splits t into its rows' runs, and row i's keys are its indices
+    plus (i + 1)(i + 2)/2.  Otherwise each index goes through
+    `_colex_pairs` with the labels reversed: lex index t of (i, j) is colex
+    index C(n, 2) - 1 - t of (n - 1 - j, n - 1 - i).
     """
     t = np.asarray(t, dtype=np.int64)
     if n <= t.size:
         rows = np.arange(n)
-        starts = _pair_start(n, rows)
-        runs = np.diff(np.searchsorted(t, starts), append=t.size)
-        return np.column_stack([np.repeat(rows, runs), t - np.repeat(starts - rows - 1, runs)])
+        runs = np.diff(np.searchsorted(t, _pair_start(n, rows)), append=t.size)
+        return t + np.repeat((rows + 1) * (rows + 2) >> 1, runs)
     i, j = _colex_pairs(_pair_count(n) - 1 - t)
-    return np.column_stack([n - 1 - j, n - 1 - i])
+    return (n * n - 1) - (j * n + i)
 
 
 def _bernoulli_flat(total: int, prob: float, rng: np.random.Generator) -> np.ndarray:
@@ -369,20 +370,17 @@ def _bernoulli_flat(total: int, prob: float, rng: np.random.Generator) -> np.nda
         pos = int(steps[-1])
 
 
-def _extras_flat(N: int, plants: list, r: float, rng) -> np.ndarray:
+def _extras_keys(N: int, plants: list, r: float, rng) -> np.ndarray:
     """Bernoulli(r) pairs inside the planted set (one side) or between the
-    planted sets (two sides), as ascending flat indices among all N
-    vertices per side: lexicographic pair indices, or top * N + bottom."""
+    planted sets (two sides), as ascending keys among all N vertices per
+    side, mapped from keys local to the planted rows and columns."""
     if len(plants) == 1:
-        (members,) = plants
-        local = _bernoulli_flat(_pair_count(members.size), r, rng)
-        if local.size == 0:  # spares tiny samplers the inversion's fixed cost
-            return local
-        u, v = members[_pairs_from_flat(members.size, local)].T
-        return _pair_start(N, u) + v - u - 1
-    top, bottom = plants
-    local = _bernoulli_flat(top.size * bottom.size, r, rng)
-    return top[local // bottom.size] * N + bottom[local % bottom.size]
+        rows = cols = plants[0]
+        local = _lex_keys(rows.size, _bernoulli_flat(_pair_count(rows.size), r, rng))
+    else:
+        rows, cols = plants
+        local = _bernoulli_flat(rows.size * cols.size, r, rng)
+    return rows[local // cols.size] * N + cols[local % cols.size]
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +400,9 @@ def _plant(N: int, K: int, p: float, q: float, seed, sides: int, fixed_size: boo
     nothing there.
     The union of a rate-q background and rate-(p-q)/(1-q) extras inside the
     planted set(s) is exactly Bernoulli(p) within and Bernoulli(q)
-    elsewhere.  Both parts are ascending flat pair indices, merged by
-    inserting the extras the background lacks, then turned into rows once;
+    elsewhere.  Both parts are ascending keys (one side's background is
+    drawn as pair indices and keyed once), merged by inserting the extras
+    the background lacks, and the graph keeps them with no rows in between;
     extras at rate 0 (p = q) or inside an empty set draw nothing from the
     edge stream, so G(N, q) costs no more than its own pairs.
     """
@@ -416,6 +415,8 @@ def _plant(N: int, K: int, p: float, q: float, seed, sides: int, fixed_size: boo
     if K:
         _check_vertex_arrays(N)
     s = as_seed(seed)
+    # validates N, so every key below fits int64
+    graph = (Graph if sides == 1 else BipartiteGraph)(*[N] * sides)
     plants = [np.empty(0, dtype=np.int64)] * sides
     if K:
         mrng = s.child(_MEMBERSHIP_STREAM).rng()
@@ -424,17 +425,18 @@ def _plant(N: int, K: int, p: float, q: float, seed, sides: int, fixed_size: boo
         else:
             plants = [np.flatnonzero(mrng.random(N) < K / N) for _ in plants]
     rng = s.child(_EDGE_STREAM).rng()
-    flat = _bernoulli_flat(pairs(N), q, rng)
-    extras = _extras_flat(N, plants, 0.0 if p == q else (p - q) / (1.0 - q), rng)
-    if extras.size and flat.size:
-        at = flat.searchsorted(extras)
-        # an extra past the background's end reads its last index, never equal
-        fresh = flat.take(at, mode="clip") != extras
-        flat = np.insert(flat, at[fresh], extras[fresh])
+    keys = _bernoulli_flat(pairs(N), q, rng)
+    if sides == 1:
+        keys = _lex_keys(N, keys)
+    extras = _extras_keys(N, plants, 0.0 if p == q else (p - q) / (1.0 - q), rng)
+    if extras.size and keys.size:
+        at = keys.searchsorted(extras)
+        # an extra past the background's end reads its last key, never equal
+        fresh = keys.take(at, mode="clip") != extras
+        keys = np.insert(keys, at[fresh], extras[fresh])
     elif extras.size:
-        flat = extras
-    edges = _pairs_from_flat(N, flat) if sides == 1 else np.column_stack(np.divmod(flat, N))
-    graph = (Graph if sides == 1 else BipartiteGraph)(*[N] * sides, edges)
+        keys = extras
+    graph._keys = keys
     planted = tuple(tuple(m.tolist()) for m in plants)
     return PlantedInstance(graph, planted if sides == 2 else planted[0])
 

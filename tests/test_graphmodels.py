@@ -344,21 +344,21 @@ class TestPairIndex:
         # inversion is exact
         for n in range(2, 300):
             t = np.arange(n * (n - 1) // 2)
-            assert np.array_equal(graphmodels._pairs_from_flat(n, t), float_pairs_from_flat(n, t))
+            assert np.array_equal(graphmodels._lex_keys(n, t), float_pairs_from_flat(n, t) @ [n, 1])
         for n in (10**3, 4471, 10**5, 10**6, 10**7):
             t = _probe_indices(n)
-            assert np.array_equal(graphmodels._pairs_from_flat(n, t), float_pairs_from_flat(n, t))
+            assert np.array_equal(graphmodels._lex_keys(n, t), float_pairs_from_flat(n, t) @ [n, 1])
 
     def test_exact_up_to_the_vertex_limit(self):
         # the float inversion's two fixed correction rounds fell short here:
         # at n = 10**9 it mapped this index to (999999997, 999999993)
-        assert graphmodels._pairs_from_flat(10**9, [499_999_999_499_999_992]).tolist() == [
-            [999_999_995, 999_999_998]
+        assert graphmodels._lex_keys(10**9, [499_999_999_499_999_992]).tolist() == [
+            999_999_995 * 10**9 + 999_999_998
         ]
         for n in (10**9, 3 * 10**9, graphmodels._MAX_VERTEX_COUNT):
             t = _probe_indices(n)
             expected = [_exact_pair(n, x) for x in t.tolist()]
-            assert graphmodels._pairs_from_flat(n, t).tolist() == [list(p) for p in expected]
+            assert graphmodels._lex_keys(n, t).tolist() == [i * n + j for i, j in expected]
 
 
 class TestFrozenSamples:
