@@ -215,9 +215,9 @@ def t_scan_exact(g: Graph, K: int, budget: int = DEFAULT_SCAN_BUDGET, threshold=
     threshold = _threshold(threshold)
     if not (0 <= K <= N):
         raise InvalidParameterError(f"need 0 <= K <= N, got K={K}, N={N}")
+    _check_exact_scan(N, K, budget)
     if K <= 1:
         return (0, tuple(range(K))) if threshold is None else 0 > threshold
-    _check_exact_scan(N, K, budget)
     # uint8 rows: the degree vectors are int64, so every sum is exact
     A = g.adjacency_matrix()
     best = -1 if threshold is None else math.floor(threshold)
@@ -358,11 +358,12 @@ def _lockstep_scan(run: list, N: int, K: int, restarts: int, threshold) -> list:
     exceeds `threshold` if one is given, by one lockstep run; `run` is left
     empty, so the graphs go before the scan starts."""
     seeds = [seed for _, seed in run]
+    if K == 1:
+        run.clear()
+        return [(0, (0,)) if threshold is None else 0 > threshold] * len(seeds)
     ptr, nbrs = _run_csr([g for g, _ in run], N)
     per_gather = max(1, _BLOCK // max(N, *(2 * g.num_edges for g, _ in run)))
     run.clear()
-    if K == 1:
-        return [(0, (0,)) if threshold is None else 0 > threshold] * len(seeds)
     # key[x] is x's degree into the set, less `off` for members: members sit
     # at or below -2 and outside vertices at or above 0
     off = N + 1

@@ -105,6 +105,18 @@ class TestScanExact:
         with pytest.raises(BudgetExceededError):
             t_scan_exact(g, 5, budget=total - 1)
 
+    def test_budget_checked_at_k_at_most_one(self):
+        # C(30, 1) = 30 subsets exceed a budget of 5: the K <= 1 answer once
+        # came before the check, and a threshold decides nothing first either
+        g = Graph(30)
+        for threshold in (None, -1, 0.5):
+            with pytest.raises(BudgetExceededError, match=r"^C\(30,1\) = 30 subsets exceeds"):
+                t_scan_exact(g, 1, budget=5, threshold=threshold)
+        with pytest.raises(BudgetExceededError, match=r"^C\(30,0\) = 1 subsets exceeds"):
+            t_scan_exact(g, 0, budget=0)
+        assert t_scan_exact(g, 1, budget=30) == (0, (0,))
+        assert t_scan_exact(g, 0, budget=1, threshold=-1) is True
+
     def test_budget_checked_before_the_matrix(self, monkeypatch):
         # past min(K, N - K) = 30 the check uses the capped count C(N, 30):
         # no N x N matrix and no C(10^6, 5 * 10^5) of 300,000 digits
@@ -247,6 +259,19 @@ class TestScanHeuristic:
                     assert np.array_equal(nbrs[start:start + own_nbrs.size], own_nbrs), (n, j)
                     start += own_nbrs.size
                 assert nbrs.size == start
+
+    def test_k_one_builds_no_csr(self, monkeypatch):
+        # a one-vertex set has no pair: its count is 0 on every graph
+        def no_csr(graphs, N):
+            raise AssertionError("_run_csr reached")
+
+        monkeypatch.setattr(detectors, "_run_csr", no_csr)
+        graphs = [K4, Graph(4), Graph(4, [(0, 1)])]
+        seeds = [Seed(i) for i in range(3)]
+        assert scan_heuristic_batch(zip(graphs, seeds), 4, 1, 3) == [(0, (0,))] * 3
+        assert scan_heuristic_batch(zip(graphs, seeds), 4, 1, 3, threshold=-0.5) == [True] * 3
+        assert scan_heuristic_batch(zip(graphs, seeds), 4, 1, 3, threshold=0) == [False] * 3
+        assert t_scan_heuristic(K4, 1, 2, Seed(0)) == (0, (0,))
 
     def test_batch_checks_its_graphs(self):
         # every graph must have the batch's vertex count; an empty batch is

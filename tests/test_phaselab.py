@@ -388,6 +388,15 @@ class TestCli:
         )
         assert code == 4
 
+    def test_budget_exit_code_at_k_one(self, tmp_path):
+        # C(10, 1) = 10 subsets exceed a budget of 5, though K = 1 needs no scan
+        out = str(tmp_path / "g.txt")
+        run_cli("generate", "er", "--n", "10", "--q", "0.3", "--seed", "3", "--out", out)
+        code, stdout = run_cli(
+            "test", out, "--test", "scan", "--K", "1", "--p", "0.9", "--q", "0.3", "--budget", "5",
+        )
+        assert (code, stdout) == (4, "")
+
     def test_reduce_too_large_block_exit_code(self, tmp_path):
         # q = 0 passes the edge estimate, but parts near ell = 3000 make
         # blocks of ~9e6 slots, past the reduction's slot cap
