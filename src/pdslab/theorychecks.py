@@ -19,7 +19,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement, product
-from typing import Iterable
 
 import numpy as np
 
@@ -104,16 +103,13 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def default_kernel_grid(
-    sizes: Iterable[int] = range(1, 7),
-    qs: Iterable[float] = (1e-3, 1e-2),
-    gammas: Iterable[float] = (0.5, 0.25),
-):
-    """The standard (ls, lt, q, gamma, ell) grid with ell = max(ls, lt),
+def default_kernel_grid():
+    """The standard (ls, lt, q, gamma, ell) grid: sizes 1..6 a side, q in
+    {1e-3, 1e-2} and gamma in {0.5, 0.25}, with ell = max(ls, lt),
     filtered by the validity condition 16 q ell^2 <= 1."""
+    sizes = range(1, 7)
     grid = []
-    sizes = list(sizes)
-    for ls, lt, q, gamma in product(sizes, sizes, qs, gammas):
+    for ls, lt, q, gamma in product(sizes, sizes, (1e-3, 1e-2), (0.5, 0.25)):
         ell = max(ls, lt)
         if 16.0 * q * ell**2 <= 1.0:
             grid.append((ls, lt, q, gamma, ell))
