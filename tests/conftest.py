@@ -456,8 +456,10 @@ def per_mask_reduced_law(params, graph, bipartite: bool) -> np.ndarray:
     block: a bit plane per slot, and every block factor gathered over all
     2^n_slots edge masks and multiplied into the running factor.
 
-    Reference for `theorychecks._reduced_laws`, which must give the same
-    floats, byte for byte.  The enumeration caps are left out.
+    Reference for `theorychecks._reduced_laws`, which sums in another
+    order: its zeros must be exact and every other entry within 256 ulps
+    of this one's (the `verify` floats' v2 rule).  The enumeration caps
+    are left out.
     """
     n, N = params.n, params.N
     if bipartite:
