@@ -176,12 +176,15 @@ def scan_subset_count(N: int, K: int, budget: int) -> int:
 
 
 def _check_exact_scan(N: int, K: int, budget: int) -> None:
-    """Refuse an exact scan before any array: a BudgetExceededError when
-    C(N, K) exceeds `budget`, then, when K > 1 and the scan's arrays would
-    hold more than _MAX_VERTEX_ARRAY entries, a TooLargeError.  Those
+    """Refuse an exact scan before any array: an InvalidParameterError for
+    a budget that is not an integer of at least 1, a BudgetExceededError
+    when C(N, K) exceeds `budget`, then, when K > 1 and the scan's arrays
+    would hold more than _MAX_VERTEX_ARRAY entries, a TooLargeError.  Those
     arrays are the N x N adjacency matrix and each stacked frame's two
     N-entry rows, with at most K + 1 frames stacked at once.
     """
+    if _integer(budget, "budget") < 1:
+        raise InvalidParameterError(f"need a budget of at least 1, got {budget}")
     total = scan_subset_count(N, K, budget)
     if total > budget:
         relation = "=" if min(K, N - K) <= _COUNT_CAP else ">="

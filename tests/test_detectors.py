@@ -112,10 +112,23 @@ class TestScanExact:
         for threshold in (None, -1, 0.5):
             with pytest.raises(BudgetExceededError, match=r"^C\(30,1\) = 30 subsets exceeds"):
                 t_scan_exact(g, 1, budget=5, threshold=threshold)
-        with pytest.raises(BudgetExceededError, match=r"^C\(30,0\) = 1 subsets exceeds"):
+        # a budget of 0 is refused as invalid before C(30, 0) = 1 is counted
+        with pytest.raises(InvalidParameterError, match="budget of at least 1"):
             t_scan_exact(g, 0, budget=0)
         assert t_scan_exact(g, 1, budget=30) == (0, (0,))
         assert t_scan_exact(g, 0, budget=1, threshold=-1) is True
+
+    def test_budget_below_one_refused(self):
+        # a budget below 1 once read as exceeded (exit 4), not as invalid
+        g = Graph(10)
+        for budget in (0, -1, np.int64(-5)):
+            for k in (0, 1, 3):
+                with pytest.raises(InvalidParameterError, match="budget of at least 1"):
+                    t_scan_exact(g, k, budget=budget)
+        for budget in (True, 1000.0, "1000"):
+            with pytest.raises(InvalidParameterError, match="must be an integer"):
+                t_scan_exact(g, 3, budget=budget)
+        assert t_scan_exact(g, 0, budget=1) == (0, ())
 
     def test_budget_checked_before_the_matrix(self, monkeypatch):
         # past min(K, N - K) = 30 the check uses the capped count C(N, 30):

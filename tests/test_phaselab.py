@@ -397,6 +397,18 @@ class TestCli:
         )
         assert (code, stdout) == (4, "")
 
+    def test_budget_below_one_exit_code(self, tmp_path, capsys):
+        # a budget below 1 is a usage error, not a budget the scan exceeds
+        out = str(tmp_path / "g.txt")
+        run_cli("generate", "er", "--n", "10", "--q", "0.3", "--seed", "3", "--out", out)
+        capsys.readouterr()
+        for budget in ("0", "-1"):
+            code, stdout = run_cli(
+                "test", out, "--test", "scan", "--K", "3", "--p", "0.9", "--q", "0.3", "--budget", budget,
+            )
+            assert (code, stdout) == (2, "")
+            assert capsys.readouterr().err == f"error: need a budget of at least 1, got {budget}\n"
+
     def test_reduce_too_large_block_exit_code(self, tmp_path):
         # q = 0 passes the edge estimate, but parts near ell = 3000 make
         # blocks of ~9e6 slots, past the reduction's slot cap
