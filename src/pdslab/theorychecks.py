@@ -18,7 +18,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import numpy as np
 
@@ -393,6 +393,17 @@ def _side_layout(weight: float, sizes: list, table, graph) -> tuple:
     return weights, np.repeat(s, slots), np.repeat(t, slots), idx, np.repeat(radix, slots)
 
 
+def _relabellings(cases: list, bipartite: bool) -> list:
+    """The relabellings of the parents that fix every case's input graph, a
+    None (Erdos-Renyi) input fixed by all: each a permutation of [n], as a
+    1-tuple, or a pair when bipartite, taking block (s, t) to (g[0][s], g[-1][t])."""
+    n = cases[0][0].n
+    # a Graph marks only its edges (u, v) with u < v
+    marks = [m if bipartite else m | m.T for m in (g.row_marks(0, n) for _, g in cases if g is not None)]
+    group = product(permutations(range(n)), repeat=2 if bipartite else 1)
+    return [g for g in group if all((m[np.ix_(g[0], g[-1])] == m).all() for m in marks)]
+
+
 def _reduced_laws(cases: list, bipartite: bool) -> list:
     """Exact output laws of the reduction, one vector over all edge masks
     for each (params, graph) case; the cases must share n and ell.
@@ -400,7 +411,11 @@ def _reduced_laws(cases: list, bipartite: bool) -> list:
     Sums over every parent assignment (of both sides for a bipartite
     graph); the blocks, their count laws and their slots come from the
     samplers' own `block_routes` and `block_pairs`.  `graph` is the input
-    graph `block_routes` takes, None for an Erdos-Renyi(gamma) input.
+    graph `block_routes` takes, None for an Erdos-Renyi(gamma) input.  A
+    relabelling that fixes every input (`_relabellings`) maps each side to
+    one with an equal factor, so the pass sums the least side of each
+    orbit, weighted by the orbit's size: 64 of the battery's 256 bipartite
+    sides.
 
     A side's factor depends on a mask only through its blocks' edge counts,
     so it is an entry of the case's weight table for the side
@@ -411,9 +426,9 @@ def _reduced_laws(cases: list, bipartite: bool) -> list:
     halves on the battery's 16-slot bipartite shapes, so a side gathers one
     row of table entries per distinct value and copies it to every high
     half that shares it.  None of this index work depends on q, gamma or
-    the input, so one pass does it once a side for every case.  Each law
-    takes the sides in side order, the same entries in the same order, so
-    its floats are those of a per-mask product in `block_routes` order.
+    the input, so one pass does it once a side for every case.  Summed by
+    orbit, the laws' nonzero floats are within 256 ulps of a per-mask sum
+    over every side (the `verify` floats' v2), and its zeros are exact.
     """
     if len({(params.n, params.ell) for params, _ in cases}) != 1:
         raise InvalidParameterError("the cases of one pass need one n and one ell")
@@ -430,24 +445,31 @@ def _reduced_laws(cases: list, bipartite: bool) -> list:
         slot_of = np.zeros((N, N), dtype=np.int64)
         u, v = np.triu_indices(N, 1)
         slot_of[u, v] = slot_of[v, u] = np.arange(n_slots)
-    splits = [_split_parents(np.array(assignment), n) for assignment in product(range(n), repeat=N)]
-    sides = list(product(splits, repeat=2)) if bipartite else [(split,) for split in splits]
-    weight = 1.0 / len(sides)
+    assignments = np.array(list(product(range(n), repeat=N)))
+    splits = [_split_parents(assignment, n) for assignment in assignments]
+    # a side's key is its assignments' indices in product order; keep the
+    # least key of each orbit of the relabellings, and count the orbit
+    dims = (len(splits),) * (2 if bipartite else 1)
+    place = n ** np.arange(N - 1, -1, -1)
+    images = ((np.array(pi)[assignments] @ place for pi in g) for g in _relabellings(cases, bipartite))
+    least = np.minimum.reduce([np.ravel_multi_index(np.ix_(*image), dims) for image in images]).ravel()
+    keys, orbits = np.unique(least, return_counts=True)
     # the bits of every half-width mask, one row per mask
     low = n_slots // 2
     low_bits, high_bits = ((np.arange(1 << w)[:, None] >> np.arange(w)) & 1 for w in (low, n_slots - low))
-    # many sides share their part sizes, and with them their layouts
+    # many orbits share their size and part sizes, and with them their layouts
     layouts = {}
     coef = np.zeros(n_slots, dtype=np.int64)
     factors = np.empty((len(high_bits), len(low_bits)))
     laws = [np.zeros(factors.size) for _ in cases]
-    for side in sides:
-        sizes = tuple(tuple(size.tolist()) for _, _, size in side)
-        if sizes not in layouts:
-            sized = [size for _, _, size in side]
-            layouts[sizes] = [_side_layout(weight, sized, params.kernel_table, graph) for params, graph in cases]
+    for key, orbit in zip(zip(*np.unravel_index(keys, dims)), orbits.tolist()):
+        side = [splits[i] for i in key]
+        shape = (orbit, *(tuple(size.tolist()) for _, _, size in side))
+        if shape not in layouts:
+            sized, weight = [size for _, _, size in side], orbit / least.size
+            layouts[shape] = [_side_layout(weight, sized, params.kernel_table, graph) for params, graph in cases]
         # the cases' layouts differ only in their weight tables
-        weights, s, t, idx, radix = layouts[sizes][0]
+        weights, s, t, idx, radix = layouts[shape][0]
         # every slot lies in one block, so each side sets every coefficient
         pairs = block_pairs(side, s, t, idx)
         coef[slot_of[pairs[:, 0], pairs[:, 1]]] = radix
@@ -460,7 +482,7 @@ def _reduced_laws(cases: list, bipartite: bool) -> list:
         # would buffer the copy; this check stands for the bounds check
         if rows.max() >= len(at):
             raise IndexError("row rank outside the gathered block")
-        for law, (weights, *_) in zip(laws, layouts[sizes]):
+        for law, (weights, *_) in zip(laws, layouts[shape]):
             weights.take(at).take(rows, axis=0, out=factors, mode="clip")
             law += factors.reshape(-1)
     return laws

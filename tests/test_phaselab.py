@@ -721,6 +721,31 @@ class TestFrozenOutputs:
         assert _digest(out.encode("utf-8")) == self.VERIFY_DIGESTS[battery]
         assert report.read_bytes() == out.encode("utf-8")
 
+    def test_verify_reduction_exact_values(self):
+        # beside the digest: the v2 floats stay within 1e-9 relative of v1's,
+        # the fixed bounds are exact and the null residues stay rounding-sized
+        code, out = run_cli("verify", "reduction-exact")
+        assert code == 0
+        reports = {r["name"]: r for r in map(json.loads, out.splitlines())}
+        assert list(reports) == [
+            "reduction-null-exactness",
+            "reduction-alt-tv-decreasing",
+            "reduction-alt-fidelity-ratio-bipartite-upper",
+            "reduction-alt-fidelity-ratio-bipartite-lower",
+            "reduction-null-exactness-bipartite",
+        ]
+        assert all(r["satisfied"] is True for r in reports.values())
+        for name in ("reduction-null-exactness", "reduction-null-exactness-bipartite"):
+            assert reports[name]["rhs"] == 1e-12
+            assert 0.0 <= reports[name]["lhs"] <= 1e-14
+        tvs = reports["reduction-alt-tv-decreasing"]
+        assert tvs["lhs"] == pytest.approx(0.002981300917203721, rel=1e-9)
+        assert tvs["rhs"] == pytest.approx(0.028175179092875053, rel=1e-9)
+        upper = reports["reduction-alt-fidelity-ratio-bipartite-upper"]
+        lower = reports["reduction-alt-fidelity-ratio-bipartite-lower"]
+        assert (upper["rhs"], lower["lhs"]) == (200.0, 50.0)
+        assert upper["lhs"] == lower["rhs"] == pytest.approx(88.5715612525727, rel=1e-9)
+
     # (argv after the model, edge-list digest, sidecar digest) per model;
     # the er row also gives a flag its model does not need, which the
     # sidecar's params record

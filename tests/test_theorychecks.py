@@ -1,7 +1,7 @@
 import json
 import math
 import tracemalloc
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -28,6 +28,7 @@ from pdslab.theorychecks import (
     CheckReport,
     _overlap_counts,
     _reduced_laws,
+    _relabellings,
     battery_kernel,
     battery_lemmas,
     battery_reduction_exact,
@@ -486,6 +487,55 @@ class TestOraclePin:
         for (params, graph), got, point in zip(cases, laws, points):
             want = per_mask_reduced_law(params, graph, bipartite)
             _assert_matches_reference(got, want, point)
+
+    @pytest.mark.parametrize("n,bipartite,labels", [
+        *((n, False, [label]) for n in (1, 2, 3) for label in ("er", "empty", "complete")),
+        (3, False, ["path"]),
+        *((n, True, [label]) for n in (1, 2, 3) for label in ("er", "all", "alternate")),
+        (2, False, ["er", "complete"]),
+        (3, False, ["path", "er", "empty", "complete"]),
+        (2, True, ["er", "all"]),
+        (3, True, ["alternate", "er", "all"]),
+    ])
+    def test_relabellings_are_the_automorphisms(self, n, bipartite, labels):
+        # brute force: a relabelling fixes a graph iff it maps its edge set onto itself
+        graphs = [_input_graph(n, bipartite, label) for label in labels]
+        want = []
+        for g in product(permutations(range(n)), repeat=2 if bipartite else 1):
+            rows, cols = g[0], g[-1]
+            fixed = True
+            for graph in graphs:
+                if graph is not None:
+                    edges = set(map(tuple, graph.edges.tolist()))
+                    moved = {(rows[u], cols[v]) if bipartite else tuple(sorted((rows[u], rows[v])))
+                             for u, v in edges}
+                    fixed &= moved == edges
+            if fixed:
+                want.append(g)
+        params = ReductionParams(n=n, k=n, gamma=0.5, ell=1, q=0.01)
+        assert _relabellings([(params, graph) for graph in graphs], bipartite) == want
+
+    @pytest.mark.parametrize("bipartite,graph,sides", [
+        (False, Graph(2, [(0, 1)]), 8),
+        (True, BipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)]), 64),
+        (True, BipartiteGraph(2, 2, [(0, 0), (1, 1)]), 128),
+        # no relabelling but the identity fixes this input
+        (True, BipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0)]), 256),
+    ])
+    def test_one_side_per_orbit(self, monkeypatch, bipartite, graph, sides):
+        # the battery's shape and cases, n = ell = 2, on this input: each
+        # block_pairs call is one side summed
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return reduction.block_pairs(*args)
+
+        monkeypatch.setattr(theorychecks, "block_pairs", counted)
+        params = ReductionParams(n=2, k=2, gamma=0.5, ell=2, q=0.01)
+        params_lo = ReductionParams(n=2, k=2, gamma=0.5, ell=2, q=0.001)
+        _reduced_laws([(params, None), (params, graph), (params_lo, graph)], bipartite)
+        assert len(calls) == sides
 
     def test_one_pass_needs_one_n_and_one_ell(self):
         params = ReductionParams(n=2, k=2, gamma=0.5, ell=2, q=0.01)
