@@ -710,7 +710,7 @@ class TestFrozenOutputs:
     VERIFY_DIGESTS = {
         "kernel": "5cbf3bfe9b3320308a2920bb443f5bb0",
         "lemmas": "553b5865581e01e77e8b69b113ae891f",
-        "reduction-exact": "f8ed395314776dbe39255326d1c6ebc7",
+        "reduction-exact": "d4473f6d03c8e41b9d771d445a36e59a",
     }
 
     @pytest.mark.parametrize("battery", sorted(VERIFY_DIGESTS))
